@@ -1,16 +1,26 @@
 """Classical QUBO minimization backends.
 
-Both samplers return a SampleSet ordered by (energy, bits); the
-exhaustive backend is the exact oracle, the annealer is the scalable
+Both samplers return a SampleSet ordered by (energy, bits), where energy
+is the exact-sum score ``qubo.energy`` (one correctly rounded ``fsum``).
+The exhaustive backend is the exact oracle, the annealer is the scalable
 stand-in whose occurrence counts play the role of hardware read
 statistics.
+
+The exhaustive sampler scores every state in float with numpy, a block
+of states at a time so memory stays O(block * nq) up to the 24-qubit
+cap. It then rescores exactly with ``qubo.energy`` only the band of
+states whose float score lies within a proven rounding bound of the
+float minimum, which holds every state of minimum exact energy. Its
+full ordered entry list is built on first access.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,6 +29,9 @@ from .encoding import BitVector
 from .errors import DimensionMismatch, TooManyQubits
 
 _EXHAUSTIVE_LIMIT = 24
+_BLOCK = 1 << 14  # states per float-pass block; a power of two
+_U = 2.0**-53  # unit roundoff of binary64
+_TINY = 2.0**-1074  # smallest subnormal
 
 
 class SampleEntry(NamedTuple):
@@ -27,17 +40,42 @@ class SampleEntry(NamedTuple):
     occurrences: int
 
 
-@dataclass(frozen=True)
 class SampleSet:
-    entries: tuple[SampleEntry, ...]
+    """Samples ordered by (energy, bits), each with its occurrence count.
+
+    Built either from the full ordered ``entries``, or from ``head`` and
+    ``build``: ``head`` is the leading run of the full order, holding at
+    least every entry tied with the minimum energy, and ``build()``
+    returns the full order, called on first access to ``entries``.
+    best() and ground_occurrences() read only the head.
+    """
+
+    def __init__(
+        self,
+        entries: Sequence[SampleEntry] | None = None,
+        *,
+        head: Sequence[SampleEntry] | None = None,
+        build: Callable[[], tuple[SampleEntry, ...]] | None = None,
+    ) -> None:
+        if (entries is None) == (head is None) or (head is None) != (build is None):
+            raise ValueError("give entries, or head and build")
+        self._entries = None if entries is None else tuple(entries)
+        self._head = self._entries if head is None else tuple(head)
+        self._build = build
+
+    @property
+    def entries(self) -> tuple[SampleEntry, ...]:
+        if self._entries is None:
+            self._entries = self._build()
+        return self._entries
 
     def best(self) -> SampleEntry:
-        return self.entries[0]
+        return self._head[0]
 
     def ground_occurrences(self) -> int:
         """Total occurrences across entries tied with the minimum energy."""
-        e0 = self.entries[0].energy
-        return sum(e.occurrences for e in self.entries if e.energy == e0)
+        e0 = self._head[0].energy
+        return sum(e.occurrences for e in self._head if e.energy == e0)
 
 
 @dataclass(frozen=True)
@@ -65,15 +103,107 @@ class AnnealConfig:
 
 
 def sample_exhaustive(q: qubo.QuboMatrix) -> SampleSet:
+    """Exact minimum by (qubo.energy, bits) over all 2^nq states; the full
+    ordered list of every state is built only when ``entries`` is read."""
     if q.n_qubits > _EXHAUSTIVE_LIMIT:
         raise TooManyQubits(f"{q.n_qubits} qubits exceeds exhaustive limit {_EXHAUSTIVE_LIMIT}")
+    band = _exact_entries(q, _near_minimum_states(q))
+    e0 = band[0].energy
+    ground = [e for e in band if e.energy == e0]
+    return SampleSet(head=ground, build=lambda: _exact_entries(q, range(1 << q.n_qubits)))
+
+
+def _near_minimum_states(q: qubo.QuboMatrix) -> Iterable[int]:
+    """States whose float energy lies within 2*delta of the float minimum,
+    ascending; they include every state of minimum exact energy.
+
+    Proof. Let E(x) be the exact sum of the coefficients state x selects,
+    S(x) the sum of their magnitudes, S the sum of all |coef|, u = 2^-53,
+    gamma_k = k*u / (1 - k*u), s(x) = qubo.energy(q, x) and f(x) the float
+    energy computed here as x @ linear + rowsum((x @ upper) * x).
+
+    - With x in {0, 1} every product is exact, so f(x) is a summation tree
+      over the N <= nq + #quadratic nonzero selected coefficients. An
+      addition with an exact-zero operand does not round, and one whose
+      result is subnormal is exact, so each leaf meets at most N - 1
+      additions with relative error <= u: |f(x) - E(x)| <= gamma_{N-1} S(x)
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      lemma 3.1 and eq. 4.4).
+    - fsum is correctly rounded: |s(x) - E(x)| <= u S(x) + 2^-1075.
+    - With m = nq + #quadratic + 2, gamma_{N-1} + u <= gamma_m, so
+      |f(x) - s(x)| <= gamma_m S + 2^-1075 <= delta := gamma_m S + m 2^-1074.
+    - Let x* be any state of minimum s and y the state of minimum f. Then
+      f(x*) <= s(x*) + delta <= s(y) + delta <= f(y) + 2 delta.
+
+    delta is evaluated as 2 m u S + m 2^-1074 with S from fsum. Under the
+    24-qubit cap m u <= 302 u, so gamma_m <= m u (1 + 1e-13) and the factor
+    2 covers the roundings of S and of the product; an underflowing product
+    is covered by the absolute term. The cut f(y) + 2 delta is rounded up
+    by one ulp. If 4 S overflows, the float pass could overflow too, and
+    every state is returned instead.
+    """
+    nq = q.n_qubits
+    m = nq + len(q.quadratic) + 2
+    try:
+        total = math.fsum(abs(c) for c in (*q.linear, *q.quadratic.values()))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(4.0 * total):
+        return range(1 << nq)
+    width = 2.0 * (2.0 * m * _U * total + m * _TINY)
+
+    lin = np.array(q.linear, dtype=np.float64)
+    upper = np.zeros((nq, nq))
+    for (u, v), c in q.quadratic.items():
+        upper[u, v] = c
+    lo = math.inf
+    states = np.empty(0, dtype=np.int64)
+    scores = np.empty(0)
+    for start, x in _state_blocks(nq):
+        f = x @ lin + ((x @ upper) * x).sum(axis=1)
+        lo = min(lo, float(f.min()))
+        cut = math.nextafter(lo + width, math.inf)
+        old = scores <= cut
+        mine = np.flatnonzero(f <= cut)
+        states = np.concatenate((states[old], start + mine))
+        scores = np.concatenate((scores[old], f[mine]))
+    return states.tolist()
+
+
+def _state_blocks(nq: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(first state, rows bits[u] = (state >> u) & 1) over all 2^nq states,
+    in blocks of at most _BLOCK rows. The rows yielded for later blocks
+    reuse one buffer, so use each block before asking for the next."""
+    rows = min(1 << nq, _BLOCK)
+    low = _low_states(nq, rows)
+    if rows == 1 << nq:
+        yield 0, low
+        return
+    low_bits = rows.bit_length() - 1
+    high = np.arange(low_bits, nq)
+    x = low.copy()
+    for start in range(0, 1 << nq, rows):
+        x[:, low_bits:] = (start >> high) & 1
+        yield start, x
+
+
+@functools.lru_cache(maxsize=8)
+def _low_states(nq: int, rows: int) -> np.ndarray:
+    """Read-only state matrix of the first `rows` states of nq qubits."""
+    x = ((np.arange(rows)[:, None] >> np.arange(nq)) & 1).astype(np.float64)
+    x.flags.writeable = False
+    return x
+
+
+def _exact_entries(q: qubo.QuboMatrix, states: Iterable[int]) -> tuple[SampleEntry, ...]:
+    """The given states scored by qubo.energy, ordered by (energy, bits)."""
     nq = q.n_qubits
     scored = []
-    for state in range(1 << nq):
+    for state in states:
         bits = tuple((state >> u) & 1 for u in range(nq))
         scored.append((qubo.energy(q, bits), bits))
     scored.sort()
-    return SampleSet(entries=tuple(SampleEntry(bits, e, 1) for e, bits in scored))
+    return tuple(SampleEntry(bits, e, 1) for e, bits in scored)
 
 
 def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:

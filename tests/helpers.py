@@ -41,6 +41,36 @@ def frac_energy(q, bits) -> Fraction:
     return total
 
 
+def frac_energies(q) -> list[Fraction]:
+    """Exact energy of every state, indexed by state (bits[u] = (state >> u) & 1).
+
+    The coefficients are scaled to integers over their common power-of-two
+    denominator, and each state's total is the total of the state without
+    its lowest set bit plus that bit's linear and coupling terms.
+    """
+    nq = q.n_qubits
+    denom = max((Fraction(c).denominator for c in (*q.linear, *q.quadratic.values())), default=1)
+    lin = [int(Fraction(c) * denom) for c in q.linear]
+    quad = [[0] * nq for _ in range(nq)]
+    for (u, v), c in q.quadratic.items():
+        quad[u][v] = quad[v][u] = int(Fraction(c) * denom)
+    totals = [0] * (1 << nq)
+    for state in range(1, 1 << nq):
+        low = (state & -state).bit_length() - 1
+        rest = state & (state - 1)
+        acc = totals[rest] + lin[low]
+        r = rest
+        while r:
+            acc += quad[low][(r & -r).bit_length() - 1]
+            r &= r - 1
+        totals[state] = acc
+    return [Fraction(t, denom) for t in totals]
+
+
+def state_bits(state: int, nq: int) -> tuple[int, ...]:
+    return tuple((state >> u) & 1 for u in range(nq))
+
+
 def frac_error(center: DyadicVector, truth) -> float:
     """2-norm distance via exact squared sum, one final sqrt."""
     sq = Fraction(0)

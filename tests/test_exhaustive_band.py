@@ -1,0 +1,235 @@
+"""The exhaustive sampler's float pass plus exact band, against exact oracles.
+
+Every expectation is recomputed with integer/Fraction arithmetic
+(helpers.frac_energies, itself checked against helpers.frac_energy) and
+ordered by (float(exact energy), bits), which is the order the sampler
+promises since fsum is correctly rounded.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from helpers import (
+    build_illcond,
+    frac_energies,
+    frac_energy,
+    irrational_system,
+    random_qubo_coeffs,
+    state_bits,
+)
+from qrefine import (
+    DyadicVector,
+    EncodingSpec,
+    QuboMatrix,
+    RefinementConfig,
+    build_window,
+    refine,
+    sample_exhaustive,
+)
+from qrefine import samplers
+from qrefine.samplers import SampleEntry, _near_minimum_states, _state_blocks
+
+
+def expected(q) -> tuple[tuple[SampleEntry, ...], set[int]]:
+    """The full entry order and the states tied with the exact minimum."""
+    exact = [float(e) for e in frac_energies(q)]
+    order = sorted((e, state_bits(s, q.n_qubits)) for s, e in enumerate(exact))
+    grounds = {s for s, e in enumerate(exact) if e == order[0][0]}
+    return tuple(SampleEntry(bits, e, 1) for e, bits in order), grounds
+
+
+def check_exact(q):
+    """best(), ground_occurrences() and entries match the oracle, and the
+    band holds every state tied with the exact minimum."""
+    want, grounds = expected(q)
+    got = sample_exhaustive(q)
+    assert got.best() == want[0]
+    assert got.ground_occurrences() == len(grounds)
+    assert grounds <= set(_near_minimum_states(q))
+    assert got.entries == want
+    return got
+
+
+def window_qubos(system, config):
+    """Every window of a plain exhaustive run, rebuilt from the recorded
+    centers, with the energy the run recorded for each accepted move."""
+    trace = refine(system, config)
+    center = DyadicVector.zero(system.n)
+    k = config.bits_per_sign
+    for rec in trace.records:
+        spec = EncodingSpec(n_vars=system.n, l_lo=rec.level, l_hi=rec.level + k - 1)
+        yield build_window(system, center, spec), rec
+        center = rec.center_after
+
+
+def test_oracle_matches_frac_energy():
+    rng = random.Random(4)
+    for nq in range(0, 8):
+        linear, quadratic = random_qubo_coeffs(rng, nq)
+        q = QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
+        exact = frac_energies(q)
+        assert exact == [frac_energy(q, state_bits(s, nq)) for s in range(1 << nq)]
+
+
+def test_random_qubos_by_qubit_count():
+    rng = random.Random(2411)
+    for nq in range(1, 13):
+        linear, quadratic = random_qubo_coeffs(rng, nq)
+        check_exact(QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic))
+
+
+def test_empty_qubo():
+    check_exact(QuboMatrix(n_qubits=0, linear=()))
+
+
+def test_table1_k3_windows():
+    system, _ = irrational_system()
+    config = RefinementConfig(m_max=20, l_min=-40, bits_per_sign=3, level_step=3)
+    count = 0
+    for qm, rec in window_qubos(system, config):
+        assert qm.n_qubits == 12
+        best = check_exact(qm).best()
+        if any(rec.bits):
+            assert best == SampleEntry(rec.bits, rec.qubo_energy, 1)
+        count += 1
+    assert count == 37
+
+
+def test_illcond_plain_windows():
+    system, _ = build_illcond(44.0)
+    config = RefinementConfig(m_max=2, l_min=-40)
+    count = 0
+    for qm, rec in window_qubos(system, config):
+        best = check_exact(qm).best()
+        if any(rec.bits):
+            assert best == SampleEntry(rec.bits, rec.qubo_energy, 1)
+        count += 1
+    assert count > 1000
+
+
+def test_near_tie_by_one_ulp():
+    # single-bit states 0 and 1 differ by 2^-52; the coupling forbids both
+    for c in (1.0, 3.0 * 2.0**-600, 2.0**500, 2.0**-1000):
+        q = QuboMatrix(
+            n_qubits=3,
+            linear=(-c, -c * (1 + 2.0**-52), c / 2),
+            quadratic={(0, 1): 4 * c, (1, 2): -c / 2},
+        )
+        assert check_exact(q).best().bits in ((0, 1, 0), (0, 1, 1))
+
+
+def test_near_ties_lost_to_float_rounding():
+    # one coefficient of 2^53 (float spacing 2 there) among small integers:
+    # many states' exact energies differ by less than their float rounding
+    rng = random.Random(53)
+    for _ in range(200):
+        nq = rng.randint(3, 8)
+        scale = 2.0 ** rng.choice((0, -600, 600))
+        linear = [rng.choice((-1, 1)) * 2.0**53 * scale]
+        linear += [rng.randint(-3, 1) * scale for _ in range(nq - 1)]
+        rng.shuffle(linear)
+        quadratic = {(u, v): rng.randint(-2, 2) * scale
+                     for u in range(nq) for v in range(u + 1, nq) if rng.random() < 0.5}
+        check_exact(QuboMatrix(n_qubits=nq, linear=tuple(linear), quadratic=quadratic))
+
+
+def test_large_cancellations():
+    # +-2^60 terms cancel in some states and leave only the O(1) terms,
+    # which the float pass may have rounded away on the way
+    rng = random.Random(60)
+    for _ in range(200):
+        nq = rng.randint(2, 8)
+        pool = (2.0**60, -(2.0**60), 1.5, -1.25, 0.75, -3.0, 2.5)
+        linear = tuple(rng.choice(pool) for _ in range(nq))
+        quadratic = {(u, v): rng.choice(pool)
+                     for u in range(nq) for v in range(u + 1, nq) if rng.random() < 0.6}
+        check_exact(QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic))
+
+
+def test_all_subnormal_coefficients():
+    tiny = 2.0**-1074
+    rng = random.Random(1074)
+    for _ in range(30):
+        nq = rng.randint(1, 9)
+        linear = tuple(rng.randint(-2**20, 2**20) * tiny for _ in range(nq))
+        quadratic = {(u, v): rng.randint(-2**20, 2**20) * tiny
+                     for u in range(nq) for v in range(u + 1, nq) if rng.random() < 0.6}
+        q = QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
+        assert all(abs(c) < 2.0**-1022 for c in (*q.linear, *q.quadratic.values()))
+        check_exact(q)
+
+
+def test_overflowing_scale_scores_every_state_exactly():
+    # sum |coef| overflows, no single state's sum does
+    q = QuboMatrix(n_qubits=2, linear=(1e308, -1e308), quadratic={(0, 1): 5e307})
+    assert list(_near_minimum_states(q)) == [0, 1, 2, 3]
+    assert check_exact(q).best() == SampleEntry((0, 1), -1e308, 1)
+
+
+coefficient = st.one_of(
+    st.just(0.0),
+    st.builds(
+        lambda sign, mant, exp: sign * math.ldexp(mant, exp),
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+        st.integers(min_value=-1070, max_value=1000),
+    ),
+)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda nq: st.tuples(
+        st.just(nq),
+        st.lists(coefficient, min_size=nq, max_size=nq),
+        st.lists(coefficient, min_size=nq * (nq - 1) // 2, max_size=nq * (nq - 1) // 2),
+    )
+))
+def test_band_holds_minimum_over_exponent_range(case):
+    nq, linear, upper = case
+    pairs = [(u, v) for u in range(nq) for v in range(u + 1, nq)]
+    q = QuboMatrix(n_qubits=nq, linear=tuple(linear), quadratic=dict(zip(pairs, upper)))
+    check_exact(q)
+
+
+def test_block_edges_keep_band_states(monkeypatch):
+    rng = random.Random(1010)
+    linear, quadratic = random_qubo_coeffs(rng, 10)
+    cases = [
+        QuboMatrix(n_qubits=10, linear=linear, quadratic=quadratic),
+        # many ties spread over the whole state range
+        QuboMatrix(n_qubits=10, linear=(-1.0,) * 10,
+                   quadratic={(u, u + 1): 1.0 for u in range(9)}),
+    ]
+    plain = [sample_exhaustive(q) for q in cases]
+    monkeypatch.setattr(samplers, "_BLOCK", 2**4)
+    blocks = list((start, x.copy()) for start, x in _state_blocks(10))
+    assert [start for start, _ in blocks] == list(range(0, 1024, 16))
+    for start, x in blocks:
+        assert x.tolist() == [list(state_bits(start + r, 10)) for r in range(16)]
+    for q, before in zip(cases, plain):
+        after = sample_exhaustive(q)
+        assert after.best() == before.best()
+        assert after.ground_occurrences() == before.ground_occurrences()
+        assert after.entries == before.entries
+        assert expected(q)[1] <= set(_near_minimum_states(q))
+    assert plain[1].ground_occurrences() > 1
+
+
+@pytest.mark.parametrize("nq", [0, 3])
+def test_entries_built_once_on_demand(nq, monkeypatch):
+    rng = random.Random(nq)
+    linear, quadratic = random_qubo_coeffs(rng, nq)
+    q = QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
+    calls = []
+    energy = samplers.qubo.energy
+    monkeypatch.setattr(samplers.qubo, "energy", lambda *a: calls.append(1) or energy(*a))
+    result = sample_exhaustive(q)
+    band = len(calls)
+    assert band <= 1 << nq
+    result.entries
+    result.entries
+    assert len(calls) == band + (1 << nq)
