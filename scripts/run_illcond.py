@@ -15,13 +15,13 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 
 from qrefine import (
     LinearSystem,
     RefinementConfig,
     condition_number,
     refine,
-    refine_eigenbasis,
 )
 
 
@@ -67,7 +67,7 @@ def main() -> int:
         system = rotated_system(args.kappa, theta)
         cond = condition_number(system.a)
         plain = refine(system, config, truth=truth)
-        eigen = refine_eigenbasis(system, config, truth=truth)
+        eigen = refine(system, replace(config, use_eigenbasis=True), truth=truth)
         pm, em = accepted_moves(plain), accepted_moves(eigen)
         perr = max(abs(v - t) for v, t in zip(plain.final_center.to_floats(), truth))
         eerr = max(abs(v - t) for v, t in zip(eigen.final_center.to_floats(), truth))

@@ -56,7 +56,6 @@ from .refine import (
     error_vs_truth,
     recenter_level,
     refine,
-    refine_eigenbasis,
 )
 from .samplers import AnnealConfig, SampleEntry, SampleSet, sample_anneal, sample_exhaustive
 
@@ -104,7 +103,6 @@ __all__ = [
     "qubo_to_ising",
     "recenter_level",
     "refine",
-    "refine_eigenbasis",
     "residual_norm_sq",
     "sample_anneal",
     "sample_exhaustive",

@@ -227,8 +227,7 @@ def _parse_center(text: str, n: int) -> DyadicVector:
         if den & (den - 1):
             raise ParseError(f"center component {tok!r} is not dyadic (denominator {den})")
         pairs.append((frac.numerator, -(den.bit_length() - 1)))
-    e = min(ex for _, ex in pairs)
-    return DyadicVector(tuple(m << (ex - e) for m, ex in pairs), e)
+    return DyadicVector.from_pairs(pairs)
 
 
 def cmd_qubo_dump(args: argparse.Namespace) -> int:

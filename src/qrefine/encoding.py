@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import IndexOutOfRange, LengthMismatch, TooLarge
 from .precision import dyadic_to_float
@@ -55,19 +55,18 @@ class DyadicVector:
         return DyadicVector((0,) * n, 0)
 
     @staticmethod
-    def from_floats(values: Sequence[float]) -> "DyadicVector":
-        # every finite float is dyadic: scale all to the common exponent
-        pairs = []
-        for v in values:
-            f = Fraction(v)
-            if f.denominator == 1:
-                pairs.append((f.numerator, 0))
-            else:
-                pairs.append((f.numerator, -(f.denominator.bit_length() - 1)))
-        if not pairs:
-            return DyadicVector((), 0)
-        e = min(ex for _, ex in pairs)
+    def from_pairs(pairs: Iterable[tuple[int, int]]) -> "DyadicVector":
+        """Vector with components m * 2^e, one per (m, e) pair, exactly."""
+        pairs = list(pairs)
+        e = min((ex for _, ex in pairs), default=0)
         return DyadicVector(tuple(m << (ex - e) for m, ex in pairs), e)
+
+    @staticmethod
+    def from_floats(values: Sequence[float]) -> "DyadicVector":
+        # every finite float is dyadic: its denominator is a power of two
+        return DyadicVector.from_pairs(
+            (f.numerator, 1 - f.denominator.bit_length()) for f in map(Fraction, values)
+        )
 
     def __len__(self) -> int:
         return len(self.mantissas)
@@ -87,10 +86,6 @@ class DyadicVector:
 
     def to_floats(self) -> tuple[float, ...]:
         return tuple(dyadic_to_float(m, self.exponent) for m in self.mantissas)
-
-    def to_fractions(self) -> tuple[Fraction, ...]:
-        two = Fraction(2)
-        return tuple(Fraction(m) * two**self.exponent for m in self.mantissas)
 
     def to_decimal_strings(self) -> tuple[str, ...]:
         """Exact finite decimal expansion of each component."""

@@ -2,19 +2,21 @@
 symmetric eigendecomposition, condition number.
 
 Matrices and vectors are plain float64 numpy arrays; LinearSystem wraps
-the (A, b) pair with shape and finiteness checks.
+read-only copies of the (A, b) pair with shape and finiteness checks,
+and caches its Gram matrix A^T A.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .encoding import DyadicVector
 from .errors import DimensionMismatch, NotSymmetric, SingularMatrix
-from .precision import DoubleDouble, dd_sum, float_parts, two_prod, two_sum
+from .precision import DoubleDouble, dd_sum_squares, float_parts, two_prod
 
 _PIVOT_FLOOR = 1e-300
 
@@ -25,8 +27,10 @@ class LinearSystem:
     b: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        # private read-only copies: the cached gram must not go stale
+        a = np.array(self.a, dtype=float)
+        b = np.array(self.b, dtype=float)
+        a.flags.writeable = b.flags.writeable = False
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"coefficient matrix must be square, got {a.shape}")
         if b.shape != (a.shape[0],):
@@ -39,6 +43,17 @@ class LinearSystem:
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+    @cached_property
+    def gram(self) -> tuple[tuple[float, ...], ...]:
+        return gram(self.a)
+
+
+def gram(a: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """A^T A as plain floats; each entry is the fsum (exact sum, rounded
+    once) of the float products a[r, i] * a[r, j]."""
+    cols = a.T.tolist()
+    return tuple(tuple(math.fsum(x * y for x, y in zip(ci, cj)) for cj in cols) for ci in cols)
 
 
 @dataclass(frozen=True)
@@ -80,23 +95,10 @@ def residual_norm_sq(system: LinearSystem, x: DyadicVector) -> DoubleDouble:
     if len(x) != system.n:
         raise DimensionMismatch("solution length != system size")
     parts = [float_parts(m, x.exponent) for m in x.mantissas]
-    total = DoubleDouble(0.0, 0.0)
-    for k in range(system.n):
-        terms = [-float(system.b[k])]
-        for i in range(system.n):
-            aki = float(system.a[k, i])
-            for p in parts[i]:
-                hi, lo = two_prod(aki, p)
-                terms.append(hi)
-                terms.append(lo)
-        r = dd_sum(terms)
-        sq_hi, sq_err = two_prod(r.hi, r.hi)
-        cross = 2.0 * r.hi * r.lo + r.lo * r.lo
-        s, e = two_sum(total.hi, sq_hi)
-        e += total.lo + sq_err + cross
-        s, e = two_sum(s, e)
-        total = DoubleDouble(s, e)
-    return total
+    return dd_sum_squares(
+        [-b_k] + [t for a_ki, ps in zip(row, parts) for p in ps for t in two_prod(a_ki, p)]
+        for row, b_k in zip(system.a.tolist(), system.b.tolist())
+    )
 
 
 def symmetric_eigen(s: np.ndarray) -> EigenBasis:
@@ -143,7 +145,7 @@ def symmetric_eigen(s: np.ndarray) -> EigenBasis:
 def condition_number(a: np.ndarray) -> float:
     """2-norm condition number sqrt(lmax/lmin) of A^T A."""
     a = np.asarray(a, dtype=float)
-    basis = symmetric_eigen(a.T @ a)
+    basis = symmetric_eigen(np.array(gram(a)))
     lmax = float(basis.values[0])
     lmin = float(basis.values[-1])
     if lmax <= 0.0 or lmin <= lmax * (a.shape[0] ** 2) * 2.5e-16:

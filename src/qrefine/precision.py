@@ -10,7 +10,7 @@ mathematical sum carries roughly 107 bits.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker's constant for 53-bit floats
 
@@ -75,6 +75,23 @@ def dd_sum(values: list[float]) -> DoubleDouble:
     s = math.fsum(values)
     e = math.fsum(values + [-s])
     return DoubleDouble(s, e)
+
+
+def dd_sum_squares(rows: Iterable[list[float]]) -> DoubleDouble:
+    """Sum over rows of (sum of the row)^2, as a DoubleDouble.
+
+    Each row is summed with dd_sum; its square enters as the error-free
+    two_prod of the high part plus the cross terms of the low part.
+    """
+    total = DoubleDouble(0.0, 0.0)
+    for row in rows:
+        r = dd_sum(row)
+        sq_hi, sq_err = two_prod(r.hi, r.hi)
+        cross = 2.0 * r.hi * r.lo + r.lo * r.lo
+        s, e = two_sum(total.hi, sq_hi)
+        e += total.lo + sq_err + cross
+        total = DoubleDouble(*two_sum(s, e))
+    return total
 
 
 # ---------------------------------------------------------------------------

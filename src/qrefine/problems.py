@@ -26,19 +26,11 @@ class ProblemDocument:
         return None if self.x_true is None else np.array(self.x_true)
 
 
-def _number(value: object, where: str) -> float:
-    # bool is an int subclass; a problem file saying true is a mistake
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"field {where!r} must contain numbers")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ParseError(f"field {where!r} contains a non-finite value")
-    return v
+def strict_json(text: str, what: str) -> object:
+    """json.loads that rejects NaN/Infinity constants and duplicate keys."""
 
-
-def parse_problem(text: str) -> ProblemDocument:
     def reject_const(name: str) -> float:
-        raise ParseError(f"non-finite constant {name} in problem document")
+        raise ParseError(f"non-finite constant {name} in {what} document")
 
     def no_dupes(pairs):
         d = {}
@@ -49,9 +41,26 @@ def parse_problem(text: str) -> ProblemDocument:
         return d
 
     try:
-        doc = json.loads(text, parse_constant=reject_const, object_pairs_hook=no_dupes)
+        return json.loads(text, parse_constant=reject_const, object_pairs_hook=no_dupes)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"bad problem JSON: {exc}") from exc
+        raise ParseError(f"bad {what} JSON: {exc}") from exc
+
+
+def _number(value: object, where: str) -> float:
+    # bool is an int subclass; a document saying true is a mistake
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"field {where!r} must contain numbers")
+    try:
+        v = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ParseError(f"field {where!r} contains a non-finite value")
+    return v
+
+
+def parse_problem(text: str) -> ProblemDocument:
+    doc = strict_json(text, "problem")
     if not isinstance(doc, dict):
         raise ParseError("problem document must be a JSON object")
     extra = set(doc) - {"a", "b", "x_true"}

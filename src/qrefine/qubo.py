@@ -25,6 +25,7 @@ from .encoding import BitVector, DyadicVector, EncodingSpec
 from .errors import DimensionMismatch, LengthMismatch, ParseError, TooLarge
 from .linalg import LinearSystem, residual_norm_sq
 from .precision import DoubleDouble, dyadic_of_float, dyadic_sum, dyadic_to_float
+from .problems import _number, strict_json
 
 _PRUNE = 1e-300
 
@@ -90,10 +91,7 @@ def build_window(
             terms.append((am * bm, ae + be))
         g.append(dyadic_to_float(*dyadic_sum(terms)))
 
-    gram = [
-        [math.fsum(float(a[r, i]) * float(a[r, j]) for r in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    gram = system.gram
 
     k = spec.bits_per_sign
     nq = spec.total_qubits
@@ -166,21 +164,7 @@ def dump(q: QuboMatrix) -> str:
 
 
 def parse(text: str) -> QuboMatrix:
-    def reject_const(name: str) -> float:
-        raise ParseError(f"non-finite constant {name} not allowed")
-
-    def no_dupes(pairs):
-        d = {}
-        for key, val in pairs:
-            if key in d:
-                raise ParseError(f"duplicate key {key!r}")
-            d[key] = val
-        return d
-
-    try:
-        doc = json.loads(text, parse_constant=reject_const, object_pairs_hook=no_dupes)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad QUBO JSON: {exc}") from exc
+    doc = strict_json(text, "QUBO")
     if not isinstance(doc, dict) or set(doc) != {"num_qubits", "linear", "quadratic"}:
         raise ParseError("QUBO document must have exactly num_qubits, linear, quadratic")
     nq = doc["num_qubits"]
@@ -190,20 +174,26 @@ def parse(text: str) -> QuboMatrix:
         raise ParseError("linear and quadratic must be JSON objects")
     linear = [0.0] * nq
     for key, val in doc["linear"].items():
-        try:
-            i = int(key)
-        except ValueError as exc:
-            raise ParseError(f"bad linear index {key!r}") from exc
-        if not 0 <= i < nq or not isinstance(val, (int, float)):
+        (i,) = _indices(key, 1, "linear")
+        if not 0 <= i < nq:
             raise ParseError(f"bad linear entry {key!r}")
-        linear[i] = float(val)
+        linear[i] = _number(val, "linear")
     quadratic = {}
     for key, val in doc["quadratic"].items():
-        try:
-            u, v = (int(p) for p in key.split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad quadratic index {key!r}") from exc
-        if not 0 <= u < v < nq or not isinstance(val, (int, float)):
+        u, v = _indices(key, 2, "quadratic")
+        if not 0 <= u < v < nq:
             raise ParseError(f"bad quadratic entry {key!r}")
-        quadratic[(u, v)] = float(val)
+        quadratic[(u, v)] = _number(val, "quadratic")
     return QuboMatrix(n_qubits=nq, linear=tuple(linear), quadratic=quadratic)
+
+
+def _indices(key: str, count: int, what: str) -> tuple[int, ...]:
+    """Indices of a key in dump's canonical form ("3", "0,5"); int() alone
+    would read "03" or " 3" as 3, so two keys could name one entry."""
+    try:
+        idx = tuple(int(p) for p in key.split(","))
+    except ValueError:
+        idx = ()
+    if len(idx) != count or ",".join(map(str, idx)) != key:
+        raise ParseError(f"bad {what} index {key!r}")
+    return idx

@@ -28,14 +28,7 @@ from .encoding import (
 )
 from .errors import DimensionMismatch, SingularMatrix
 from .linalg import EigenBasis, LinearSystem, residual_norm_sq, symmetric_eigen
-from .precision import (
-    DoubleDouble,
-    dyadic_of_float,
-    dyadic_sum,
-    float_parts,
-    two_prod,
-    two_sum,
-)
+from .precision import dd_sum_squares, dyadic_of_float, dyadic_sum, float_parts
 from .qubo import QuboMatrix, build_window
 from .samplers import AnnealConfig, SampleSet, sample_anneal, sample_exhaustive
 
@@ -111,33 +104,12 @@ def error_vs_truth(center: DyadicVector, truth: Sequence[float]) -> float:
     """2-norm distance from the exact center to a float truth vector."""
     if len(center) != len(truth):
         raise DimensionMismatch("center and truth lengths differ")
-    diff = _dyadic_diff(center, truth)
-    total = DoubleDouble(0.0, 0.0)
-    for m in diff.mantissas:
-        parts = float_parts(m, diff.exponent)
-        # (sum parts)^2 = sum p_i^2 + 2 sum_{i<j} p_i p_j, every product exact
-        for i in range(len(parts)):
-            for j in range(i, len(parts)):
-                weight = 1.0 if i == j else 2.0
-                hi, lo = two_prod(parts[i], parts[j])
-                s, e = two_sum(total.hi, weight * hi)
-                e += total.lo + weight * lo
-                s, e = two_sum(s, e)
-                total = DoubleDouble(s, e)
+    if not all(map(math.isfinite, truth)):
+        raise ValueError("truth must be finite")
+    total = dd_sum_squares(
+        [-float(t), *float_parts(m, center.exponent)] for m, t in zip(center.mantissas, truth)
+    )
     return math.sqrt(max(total.to_float(), 0.0))
-
-
-def _dyadic_diff(center: DyadicVector, truth: Sequence[float]) -> DyadicVector:
-    pairs = [
-        dyadic_sum([(m, center.exponent), _negate(dyadic_of_float(float(t)))])
-        for m, t in zip(center.mantissas, truth)
-    ]
-    e = min(ex for _, ex in pairs) if pairs else 0
-    return DyadicVector(tuple(m << (ex - e) for m, ex in pairs), e)
-
-
-def _negate(pair: tuple[int, int]) -> tuple[int, int]:
-    return -pair[0], pair[1]
 
 
 def recenter_level(
@@ -214,46 +186,24 @@ def refine(
     low edge l then drops by level_step until it would pass l_min. With
     residual_tolerance > 0 the run stops early once the compensated
     residual reaches it (checked as each level settles).
+
+    With use_eigenbasis the unknowns are u with x = V u, V the
+    eigenvectors of A^T A. Level moves then track the residual contours'
+    axes, which kills the zigzag walk on ill-conditioned systems.
+    Recorded centers are mapped back to x-coordinates exactly (V entries
+    are floats, so V u is a dyadic matrix-vector product); recorded
+    residuals and energies are those of the transformed system the loop
+    actually minimizes.
     """
+    work, to_x = system, None
     if config.use_eigenbasis:
-        return refine_eigenbasis(system, config, truth, observer, sampler)
-    return _drive(system, system, None, config, truth, observer, sampler)
-
-
-def refine_eigenbasis(
-    system: LinearSystem,
-    config: RefinementConfig,
-    truth: Optional[Sequence[float]] = None,
-    observer: Optional[Observer] = None,
-    sampler: Optional[Sampler] = None,
-) -> RefinementTrace:
-    """Refine in the eigenbasis of A^T A: unknowns u with x = V u.
-
-    Level moves then track the residual contours' axes, which kills the
-    zigzag walk on ill-conditioned systems. Recorded centers are mapped
-    back to x-coordinates exactly (V entries are floats, so V u is a
-    dyadic matrix-vector product); recorded residuals and energies are
-    those of the transformed system the loop actually minimizes.
-    """
-    basis = _eigenbasis_of_normal_matrix(system)
-    transformed = LinearSystem(a=_fsum_matmul(system.a, basis.vectors), b=system.b)
-    to_x = lambda u: _dyadic_matvec(basis.vectors, u)
-    return _drive(transformed, system, to_x, config, truth, observer, sampler)
-
-
-def _drive(
-    work: LinearSystem,
-    original: LinearSystem,
-    to_x: Optional[Callable[[DyadicVector], DyadicVector]],
-    config: RefinementConfig,
-    truth: Optional[Sequence[float]],
-    observer: Optional[Observer],
-    sampler: Optional[Sampler],
-) -> RefinementTrace:
+        vectors = _eigenbasis_of_normal_matrix(system).vectors
+        work = LinearSystem(a=_fsum_matmul(system.a, vectors), b=system.b)
+        to_x = lambda u: _dyadic_matvec(vectors, u)
     sample = sampler if sampler is not None else make_sampler(config)
     k = config.bits_per_sign
     step = config.level_step if config.level_step is not None else k
-    m_max = config.m_max if config.m_max is not None else default_m_max(original)
+    m_max = config.m_max if config.m_max is not None else default_m_max(system)
     if m_max < config.l_min:
         raise ValueError("resolved m_max lies below l_min")
     center = config.initial_center if config.initial_center is not None else DyadicVector.zero(work.n)
@@ -306,12 +256,7 @@ def default_m_max(system: LinearSystem) -> int:
 
 
 def _eigenbasis_of_normal_matrix(system: LinearSystem) -> EigenBasis:
-    a = system.a
-    n = system.n
-    s = np.array(
-        [[math.fsum(float(a[r, i]) * float(a[r, j]) for r in range(n)) for j in range(n)] for i in range(n)]
-    )
-    return symmetric_eigen(s)
+    return symmetric_eigen(np.array(system.gram))
 
 
 def _fsum_matmul(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -323,13 +268,7 @@ def _fsum_matmul(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _dyadic_matvec(mat: np.ndarray, vec: DyadicVector) -> DyadicVector:
     """Exact x = mat @ vec for a float matrix and dyadic vector."""
-    n = len(vec)
-    pairs = []
-    for i in range(mat.shape[0]):
-        terms = []
-        for j in range(n):
-            mm, me = dyadic_of_float(float(mat[i, j]))
-            terms.append((mm * vec.mantissas[j], me + vec.exponent))
-        pairs.append(dyadic_sum(terms))
-    e = min(ex for _, ex in pairs)
-    return DyadicVector(tuple(m << (ex - e) for m, ex in pairs), e)
+    return DyadicVector.from_pairs(
+        dyadic_sum([(am * m, ae + vec.exponent) for (am, ae), m in zip(row, vec.mantissas)])
+        for row in (map(dyadic_of_float, r) for r in mat.tolist())
+    )

@@ -9,6 +9,7 @@ are always shown for failures.
 import math
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,6 @@ from qrefine import (
     ising_energy,
     qubo_to_ising,
     refine,
-    refine_eigenbasis,
     sample_anneal,
     sample_exhaustive,
 )
@@ -252,7 +252,7 @@ def test_criterion_6_eigenbasis_advantage():
     t0 = time.perf_counter()
     cond = condition_number(system.a)
     plain = refine(system, config, truth=truth)
-    eigen = refine_eigenbasis(system, config, truth=truth)
+    eigen = refine(system, replace(config, use_eigenbasis=True), truth=truth)
     seconds = time.perf_counter() - t0
     plain_moves = sum(1 for r in plain.records if any(r.bits))
     eigen_moves = sum(1 for r in eigen.records if any(r.bits))

@@ -52,6 +52,14 @@ def test_solve_missing_file(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_solve_integer_beyond_float_range_is_input_error(tmp_path, capsys):
+    path = write_problem(tmp_path, '{"a": [[1' + "0" * 400 + ']], "b": [1.0]}')
+    rc = main(["solve", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "input error" in err and "'a'" in err
+
+
 def test_solve_malformed_problem_names_field(tmp_path, capsys):
     path = write_problem(tmp_path, '{"a": [[1.0, 2.0]], "b": [1.0]}')
     rc = main(["solve", path])

@@ -188,6 +188,11 @@ def test_dyadic_from_floats_roundtrip():
     vec = DyadicVector.from_floats((0.5, -0.25, 3.0))
     assert dyadic_fractions(vec) == [Fraction(1, 2), Fraction(-1, 4), Fraction(3)]
     assert vec.to_floats() == (0.5, -0.25, 3.0)
+    two = Fraction(2)
+    for pairs in ([], [(0, 5), (0, -7)], [(-3, 0), (5, -2), (-1, 4)], [(6, -1), (-2**70, 9), (1, -80)]):
+        got = DyadicVector.from_pairs(pairs)
+        assert dyadic_fractions(got) == [m * two**e for m, e in pairs]
+    assert DyadicVector.from_pairs([]) == DyadicVector((), 0)
 
 
 def test_decimal_strings_exact():

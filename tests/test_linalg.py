@@ -35,6 +35,29 @@ def test_system_validation():
         LinearSystem(a=[[math.nan]], b=[1.0])
 
 
+def test_system_is_read_only_with_exact_gram():
+    a = np.array([[math.sqrt(2), -math.sqrt(3)], [math.sqrt(5), 1e-20]])
+    system = LinearSystem(a=a, b=[1.0, 2.0])
+    a[0, 0] = 7.0  # the caller's array is copied, not kept
+    assert system.a[0, 0] == math.sqrt(2)
+    with pytest.raises(ValueError):
+        system.a[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        system.b[0] = 7.0
+    assert system.gram is system.gram
+    # each entry is the exact sum of the float products, rounded once;
+    # where every product is exact that is the exact Gram rounded once
+    exact_products = LinearSystem(a=[[1.5, -3.25], [2.0**-30, 7.0 + 2.0**-20]], b=[0.0, 0.0])
+    for sys_, product in ((system, lambda x, y: Fraction(x * y)),
+                          (exact_products, lambda x, y: Fraction(x) * Fraction(y))):
+        cols = sys_.a.T.tolist()
+        for i in range(2):
+            for j in range(2):
+                entry = sum(product(x, y) for x, y in zip(cols[i], cols[j]))
+                assert type(sys_.gram[i][j]) is float
+                assert sys_.gram[i][j] == float(entry)
+
+
 def test_solve_identity():
     x = solve_direct(LinearSystem(a=[[1.0, 0.0], [0.0, 1.0]], b=[3.0, 4.0]))
     assert tuple(x) == (3.0, 4.0)

@@ -52,6 +52,8 @@ def test_integer_entries_coerce_to_float():
         ('{"a": [[true]], "b": [1.0]}', "'a'"),
         ('{"a": [[1.0]], "b": [NaN]}', "non-finite"),
         ('{"a": [[Infinity]], "b": [1.0]}', "non-finite"),
+        ('{"a": [[1e400]], "b": [1.0]}', "non-finite"),
+        ('{"a": [[1' + "0" * 400 + ']], "b": [1.0]}', "non-finite"),
         ('{"a": [["1.0"]], "b": [1.0]}', "numbers"),
         ('{"a": [], "b": []}', "non-empty"),
         ('{"a": [[1.0]], "b": "x"}', "'b'"),

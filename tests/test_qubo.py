@@ -259,10 +259,18 @@ def test_parse_rejects_malformed():
         '{"num_qubits":2,"linear":{"0":"big"},"quadratic":{}}',
         '{"num_qubits":1,"linear":{"0":Infinity},"quadratic":{}}',
         '{"num_qubits":1,"linear":{"0":1.0,"0":2.0},"quadratic":{}}',
+        '{"num_qubits":1,"linear":{"0":true},"quadratic":{}}',
+        '{"num_qubits":1,"linear":{"0":1e400},"quadratic":{}}',
+        '{"num_qubits":1,"linear":{"0":1' + "0" * 400 + '},"quadratic":{}}',
+        '{"num_qubits":2,"linear":{"1":1.0,"01":2.0},"quadratic":{}}',
+        '{"num_qubits":2,"linear":{},"quadratic":{"0,1":1.0,"0,01":2.0}}',
+        '{"num_qubits":2,"linear":{},"quadratic":{" 0 , 1 ":1.0}}',
+        '{"num_qubits":2,"linear":{"0_1":1.0},"quadratic":{}}',
     ]
     for text in bad:
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as excinfo:
             parse(text)
+        assert excinfo.type is ParseError
 
 
 def test_build_matches_fraction_coefficients():

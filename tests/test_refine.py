@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from qrefine import (
     error_vs_truth,
     recenter_level,
     refine,
-    refine_eigenbasis,
     sample_exhaustive,
 )
 from qrefine.refine import default_m_max
@@ -226,7 +226,7 @@ def test_eigenbasis_diagonal_matches_plain():
     system = LinearSystem(a=[[4.0, 0.0], [0.0, 1.0]], b=[5.0, -3.0])
     config = RefinementConfig(m_max=2, l_min=-6)
     plain = refine(system, config)
-    eigen = refine_eigenbasis(system, config)
+    eigen = refine(system, replace(config, use_eigenbasis=True))
     assert eigen.final_center == plain.final_center
     assert [r.bits for r in eigen.records] == [r.bits for r in plain.records]
     assert [r.center_after for r in eigen.records] == [r.center_after for r in plain.records]
@@ -239,7 +239,7 @@ def test_eigenbasis_orthogonal_same_residual():
     system = LinearSystem(a=a, b=b)
     config = RefinementConfig(m_max=2, l_min=-20)
     plain = refine(system, config)
-    eigen = refine_eigenbasis(system, config)
+    eigen = refine(system, replace(config, use_eigenbasis=True))
     assert plain.records[-1].residual_norm_sq <= 1e-10
     assert eigen.records[-1].residual_norm_sq <= 1e-10
 
@@ -258,7 +258,7 @@ def test_eigenbasis_final_center_is_exact_transform():
 def test_eigenbasis_beats_plain_on_illconditioned():
     system, truth = build_illcond(30.0)
     config = RefinementConfig(m_max=2, l_min=-34)
-    eigen = refine_eigenbasis(system, config, truth=truth)
+    eigen = refine(system, replace(config, use_eigenbasis=True), truth=truth)
     plain = refine(system, config, truth=truth)
     eigen_moves = sum(1 for r in eigen.records if any(r.bits))
     plain_moves = sum(1 for r in plain.records if any(r.bits))
