@@ -12,10 +12,7 @@ from .encoding import (
     DyadicVector,
     EncodingSpec,
     canonical_bits,
-    decode,
     decode_increments,
-    enumerate_grid,
-    qubit_index,
 )
 from .errors import (
     DimensionMismatch,
@@ -33,7 +30,6 @@ from .linalg import (
     LinearSystem,
     condition_number,
     residual_norm_sq,
-    solve_direct,
     symmetric_eigen,
 )
 from .precision import DoubleDouble
@@ -44,17 +40,14 @@ from .qubo import (
     build_window,
     dump,
     energy,
-    ising_energy,
     parse,
     qubo_to_ising,
-    target_min_energy,
 )
 from .refine import (
     IterationRecord,
     RefinementConfig,
     RefinementTrace,
     error_vs_truth,
-    recenter_level,
     refine,
 )
 from .samplers import AnnealConfig, SampleEntry, SampleSet, sample_anneal, sample_exhaustive
@@ -89,24 +82,17 @@ __all__ = [
     "build_window",
     "canonical_bits",
     "condition_number",
-    "decode",
     "decode_increments",
     "dump",
     "energy",
-    "enumerate_grid",
     "error_vs_truth",
-    "ising_energy",
     "load_problem",
     "parse",
     "parse_problem",
-    "qubit_index",
     "qubo_to_ising",
-    "recenter_level",
     "refine",
     "residual_norm_sq",
     "sample_anneal",
     "sample_exhaustive",
-    "solve_direct",
     "symmetric_eigen",
-    "target_min_energy",
 ]

@@ -2,7 +2,8 @@
 
 Subcommands:
   solve          refine a problem file, optionally writing trace CSV and SVG plots
-  repro-table1   run the built-in irrational 2x2 reproduction with error checkpoints
+  repro-table1   run the built-in irrational 2x2 reproduction with error checkpoints,
+                 optionally writing trace CSV and SVG plots
   qubo-dump      emit the interchange JSON for one window around a given center
 
 Exit codes: 0 success, 2 input error, 3 solver error, 4 checkpoint
@@ -37,7 +38,7 @@ from .linalg import LinearSystem
 from .plots import emit_plots
 from .problems import load_problem
 from .qubo import build_window, dump
-from .refine import RefinementConfig, make_sampler, refine
+from .refine import RefinementConfig, RefinementTrace, Sampler, make_sampler, refine
 from .samplers import AnnealConfig
 from .traceio import TraceWriter
 
@@ -85,7 +86,12 @@ def _add_refine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-recenters", type=int, default=1000, help="recenter cap per level")
 
 
-def _config_from(args: argparse.Namespace, *, eigenbasis: bool = False) -> RefinementConfig:
+def _add_output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trace", default=None, metavar="PATH", help="write trace CSV")
+    p.add_argument("--plot", default=None, metavar="PREFIX", help="write SVG plots with this prefix")
+
+
+def _config_from(args: argparse.Namespace) -> RefinementConfig:
     anneal = None
     if args.sampler == "sa":
         anneal = AnnealConfig(reads=args.reads, sweeps=args.sweeps, seed=args.seed)
@@ -96,72 +102,81 @@ def _config_from(args: argparse.Namespace, *, eigenbasis: bool = False) -> Refin
         level_step=args.level_step,
         max_recenters_per_level=args.max_recenters,
         residual_tolerance=args.tol,
-        use_eigenbasis=eigenbasis,
+        use_eigenbasis=args.eigenbasis,
         sampler=args.sampler,
         anneal=anneal,
     )
 
 
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    print(f"{kind}: {exc}", file=sys.stderr)
+    return code
+
+
+def _run(
+    args: argparse.Namespace,
+    system: LinearSystem,
+    config: RefinementConfig,
+    truth: tuple[float, ...] | None,
+    sampler: Sampler | None = None,
+) -> RefinementTrace | int:
+    """Refine, streaming rows to the --trace file; on failure, report it
+    and return the exit code instead of a trace."""
+    try:
+        if not args.trace:
+            return refine(system, config, truth=truth, sampler=sampler)
+        with open(args.trace, "w", encoding="utf-8", newline="") as fh:
+            return refine(system, config, truth=truth, observer=TraceWriter(fh), sampler=sampler)
+    except _SOLVER_ERRORS as exc:
+        return _fail("solver error", exc, 3)
+    except (OSError, DimensionMismatch, LengthMismatch, ValueError) as exc:
+        return _fail("input error", exc, 2)
+
+
+def _plot(args: argparse.Namespace, trace: RefinementTrace, truth: tuple[float, ...] | None) -> int:
+    """Write the --plot charts and list them; returns the exit code."""
+    if not args.plot:
+        return 0
+    try:
+        written = emit_plots(trace, args.plot, truth)
+    except OSError as exc:
+        return _fail("input error", exc, 2)
+    for path in written:
+        print(f"wrote {path}")
+    if len(trace.final_center) != 2:
+        print("trajectory plot skipped: needs exactly 2 unknowns")
+    return 0
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         problem = load_problem(args.problem)
-        config = _config_from(args, eigenbasis=args.eigenbasis)
+        config = _config_from(args)
         system = problem.system()
     except (ParseError, OSError, DimensionMismatch, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("input error", exc, 2)
     truth = problem.truth()
-    trace_fh = None
-    observer = None
-    try:
-        if args.trace:
-            trace_fh = open(args.trace, "w", encoding="utf-8", newline="")
-            observer = TraceWriter(trace_fh)
-        trace = refine(system, config, truth=truth, observer=observer)
-    except _SOLVER_ERRORS as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
-    except (DimensionMismatch, LengthMismatch, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if trace_fh is not None:
-            trace_fh.close()
+    trace = _run(args, system, config, truth)
+    if isinstance(trace, int):
+        return trace
 
     for i, value in enumerate(trace.final_center.to_floats()):
         print(f"x[{i}] = {value:.18g}")
-    final = trace.records[-1] if trace.records else None
-    print(f"residual_norm_sq = {final.residual_norm_sq!r}" if final else "residual_norm_sq = n/a")
-    if final and final.error_vs_truth is not None:
+    final = trace.records[-1]
+    print(f"residual_norm_sq = {final.residual_norm_sq!r}")
+    if final.error_vs_truth is not None:
         print(f"error_vs_truth = {final.error_vs_truth!r}")
     print(f"qubo_solves = {trace.total_qubo_solves}")
     print(f"terminated_by = {trace.terminated_by}")
-    if args.plot:
-        written = emit_plots(trace, args.plot, truth)
-        for path in written:
-            print(f"wrote {path}")
-        if len(trace.final_center) != 2:
-            print("trajectory plot skipped: needs exactly 2 unknowns")
-    return 0
+    return _plot(args, trace, truth)
 
 
 def cmd_repro_table1(args: argparse.Namespace) -> int:
     system, truth = irrational_system()
     try:
-        anneal = None
-        if args.sampler == "sa":
-            anneal = AnnealConfig(reads=args.reads, sweeps=args.sweeps, seed=args.seed)
-        config = RefinementConfig(
-            m_max=20,
-            l_min=-40,
-            bits_per_sign=args.bits_per_sign,
-            level_step=args.level_step,
-            sampler=args.sampler,
-            anneal=anneal,
-        )
+        config = _config_from(args)
     except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("input error", exc, 2)
     base_sampler = make_sampler(config)
     samplesets = []
 
@@ -170,23 +185,18 @@ def cmd_repro_table1(args: argparse.Namespace) -> int:
         samplesets.append(ss)
         return ss
 
-    try:
-        trace = refine(system, config, truth=truth, sampler=capture)
-    except _SOLVER_ERRORS as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
+    trace = _run(args, system, config, truth, sampler=capture)
+    if isinstance(trace, int):
+        return trace
 
-    first_by_level: dict[int, int] = {}
+    first_by_level: dict[int, int] = {}  # in descent order
     last_by_level: dict[int, int] = {}
-    levels: list[int] = []
     for idx, rec in enumerate(trace.records):
-        if rec.level not in first_by_level:
-            first_by_level[rec.level] = idx
-            levels.append(rec.level)
+        first_by_level.setdefault(rec.level, idx)
         last_by_level[rec.level] = idx
 
     single_bit = config.bits_per_sign == 1 and (config.level_step or 1) == 1
-    shown = [m for m in _CHECKPOINTS if m in first_by_level] if single_bit else levels
+    shown = [m for m in _CHECKPOINTS if m in first_by_level] if single_bit else list(first_by_level)
     print(f"{'m':>5}  {'bits(first solve)':<20} {'ground occ':>10}  {'error after level':>18}")
     failures = []
     for m in shown:
@@ -208,9 +218,10 @@ def cmd_repro_table1(args: argparse.Namespace) -> int:
     ]
     if max(per_component) > 5e-12:
         failures.append(f"final per-component error {max(per_component):.3e} exceeds 5e-12")
+    rc = _plot(args, trace, truth)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
-    return 4 if failures else 0
+    return rc or (4 if failures else 0)
 
 
 def _parse_center(text: str, n: int) -> DyadicVector:
@@ -238,18 +249,19 @@ def cmd_qubo_dump(args: argparse.Namespace) -> int:
         center = _parse_center(args.center, n) if args.center else DyadicVector.zero(n)
         spec = EncodingSpec(n_vars=n, l_lo=args.level, l_hi=args.level + args.bits_per_sign - 1)
     except (ParseError, OSError, DimensionMismatch, IndexOutOfRange, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("input error", exc, 2)
     try:
         text = dump(build_window(system, center, spec))
     except _SOLVER_ERRORS as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
-    if args.out:
+        return _fail("solver error", exc, 3)
+    if not args.out:
+        print(text)
+        return 0
+    try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        return _fail("input error", exc, 2)
     return 0
 
 
@@ -264,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("problem", help="problem JSON path")
     _add_refine_flags(p_solve)
     p_solve.add_argument("--eigenbasis", action="store_true", help="refine in the eigenbasis of A^T A")
-    p_solve.add_argument("--trace", default=None, metavar="PATH", help="write trace CSV")
-    p_solve.add_argument("--plot", default=None, metavar="PREFIX", help="write SVG plots with this prefix")
+    _add_output_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_repro = sub.add_parser(
@@ -273,7 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the built-in irrational 2x2 system, m=20 down to -40, with error checkpoints",
     )
     _add_window_flags(p_repro)
-    p_repro.set_defaults(func=cmd_repro_table1)
+    _add_output_flags(p_repro)
+    p_repro.set_defaults(
+        func=cmd_repro_table1, m_max=20, l_min=-40, tol=0.0, max_recenters=1000, eigenbasis=False
+    )
 
     p_dump = sub.add_parser("qubo-dump", help="emit window QUBO as interchange JSON")
     p_dump.add_argument("problem", help="problem JSON path")

@@ -13,12 +13,11 @@ before minus block, least significant bit first:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .errors import IndexOutOfRange, LengthMismatch, TooLarge
+from .errors import IndexOutOfRange, LengthMismatch
 from .precision import dyadic_to_float
 
 BitVector = tuple[int, ...]
@@ -125,17 +124,6 @@ class EncodingSpec:
         return 2 * self.bits_per_sign * self.n_vars
 
 
-def qubit_index(spec: EncodingSpec, var: int, sign: str, bit: int) -> int:
-    if not 0 <= var < spec.n_vars:
-        raise IndexOutOfRange(f"variable {var} outside [0, {spec.n_vars})")
-    if not 0 <= bit < spec.bits_per_sign:
-        raise IndexOutOfRange(f"bit {bit} outside [0, {spec.bits_per_sign})")
-    if sign not in ("plus", "minus"):
-        raise IndexOutOfRange(f"sign must be 'plus' or 'minus', got {sign!r}")
-    k = spec.bits_per_sign
-    return var * 2 * k + (0 if sign == "plus" else k) + bit
-
-
 def decode_increments(bits: BitVector, spec: EncodingSpec) -> tuple[int, ...]:
     """Integer increment per variable, in units of 2^l_lo."""
     if len(bits) != spec.total_qubits:
@@ -148,13 +136,6 @@ def decode_increments(bits: BitVector, spec: EncodingSpec) -> tuple[int, ...]:
         minus = sum(bits[base + k + t] << t for t in range(k))
         out.append(plus - minus)
     return tuple(out)
-
-
-def decode(bits: BitVector, spec: EncodingSpec, center: DyadicVector) -> DyadicVector:
-    """Exact decoded point center + increment(bits)."""
-    if len(center) != spec.n_vars:
-        raise LengthMismatch("center length != n_vars")
-    return center.add_increments(decode_increments(bits, spec), spec.l_lo)
 
 
 def canonical_bits(increments: Sequence[int], spec: EncodingSpec) -> BitVector:
@@ -173,13 +154,3 @@ def canonical_bits(increments: Sequence[int], spec: EncodingSpec) -> BitVector:
             bits[base + t] = (abs(d) >> t) & 1
     return tuple(bits)
 
-
-def enumerate_grid(spec: EncodingSpec, center: DyadicVector) -> Iterator[DyadicVector]:
-    """Every distinct decodable point around center, each exactly once."""
-    per_var = (1 << (spec.bits_per_sign + 1)) - 1
-    if per_var ** spec.n_vars > 10**6:
-        raise TooLarge(f"grid has {per_var}^{spec.n_vars} points, over the 1e6 bound")
-    half = (1 << spec.bits_per_sign) - 1
-    offsets = range(-half, half + 1)
-    for combo in itertools.product(offsets, repeat=spec.n_vars):
-        yield center.add_increments(combo, spec.l_lo)

@@ -1,5 +1,5 @@
-"""Dense linear-algebra substrate: direct solve, compensated residuals,
-symmetric eigendecomposition, condition number.
+"""Dense linear-algebra substrate: compensated residuals, symmetric
+eigendecomposition, condition number.
 
 Matrices and vectors are plain float64 numpy arrays; LinearSystem wraps
 read-only copies of the (A, b) pair with shape and finiteness checks,
@@ -17,9 +17,6 @@ import numpy as np
 from .encoding import DyadicVector
 from .errors import DimensionMismatch, NotSymmetric, SingularMatrix
 from .precision import DoubleDouble, dd_sum_squares, float_parts, two_prod
-
-_PIVOT_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -62,27 +59,6 @@ class EigenBasis:
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-def solve_direct(system: LinearSystem) -> np.ndarray:
-    """Gaussian elimination with partial pivoting."""
-    n = system.n
-    a = system.a.copy()
-    b = system.b.copy()
-    for col in range(n):
-        p = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[p, col]) <= _PIVOT_FLOOR:
-            raise SingularMatrix(f"pivot {a[p, col]!r} in column {col} below threshold")
-        if p != col:
-            a[[col, p]] = a[[p, col]]
-            b[[col, p]] = b[[p, col]]
-        factors = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
-        b[col + 1 :] -= factors * b[col]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
 
 
 def residual_norm_sq(system: LinearSystem, x: DyadicVector) -> DoubleDouble:

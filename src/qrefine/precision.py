@@ -53,12 +53,6 @@ class DoubleDouble(NamedTuple):
     def __neg__(self) -> "DoubleDouble":
         return DoubleDouble(-self.hi, -self.lo)
 
-    def sub(self, other: "DoubleDouble") -> "DoubleDouble":
-        s, e = two_sum(self.hi, -other.hi)
-        e += self.lo - other.lo
-        s, e = two_sum(s, e)
-        return DoubleDouble(s, e)
-
     def less_than(self, other: "DoubleDouble") -> bool:
         if self.hi != other.hi:
             return self.hi < other.hi

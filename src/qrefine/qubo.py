@@ -11,8 +11,8 @@ scale 2^t of qubit u on variable i(u), the coefficients are
 The shift b' is computed in exact dyadic arithmetic and rounded once
 per coefficient; since every w_u is a signed power of two, the only
 other rounding is in A^T A itself. The constant ||b'||^2 is kept out of
-the matrix (all-zero bits then cost exactly zero) and exposed through
-target_min_energy instead.
+the matrix, so all-zero bits cost exactly zero and no window can go
+below -||b'||^2, minus the residual_norm_sq of c.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 from .encoding import BitVector, DyadicVector, EncodingSpec
 from .errors import DimensionMismatch, LengthMismatch, ParseError, TooLarge
-from .linalg import LinearSystem, residual_norm_sq
-from .precision import DoubleDouble, dyadic_of_float, dyadic_sum, dyadic_to_float
+from .linalg import LinearSystem
+from .precision import dyadic_of_float, dyadic_sum, dyadic_to_float
 from .problems import _number, strict_json
 
 _PRUNE = 1e-300
@@ -125,11 +125,6 @@ def energy(q: QuboMatrix, bits: BitVector) -> float:
     return math.fsum(terms)
 
 
-def target_min_energy(system: LinearSystem, center: DyadicVector) -> DoubleDouble:
-    """-(b - Ac)^T (b - Ac): the floor any window around c is chasing."""
-    return -residual_norm_sq(system, center)
-
-
 def qubo_to_ising(q: QuboMatrix) -> IsingModel:
     nq = q.n_qubits
     h_terms: list[list[float]] = [[q.linear[i] / 2.0] for i in range(nq)]
@@ -143,15 +138,6 @@ def qubo_to_ising(q: QuboMatrix) -> IsingModel:
         offset_terms.append(quarter)
     h = tuple(math.fsum(t) for t in h_terms)
     return IsingModel(h=h, j=j, offset=math.fsum(offset_terms))
-
-
-def ising_energy(model: IsingModel, spins: tuple[int, ...]) -> float:
-    """Energy sum h.s + sum J s s, excluding the offset."""
-    if len(spins) != len(model.h):
-        raise LengthMismatch("spin count != field count")
-    terms = [model.h[i] * spins[i] for i in range(len(spins))]
-    terms += [c * spins[u] * spins[v] for (u, v), c in model.j.items()]
-    return math.fsum(terms)
 
 
 def dump(q: QuboMatrix) -> str:

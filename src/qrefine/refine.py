@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -62,8 +62,10 @@ class RefinementConfig:
             raise ValueError("residual_tolerance must be finite and >= 0")
         if self.sampler not in ("exhaustive", "sa"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.m_max is not None and self.m_max < self.l_min:
-            raise ValueError("m_max must not lie below l_min")
+        if self.m_max is not None and self.m_max - self.bits_per_sign + 1 < self.l_min:
+            raise ValueError(
+                f"no {self.bits_per_sign}-bit window fits between m_max {self.m_max} and l_min {self.l_min}"
+            )
 
 
 @dataclass(frozen=True)
@@ -87,12 +89,6 @@ class RefinementTrace:
     terminated_by: str  # level-exhausted | residual-tolerance | recenter-cap
 
 
-class LevelResult(NamedTuple):
-    center: DyadicVector
-    records: tuple[IterationRecord, ...]
-    cap_reached: bool
-
-
 def make_sampler(config: RefinementConfig) -> Sampler:
     if config.sampler == "sa":
         anneal = config.anneal if config.anneal is not None else AnnealConfig()
@@ -112,67 +108,6 @@ def error_vs_truth(center: DyadicVector, truth: Sequence[float]) -> float:
     return math.sqrt(max(total.to_float(), 0.0))
 
 
-def recenter_level(
-    system: LinearSystem,
-    center: DyadicVector,
-    l: int,
-    k: int,
-    sampler: Sampler,
-    *,
-    max_recenters: int = 1000,
-    ordinal_base: int = 0,
-    truth: Optional[Sequence[float]] = None,
-    observer: Optional[Observer] = None,
-    center_transform: Optional[Callable[[DyadicVector], DyadicVector]] = None,
-) -> LevelResult:
-    """Re-solve the window [l, l+k-1] around a moving center until the
-    zero increment is optimal. Returns the settled center, the records
-    of every QUBO solve, and whether the recenter cap cut the level off.
-    """
-    spec = EncodingSpec(n_vars=system.n, l_lo=l, l_hi=l + k - 1)
-    res_now = residual_norm_sq(system, center)
-    records: list[IterationRecord] = []
-    moves = 0
-    while True:
-        if moves >= max_recenters:
-            logger.info("level %d: recenter cap %d reached", l, max_recenters)
-            return LevelResult(center, tuple(records), True)
-        qm = build_window(system, center, spec)
-        best = sampler(qm).best()
-        increments = decode_increments(best.bits, spec)
-        target = -res_now.to_float()  # floor of the QUBO just solved
-        accepted = False
-        if best.energy < 0.0 and any(increments):
-            candidate = center.add_increments(increments, l)
-            res_next = residual_norm_sq(system, candidate)
-            accepted = res_next.less_than(res_now)
-        if accepted:
-            moves += 1
-            center, res_now = candidate, res_next
-            bits, solve_energy = best.bits, best.energy
-        else:
-            bits = canonical_bits((0,) * system.n, spec)
-            solve_energy = 0.0
-        reported = center_transform(center) if center_transform else center
-        record = IterationRecord(
-            ordinal=ordinal_base + len(records) + 1,
-            level=l,
-            recenter_index=len(records),
-            bits=bits,
-            qubo_energy=solve_energy,
-            target_energy=target,
-            center_after=reported,
-            residual_norm_sq=res_now.to_float(),
-            error_vs_truth=error_vs_truth(reported, truth) if truth is not None else None,
-        )
-        records.append(record)
-        if observer is not None:
-            observer(record)
-        if not accepted:
-            logger.debug("level %d settled after %d moves", l, moves)
-            return LevelResult(center, tuple(records), False)
-
-
 def refine(
     system: LinearSystem,
     config: RefinementConfig,
@@ -183,7 +118,10 @@ def refine(
     """Descend levels from m_max to l_min, recentering until stable at each.
 
     The window at the first step tops out at exponent m_max; the window
-    low edge l then drops by level_step until it would pass l_min. With
+    low edge l then drops by level_step until it would pass l_min. At
+    each level the window [l, l+k-1] is re-solved around the moving
+    center until the zero increment is optimal; a level that makes
+    max_recenters_per_level moves without settling ends the run. With
     residual_tolerance > 0 the run stops early once the compensated
     residual reaches it (checked as each level settles).
 
@@ -204,44 +142,67 @@ def refine(
     k = config.bits_per_sign
     step = config.level_step if config.level_step is not None else k
     m_max = config.m_max if config.m_max is not None else default_m_max(system)
-    if m_max < config.l_min:
-        raise ValueError("resolved m_max lies below l_min")
+    if m_max - k + 1 < config.l_min:
+        raise ValueError(f"no {k}-bit window fits between m_max {m_max} and l_min {config.l_min}")
     center = config.initial_center if config.initial_center is not None else DyadicVector.zero(work.n)
     if len(center) != work.n:
         raise DimensionMismatch("initial center length != system size")
 
     records: list[IterationRecord] = []
-    terminated = "level-exhausted"
+    res_now = residual_norm_sq(work, center)
+    terminated = None
     l = m_max - k + 1
-    while l >= config.l_min:
+    while terminated is None and l >= config.l_min:
         logger.info("descending to level %d (window [%d, %d])", l, l, l + k - 1)
-        result = recenter_level(
-            work,
-            center,
-            l,
-            k,
-            sample,
-            max_recenters=config.max_recenters_per_level,
-            ordinal_base=len(records),
-            truth=truth,
-            observer=observer,
-            center_transform=to_x,
-        )
-        center = result.center
-        records.extend(result.records)
-        if result.cap_reached:
-            terminated = "recenter-cap"
-            break
-        if config.residual_tolerance > 0.0 and records[-1].residual_norm_sq <= config.residual_tolerance:
-            terminated = "residual-tolerance"
-            break
+        spec = EncodingSpec(n_vars=work.n, l_lo=l, l_hi=l + k - 1)
+        level_start = len(records)
+        moves = 0
+        accepted = True
+        while accepted:
+            if moves >= config.max_recenters_per_level:
+                logger.info("level %d: recenter cap %d reached", l, moves)
+                terminated = "recenter-cap"
+                break
+            qm = build_window(work, center, spec)
+            best = sample(qm).best()
+            increments = decode_increments(best.bits, spec)
+            target = -res_now.to_float()  # floor of the QUBO just solved
+            accepted = False
+            if best.energy < 0.0 and any(increments):
+                candidate = center.add_increments(increments, l)
+                res_next = residual_norm_sq(work, candidate)
+                accepted = res_next.less_than(res_now)
+            if accepted:
+                moves += 1
+                center, res_now = candidate, res_next
+                bits, solve_energy = best.bits, best.energy
+            else:
+                bits, solve_energy = canonical_bits((0,) * work.n, spec), 0.0
+            reported = to_x(center) if to_x else center
+            record = IterationRecord(
+                ordinal=len(records) + 1,
+                level=l,
+                recenter_index=len(records) - level_start,
+                bits=bits,
+                qubo_energy=solve_energy,
+                target_energy=target,
+                center_after=reported,
+                residual_norm_sq=res_now.to_float(),
+                error_vs_truth=error_vs_truth(reported, truth) if truth is not None else None,
+            )
+            records.append(record)
+            if observer is not None:
+                observer(record)
+        else:  # the zero increment won: the level settled
+            logger.debug("level %d settled after %d moves", l, moves)
+            if config.residual_tolerance > 0.0 and res_now.to_float() <= config.residual_tolerance:
+                terminated = "residual-tolerance"
         l -= step
-    final = to_x(center) if to_x else center
     return RefinementTrace(
         records=tuple(records),
-        final_center=final,
+        final_center=to_x(center) if to_x else center,
         total_qubo_solves=len(records),
-        terminated_by=terminated,
+        terminated_by=terminated or "level-exhausted",
     )
 
 

@@ -69,11 +69,3 @@ def write_trace(trace: RefinementTrace, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(trace_to_csv(trace))
 
-
-def read_trace_rows(path: str) -> tuple[list[str], list[list[str]]]:
-    """Raw header and rows, for consumers that re-parse numerics themselves."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        return [], []
-    return rows[0], rows[1:]

@@ -1,16 +1,31 @@
-"""Exact rational oracles and frozen random-instance families.
+"""Exact rational oracles, reference routines and frozen random-instance
+families.
 
-Everything here recomputes quantities from scratch with Fraction (or
-plain integer) arithmetic so the package's own compensated paths are
-never used to check themselves.
+The oracles recompute quantities from scratch with Fraction (or plain
+integer) arithmetic so the package's own compensated paths are never
+used to check themselves. The reference routines (qubit layout, decode,
+grid enumeration, Ising energy, direct solve) exist only for the tests.
 """
 
+import itertools
 import json
 import math
 import random
 from fractions import Fraction
 
-from qrefine import DyadicVector, LinearSystem
+import numpy as np
+
+from qrefine import (
+    DyadicVector,
+    EncodingSpec,
+    IndexOutOfRange,
+    LinearSystem,
+    SingularMatrix,
+    TooLarge,
+    decode_increments,
+)
+
+_PIVOT_FLOOR = 1e-300
 
 
 def dyadic_fractions(vec: DyadicVector) -> list[Fraction]:
@@ -28,6 +43,62 @@ def frac_residual_sq(a, b, x: list[Fraction]) -> Fraction:
             acc += Fraction(float(a[r][i])) * xi
         total += acc * acc
     return total
+
+
+def qubit_index(spec: EncodingSpec, var: int, sign: str, bit: int) -> int:
+    """The documented qubit layout: variable-major, plus block before
+    minus block, least significant bit first."""
+    if not 0 <= var < spec.n_vars:
+        raise IndexOutOfRange(f"variable {var} outside [0, {spec.n_vars})")
+    if not 0 <= bit < spec.bits_per_sign:
+        raise IndexOutOfRange(f"bit {bit} outside [0, {spec.bits_per_sign})")
+    if sign not in ("plus", "minus"):
+        raise IndexOutOfRange(f"sign must be 'plus' or 'minus', got {sign!r}")
+    k = spec.bits_per_sign
+    return var * 2 * k + (0 if sign == "plus" else k) + bit
+
+
+def decode(bits, spec: EncodingSpec, center: DyadicVector) -> DyadicVector:
+    """Exact decoded point center + increment(bits)."""
+    return center.add_increments(decode_increments(bits, spec), spec.l_lo)
+
+
+def enumerate_grid(spec: EncodingSpec, center: DyadicVector):
+    """Every distinct decodable point around center, each exactly once."""
+    per_var = (1 << (spec.bits_per_sign + 1)) - 1
+    if per_var ** spec.n_vars > 10**6:
+        raise TooLarge(f"grid has {per_var}^{spec.n_vars} points, over the 1e6 bound")
+    half = (1 << spec.bits_per_sign) - 1
+    for combo in itertools.product(range(-half, half + 1), repeat=spec.n_vars):
+        yield center.add_increments(combo, spec.l_lo)
+
+
+def ising_energy(model, spins) -> float:
+    """Energy sum h.s + sum J s s of an IsingModel, excluding the offset."""
+    terms = [model.h[i] * spins[i] for i in range(len(spins))]
+    terms += [c * spins[u] * spins[v] for (u, v), c in model.j.items()]
+    return math.fsum(terms)
+
+
+def solve_direct(system: LinearSystem) -> np.ndarray:
+    """Gaussian elimination with partial pivoting."""
+    n = system.n
+    a = system.a.copy()
+    b = system.b.copy()
+    for col in range(n):
+        p = col + int(np.argmax(np.abs(a[col:, col])))
+        if abs(a[p, col]) <= _PIVOT_FLOOR:
+            raise SingularMatrix(f"pivot {a[p, col]!r} in column {col} below threshold")
+        if p != col:
+            a[[col, p]] = a[[p, col]]
+            b[[col, p]] = b[[p, col]]
+        factors = a[col + 1 :, col] / a[col, col]
+        a[col + 1 :, col:] -= np.outer(factors, a[col, col:])
+        b[col + 1 :] -= factors * b[col]
+    x = np.zeros(n)
+    for row in range(n - 1, -1, -1):
+        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
+    return x
 
 
 def frac_energy(q, bits) -> Fraction:

@@ -23,10 +23,7 @@ from qrefine import (
     RefinementConfig,
     build_window,
     condition_number,
-    decode,
     energy,
-    enumerate_grid,
-    ising_energy,
     qubo_to_ising,
     refine,
     sample_anneal,
@@ -38,9 +35,12 @@ from qrefine.traceio import trace_to_csv
 
 from helpers import (
     build_illcond,
+    decode,
     dyadic_fractions,
+    enumerate_grid,
     irrational_system,
     frac_residual_sq,
+    ising_energy,
     random_bits,
     random_grid_instance,
     random_instance,

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior through main(argv)."""
 
+import hashlib
 import json
 
 import pytest
@@ -195,3 +196,57 @@ def test_repro_table_bad_reads(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "input error" in err
+
+
+def test_solve_no_window_fits_is_input_error(tmp_path, capsys):
+    path = write_problem(tmp_path, IDENTITY)
+    trace, prefix = str(tmp_path / "t.csv"), str(tmp_path / "run")
+    rc = main(["solve", path, "--m-max", "-40", "--l-min", "-40", "--bits-per-sign", "3",
+               "--trace", trace, "--plot", prefix])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "input error" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--plot"])
+def test_solve_unwritable_output_is_input_error(tmp_path, capsys, flag):
+    path = write_problem(tmp_path, IDENTITY)
+    rc = main(["solve", path, *FAST_FLAGS, flag, str(tmp_path / "missing" / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "input error" in err
+    assert "Traceback" not in err
+
+
+def test_qubo_dump_unwritable_out_is_input_error(tmp_path, capsys):
+    path = write_problem(tmp_path, IDENTITY)
+    rc = main(["qubo-dump", path, "--out", str(tmp_path / "missing" / "window.json")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "flags,digest",
+    [
+        ([], "5a7f15e447aaca250fdca48780bc2e74443f07adb20937c6f202bfe6f73465f7"),
+        (["--bits-per-sign", "3", "--level-step", "3"],
+         "cb3b6cd72560892db798fbc07aca64183052aff269dbca092392e01f3fdeafec"),
+    ],
+    ids=["k1", "k3-step3"],
+)
+def test_repro_table_trace_matches_golden_hash(tmp_path, capsys, flags, digest):
+    trace = tmp_path / "trace.csv"
+    assert main(["repro-table1", *flags, "--trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
+def test_repro_table_writes_plots(tmp_path, capsys):
+    prefix = str(tmp_path / "table1")
+    assert main(["repro-table1", "--plot", prefix]) == 0
+    out = capsys.readouterr().out
+    for suffix in ("_decay.svg", "_trajectory.svg"):
+        assert f"wrote {prefix}{suffix}\n" in out
+        assert (tmp_path / f"table1{suffix}").read_text(encoding="utf-8").startswith("<svg")

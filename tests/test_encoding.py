@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import dyadic_fractions
+from helpers import decode, dyadic_fractions, enumerate_grid, qubit_index
 from qrefine import (
     DyadicVector,
     EncodingSpec,
@@ -15,10 +15,7 @@ from qrefine import (
     LengthMismatch,
     TooLarge,
     canonical_bits,
-    decode,
     decode_increments,
-    enumerate_grid,
-    qubit_index,
 )
 
 
@@ -39,6 +36,14 @@ def test_qubit_index_bijective():
         for bit in range(3)
     }
     assert seen == set(range(spec.total_qubits))
+    # the package's decoder reads the same layout
+    for var in range(3):
+        for sign, s in (("plus", 1), ("minus", -1)):
+            for bit in range(3):
+                bits = [0] * spec.total_qubits
+                bits[qubit_index(spec, var, sign, bit)] = 1
+                want = tuple(s << bit if i == var else 0 for i in range(3))
+                assert decode_increments(tuple(bits), spec) == want
 
 
 def test_qubit_index_errors():

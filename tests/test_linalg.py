@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_illcond, dyadic_fractions, irrational_system, frac_residual_sq
+from helpers import build_illcond, dyadic_fractions, irrational_system, frac_residual_sq, solve_direct
 from qrefine import (
     DyadicVector,
     LinearSystem,
@@ -21,7 +21,6 @@ from qrefine import (
     SingularMatrix,
     condition_number,
     residual_norm_sq,
-    solve_direct,
     symmetric_eigen,
 )
 

@@ -8,17 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import build_illcond, dyadic_fractions, irrational_system, frac_residual_sq
+from helpers import build_illcond, dyadic_fractions, enumerate_grid, irrational_system, frac_residual_sq
 from qrefine import (
     DyadicVector,
     EncodingSpec,
     LinearSystem,
     RefinementConfig,
-    enumerate_grid,
     error_vs_truth,
-    recenter_level,
     refine,
-    sample_exhaustive,
 )
 from qrefine.refine import default_m_max
 
@@ -27,6 +24,13 @@ ID2 = LinearSystem(a=[[1.0, 0.0], [0.0, 1.0]], b=[3.0, -2.0])
 
 def fracs(vec: DyadicVector) -> list[Fraction]:
     return dyadic_fractions(vec)
+
+
+def one_level(system, start, level, max_recenters=1000):
+    """Refine at the single one-bit window [level, level] from start."""
+    config = RefinementConfig(m_max=level, l_min=level, max_recenters_per_level=max_recenters,
+                              initial_center=start)
+    return refine(system, config)
 
 
 def test_config_validation():
@@ -42,14 +46,17 @@ def test_config_validation():
         RefinementConfig(sampler="quantum")
     with pytest.raises(ValueError):
         RefinementConfig(m_max=-5, l_min=0)
+    with pytest.raises(ValueError):
+        RefinementConfig(m_max=-40, l_min=-40, bits_per_sign=3)  # no window fits
+    assert RefinementConfig(m_max=-38, l_min=-40, bits_per_sign=3).m_max == -38
 
 
 def test_recenter_at_solution_is_noop():
     system = LinearSystem(a=[[1.0]], b=[5.0])
     for level in (3, 0, -7):
-        result = recenter_level(system, DyadicVector((5,), 0), level, 1, sample_exhaustive)
-        assert result.center == DyadicVector((5,), 0)
-        assert not result.cap_reached
+        result = one_level(system, DyadicVector((5,), 0), level)
+        assert result.final_center == DyadicVector((5,), 0)
+        assert result.terminated_by == "level-exhausted"
         assert len(result.records) == 1  # the stall solve that proves stability
         assert result.records[0].qubo_energy == 0.0
         assert not any(result.records[0].bits)
@@ -57,8 +64,8 @@ def test_recenter_at_solution_is_noop():
 
 def test_recenter_one_move_then_stall():
     system = LinearSystem(a=[[1.0]], b=[5.0])
-    result = recenter_level(system, DyadicVector.zero(1), 2, 1, sample_exhaustive)
-    assert fracs(result.center) == [Fraction(4)]
+    result = one_level(system, DyadicVector.zero(1), 2)
+    assert fracs(result.final_center) == [Fraction(4)]
     moves = [r for r in result.records if any(r.bits)]
     assert len(moves) == 1
     # energy of the move is r(4) - r(0) = 1 - 25
@@ -69,19 +76,17 @@ def test_recenter_one_move_then_stall():
 
 def test_recenter_level_zero_reaches_solution():
     system = LinearSystem(a=[[1.0]], b=[5.0])
-    result = recenter_level(system, DyadicVector((4,), 0), 0, 1, sample_exhaustive)
-    assert fracs(result.center) == [Fraction(5)]
+    result = one_level(system, DyadicVector((4,), 0), 0)
+    assert fracs(result.final_center) == [Fraction(5)]
     assert result.records[-1].residual_norm_sq == 0.0
 
 
 def test_recenter_cap_counts_accepted_moves():
     system = LinearSystem(a=[[1.0]], b=[5.0])
-    result = recenter_level(
-        system, DyadicVector.zero(1), 0, 1, sample_exhaustive, max_recenters=2
-    )
-    assert result.cap_reached
+    result = one_level(system, DyadicVector.zero(1), 0, max_recenters=2)
+    assert result.terminated_by == "recenter-cap"
     assert len(result.records) == 2
-    assert fracs(result.center) == [Fraction(2)]  # walked 0 -> 1 -> 2, then cut off
+    assert fracs(result.final_center) == [Fraction(2)]  # walked 0 -> 1 -> 2, then cut off
 
 
 def test_refine_exact_on_integer_grid():
@@ -154,11 +159,11 @@ def test_refine_level_local_optimality():
         system = LinearSystem(a=a, b=b)
         level = rng.randint(-3, 2)
         start = DyadicVector(tuple(rng.randint(-8, 8) for _ in range(n)), level)
-        result = recenter_level(system, start, level, 1, sample_exhaustive)
-        assert not result.cap_reached
+        result = one_level(system, start, level)
+        assert result.terminated_by == "level-exhausted"
         spec = EncodingSpec(n_vars=n, l_lo=level, l_hi=level)
-        settled = frac_residual_sq(system.a, b, fracs(result.center))
-        for point in enumerate_grid(spec, result.center):
+        settled = frac_residual_sq(system.a, b, fracs(result.final_center))
+        for point in enumerate_grid(spec, result.final_center):
             assert frac_residual_sq(system.a, b, fracs(point)) >= settled
 
 
@@ -190,6 +195,14 @@ def test_refine_recenter_cap_ends_run():
     trace = refine(system, config)
     assert trace.terminated_by == "recenter-cap"
     assert trace.total_qubo_solves == 3
+
+
+def test_refine_rejects_resolved_m_max_without_window():
+    # default m_max here is 1, so a 3-bit window would start at -1 < l_min
+    system = LinearSystem(a=[[1.0]], b=[0.0])
+    with pytest.raises(ValueError, match="no 3-bit window fits"):
+        refine(system, RefinementConfig(l_min=0, bits_per_sign=3))
+    assert refine(system, RefinementConfig(l_min=-1, bits_per_sign=3)).total_qubo_solves == 1
 
 
 def test_refine_rejects_bad_initial_center():

@@ -1,15 +1,15 @@
 """Trace CSV round-trips and byte stability."""
 
+import csv
 import io
 from fractions import Fraction
 
 from qrefine.encoding import DyadicVector
-from qrefine.refine import IterationRecord, RefinementConfig, refine
+from qrefine.refine import IterationRecord, RefinementConfig, RefinementTrace, refine
 from qrefine.traceio import (
     TraceWriter,
     format_record,
     header,
-    read_trace_rows,
     trace_to_csv,
     write_trace,
 )
@@ -87,7 +87,8 @@ def test_write_then_read_inverts(tmp_path):
     trace = small_trace()
     path = tmp_path / "trace.csv"
     write_trace(trace, str(path))
-    head, rows = read_trace_rows(str(path))
+    with open(path, encoding="utf-8", newline="") as fh:
+        head, *rows = csv.reader(fh)
     assert head == header(2)
     assert len(rows) == len(trace.records)
     for row, record in zip(rows, trace.records):
@@ -105,9 +106,14 @@ def test_write_then_read_inverts(tmp_path):
 
 
 def test_read_empty_file(tmp_path):
+    # a trace with no records writes an empty file, not a lone header
+    empty = RefinementTrace(records=(), final_center=DyadicVector.zero(2),
+                            total_qubo_solves=0, terminated_by="level-exhausted")
     path = tmp_path / "empty.csv"
-    path.write_text("", encoding="utf-8")
-    assert read_trace_rows(str(path)) == ([], [])
+    write_trace(empty, str(path))
+    assert path.read_bytes() == b""
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == []
 
 
 def test_streaming_writer_matches_batch():
