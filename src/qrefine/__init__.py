@@ -32,7 +32,6 @@ from .linalg import (
     residual_norm_sq,
     symmetric_eigen,
 )
-from .precision import DoubleDouble
 from .problems import ProblemDocument, load_problem, parse_problem
 from .qubo import (
     IsingModel,
@@ -58,7 +57,6 @@ __all__ = [
     "AnnealConfig",
     "BitVector",
     "DimensionMismatch",
-    "DoubleDouble",
     "DyadicVector",
     "EigenBasis",
     "EncodingSpec",

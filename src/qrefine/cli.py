@@ -14,9 +14,11 @@ standard error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -120,13 +122,22 @@ def _run(
     truth: tuple[float, ...] | None,
     sampler: Sampler | None = None,
 ) -> RefinementTrace | int:
-    """Refine, streaming rows to the --trace file; on failure, report it
-    and return the exit code instead of a trace."""
+    """Refine, streaming rows to the --trace file; when refine raises,
+    remove that file if it is a regular file (not a link or a device),
+    report the error and return the exit code instead of a trace."""
     try:
         if not args.trace:
             return refine(system, config, truth=truth, sampler=sampler)
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            return refine(system, config, truth=truth, observer=TraceWriter(fh), sampler=sampler)
+            try:
+                return refine(system, config, truth=truth, observer=TraceWriter(fh), sampler=sampler)
+            except Exception:
+                fh.close()
+                # only a regular file: never a link, a device or /dev/null
+                with contextlib.suppress(OSError):
+                    if stat.S_ISREG(os.lstat(args.trace).st_mode):
+                        os.remove(args.trace)
+                raise
     except _SOLVER_ERRORS as exc:
         return _fail("solver error", exc, 3)
     except (OSError, DimensionMismatch, LengthMismatch, ValueError) as exc:

@@ -1,22 +1,22 @@
-"""Dense linear-algebra substrate: compensated residuals, symmetric
+"""Dense linear-algebra substrate: exact residuals, symmetric
 eigendecomposition, condition number.
 
 Matrices and vectors are plain float64 numpy arrays; LinearSystem wraps
 read-only copies of the (A, b) pair with shape and finiteness checks,
-and caches its Gram matrix A^T A.
+and caches its Gram matrix A^T A and the exact dyadic form of A and b.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .encoding import DyadicVector
 from .errors import DimensionMismatch, NotSymmetric, SingularMatrix
-from .precision import DoubleDouble, dd_sum_squares, float_parts, two_prod
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -45,6 +45,15 @@ class LinearSystem:
     def gram(self) -> tuple[tuple[float, ...], ...]:
         return gram(self.a)
 
+    @cached_property
+    def exact(self) -> tuple[tuple[tuple[int, ...], ...], int, DyadicVector]:
+        """(rows, e, b): A is the integer rows times 2^e, one e for every
+        entry, and b a DyadicVector; both taken exactly."""
+        flat = DyadicVector.from_floats(self.a.ravel().tolist())
+        n = self.n
+        rows = tuple(flat.mantissas[r * n : (r + 1) * n] for r in range(n))
+        return rows, flat.exponent, DyadicVector.from_floats(self.b.tolist())
+
 
 def gram(a: np.ndarray) -> tuple[tuple[float, ...], ...]:
     """A^T A as plain floats; each entry is the fsum (exact sum, rounded
@@ -61,20 +70,28 @@ class EigenBasis:
     vectors: np.ndarray
 
 
-def residual_norm_sq(system: LinearSystem, x: DyadicVector) -> DoubleDouble:
-    """||Ax - b||^2 as a double-double, with x taken exactly.
-
-    Each component of x is expanded into its exact float parts; every
-    product enters the row sum as an error-free (hi, lo) pair, so the
-    result is good to ~30 significant digits.
-    """
+def residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
+    """b - Ax exactly, with x taken exactly: floats are dyadic, so every
+    product and sum is integer arithmetic."""
     if len(x) != system.n:
         raise DimensionMismatch("solution length != system size")
-    parts = [float_parts(m, x.exponent) for m in x.mantissas]
-    return dd_sum_squares(
-        [-b_k] + [t for a_ki, ps in zip(row, parts) for p in ps for t in two_prod(a_ki, p)]
-        for row, b_k in zip(system.a.tolist(), system.b.tolist())
+    rows, a_exp, b = system.exact
+    ax_exp = a_exp + x.exponent
+    e = min(b.exponent, ax_exp)
+    return DyadicVector(
+        tuple(
+            (bm << (b.exponent - e)) - (sum(a * m for a, m in zip(row, x.mantissas)) << (ax_exp - e))
+            for row, bm in zip(rows, b.mantissas)
+        ),
+        e,
     )
+
+
+def residual_norm_sq(system: LinearSystem, x: DyadicVector) -> Fraction:
+    """||b - Ax||^2 exactly."""
+    r = residual(system, x)
+    sq, e2 = sum(m * m for m in r.mantissas), 2 * r.exponent
+    return Fraction(sq << e2) if e2 >= 0 else Fraction(sq, 1 << -e2)
 
 
 def symmetric_eigen(s: np.ndarray) -> EigenBasis:

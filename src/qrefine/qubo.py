@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 from .encoding import BitVector, DyadicVector, EncodingSpec
 from .errors import DimensionMismatch, LengthMismatch, ParseError, TooLarge
-from .linalg import LinearSystem
-from .precision import dyadic_of_float, dyadic_sum, dyadic_to_float
+from .linalg import LinearSystem, residual
+from .precision import dyadic_to_float
 from .problems import _number, strict_json
 
 _PRUNE = 1e-300
@@ -71,25 +71,16 @@ def build_window(
         raise DimensionMismatch("system, center and spec sizes disagree")
     if spec.total_qubits > 10**6:
         raise TooLarge(f"{spec.total_qubits} qubits exceeds the 1e6 bound")
+    if spec.l_hi > 1023:
+        raise TooLarge(f"bit weight 2^{spec.l_hi} is past the float range")
 
-    a = system.a
     # b' = b - A c exactly, then g = A^T b' exactly, rounded once per entry
-    ady = [[dyadic_of_float(float(a[r, i])) for i in range(n)] for r in range(n)]
-    bprime = []
-    for r in range(n):
-        terms = [dyadic_of_float(float(system.b[r]))]
-        for i in range(n):
-            am, ae = ady[r][i]
-            terms.append((-am * center.mantissas[i], ae + center.exponent))
-        bprime.append(dyadic_sum(terms))
-    g = []
-    for i in range(n):
-        terms = []
-        for r in range(n):
-            am, ae = ady[r][i]
-            bm, be = bprime[r]
-            terms.append((am * bm, ae + be))
-        g.append(dyadic_to_float(*dyadic_sum(terms)))
+    bprime = residual(system, center)
+    rows, a_exp, _ = system.exact
+    g = [
+        dyadic_to_float(sum(row[i] * m for row, m in zip(rows, bprime.mantissas)), a_exp + bprime.exponent)
+        for i in range(n)
+    ]
 
     gram = system.gram
 
@@ -113,6 +104,8 @@ def build_window(
             q = 2.0 * weight[u] * weight[v] * gram[var[u]][var[v]]
             if abs(q) >= _PRUNE:
                 quadratic[(u, v)] = q
+    if not all(map(math.isfinite, (*linear, *quadratic.values()))):
+        raise TooLarge(f"window [{spec.l_lo}, {spec.l_hi}] has coefficients past the float range")
     return QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
 
 

@@ -2,7 +2,7 @@
 repeat until the zero increment is optimal, then lower the scale.
 
 A move is accepted only when the sampled energy is strictly negative,
-the decoded increment is nonzero, and the compensated residual actually
+the decoded increment is nonzero, and the exact residual actually
 drops. The last clause guards against coefficient-rounding dust: a
 state whose true improvement is zero can acquire a tiny negative float
 energy, and accepting it would break the strict-descent invariant that
@@ -26,9 +26,9 @@ from .encoding import (
     canonical_bits,
     decode_increments,
 )
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix, TooLarge
 from .linalg import EigenBasis, LinearSystem, residual_norm_sq, symmetric_eigen
-from .precision import dd_sum_squares, dyadic_of_float, dyadic_sum, float_parts
+from .precision import dyadic_of_float, dyadic_sum, dyadic_to_float
 from .qubo import QuboMatrix, build_window
 from .samplers import AnnealConfig, SampleSet, sample_anneal, sample_exhaustive
 
@@ -97,15 +97,25 @@ def make_sampler(config: RefinementConfig) -> Sampler:
 
 
 def error_vs_truth(center: DyadicVector, truth: Sequence[float]) -> float:
-    """2-norm distance from the exact center to a float truth vector."""
+    """2-norm distance from the exact center to a float truth vector: the
+    root of the correctly rounded exact squared distance."""
     if len(center) != len(truth):
         raise DimensionMismatch("center and truth lengths differ")
     if not all(map(math.isfinite, truth)):
         raise ValueError("truth must be finite")
-    total = dd_sum_squares(
-        [-float(t), *float_parts(m, center.exponent)] for m, t in zip(center.mantissas, truth)
+    pairs = [dyadic_of_float(t) for t in truth]
+    e = min(center.exponent, *(te for _, te in pairs))
+    sq = sum(
+        ((m << (center.exponent - e)) - (tm << (te - e))) ** 2
+        for m, (tm, te) in zip(center.mantissas, pairs)
     )
-    return math.sqrt(max(total.to_float(), 0.0))
+    # root of sq * 4^(e - s), times 2^s: s > 0 only where the square
+    # would pass 2^1023, so the distance is still found when it fits
+    s = max(0, (sq.bit_length() + 2 * e) // 2 - 511)
+    try:
+        return math.ldexp(math.sqrt(dyadic_to_float(sq, 2 * (e - s))), s)
+    except OverflowError:  # the distance itself is past the float range
+        return math.inf
 
 
 def refine(
@@ -122,8 +132,8 @@ def refine(
     each level the window [l, l+k-1] is re-solved around the moving
     center until the zero increment is optimal; a level that makes
     max_recenters_per_level moves without settling ends the run. With
-    residual_tolerance > 0 the run stops early once the compensated
-    residual reaches it (checked as each level settles).
+    residual_tolerance > 0 the run stops early once the exact residual
+    reaches it (checked as each level settles).
 
     With use_eigenbasis the unknowns are u with x = V u, V the
     eigenvectors of A^T A. Level moves then track the residual contours'
@@ -137,7 +147,8 @@ def refine(
     if config.use_eigenbasis:
         vectors = _eigenbasis_of_normal_matrix(system).vectors
         work = LinearSystem(a=_fsum_matmul(system.a, vectors), b=system.b)
-        to_x = lambda u: _dyadic_matvec(vectors, u)
+        rows = [list(map(dyadic_of_float, r)) for r in vectors.tolist()]  # V exactly, once
+        to_x = lambda u: _dyadic_matvec(rows, u)
     sample = sampler if sampler is not None else make_sampler(config)
     k = config.bits_per_sign
     step = config.level_step if config.level_step is not None else k
@@ -166,12 +177,14 @@ def refine(
             qm = build_window(work, center, spec)
             best = sample(qm).best()
             increments = decode_increments(best.bits, spec)
-            target = -res_now.to_float()  # floor of the QUBO just solved
+            # floor of the QUBO just solved; res_now is dyadic (its
+            # denominator is a power of two), so dyadic_to_float rounds it
+            target = -dyadic_to_float(res_now.numerator, 1 - res_now.denominator.bit_length())
             accepted = False
             if best.energy < 0.0 and any(increments):
                 candidate = center.add_increments(increments, l)
                 res_next = residual_norm_sq(work, candidate)
-                accepted = res_next.less_than(res_now)
+                accepted = res_next < res_now
             if accepted:
                 moves += 1
                 center, res_now = candidate, res_next
@@ -187,7 +200,7 @@ def refine(
                 qubo_energy=solve_energy,
                 target_energy=target,
                 center_after=reported,
-                residual_norm_sq=res_now.to_float(),
+                residual_norm_sq=dyadic_to_float(res_now.numerator, 1 - res_now.denominator.bit_length()),
                 error_vs_truth=error_vs_truth(reported, truth) if truth is not None else None,
             )
             records.append(record)
@@ -195,7 +208,7 @@ def refine(
                 observer(record)
         else:  # the zero increment won: the level settled
             logger.debug("level %d settled after %d moves", l, moves)
-            if config.residual_tolerance > 0.0 and res_now.to_float() <= config.residual_tolerance:
+            if config.residual_tolerance > 0.0 and res_now <= config.residual_tolerance:
                 terminated = "residual-tolerance"
         l -= step
     return RefinementTrace(
@@ -208,12 +221,17 @@ def refine(
 
 def default_m_max(system: LinearSystem) -> int:
     """ceil(log2(||b|| / smallest-singular-value + 1)) + 1, a magnitude bound."""
+    if not np.isfinite(system.gram).all():
+        raise TooLarge("A^T A is past the float range")
     basis = _eigenbasis_of_normal_matrix(system)
     lam_min = float(basis.values[-1])
     if lam_min <= 0.0:
         raise SingularMatrix("cannot bound the solution magnitude of a singular system")
-    bnorm = float(np.linalg.norm(system.b))
-    return math.ceil(math.log2(bnorm / math.sqrt(lam_min) + 1.0)) + 1
+    with np.errstate(over="ignore"):  # an overflowing ||b|| is reported below
+        bound = float(np.linalg.norm(system.b)) / math.sqrt(lam_min)
+    if not math.isfinite(bound):
+        raise TooLarge("||b|| / smallest singular value is past the float range")
+    return math.ceil(math.log2(bound + 1.0)) + 1
 
 
 def _eigenbasis_of_normal_matrix(system: LinearSystem) -> EigenBasis:
@@ -227,9 +245,9 @@ def _fsum_matmul(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     )
 
 
-def _dyadic_matvec(mat: np.ndarray, vec: DyadicVector) -> DyadicVector:
-    """Exact x = mat @ vec for a float matrix and dyadic vector."""
+def _dyadic_matvec(rows: list[list[tuple[int, int]]], vec: DyadicVector) -> DyadicVector:
+    """Exact product of a matrix, given as rows of dyadic (mantissa,
+    exponent) pairs, and a dyadic vector."""
     return DyadicVector.from_pairs(
-        dyadic_sum([(am * m, ae + vec.exponent) for (am, ae), m in zip(row, vec.mantissas)])
-        for row in (map(dyadic_of_float, r) for r in mat.tolist())
+        dyadic_sum([(am * m, ae + vec.exponent) for (am, ae), m in zip(row, vec.mantissas)]) for row in rows
     )

@@ -63,9 +63,3 @@ def trace_to_csv(trace: RefinementTrace) -> str:
     for record in trace.records:
         writer(record)
     return out.getvalue()
-
-
-def write_trace(trace: RefinementTrace, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(trace_to_csv(trace))
-

@@ -2,7 +2,7 @@
 families.
 
 The oracles recompute quantities from scratch with Fraction (or plain
-integer) arithmetic so the package's own compensated paths are never
+integer) arithmetic so the package's own exact paths are never
 used to check themselves. The reference routines (qubit layout, decode,
 grid enumeration, Ising energy, direct solve) exist only for the tests.
 """

@@ -77,6 +77,79 @@ def test_solve_singular_system(tmp_path, capsys):
     assert "solver error" in err
 
 
+def test_solve_failed_run_removes_trace(tmp_path, capsys):
+    path = write_problem(tmp_path, '{"a": [[1.0, 1.0], [1.0, 1.0]], "b": [1.0, 1.0]}')
+    trace = tmp_path / "sing.csv"
+    rc = main(["solve", path, "--trace", str(trace)])
+    assert rc == 3
+    assert "solver error" in capsys.readouterr().err
+    assert not trace.exists()
+
+
+def test_solve_failed_run_keeps_trace_symlink(tmp_path, capsys):
+    path = write_problem(tmp_path, '{"a": [[1.0, 1.0], [1.0, 1.0]], "b": [1.0, 1.0]}')
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    rc = main(["solve", path, "--trace", str(link)])
+    assert rc == 3
+    assert "solver error" in capsys.readouterr().err
+    assert link.is_symlink() and target.exists()
+
+
+def test_solve_trace_that_cannot_be_opened_is_left_alone(tmp_path, capsys):
+    path = write_problem(tmp_path, IDENTITY)
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    rc = main(["solve", path, *FAST_FLAGS, "--trace", str(target)])
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
+    assert target.is_dir()
+
+
+DIAG_1E200 = '{"a": [[1e200, 0.0], [0.0, 1e200]], "b": [1e200, 2e200]}'
+B_1E160 = '{"a": [[1.0, 0.0], [0.0, 1.0]], "b": [1e160, -3e159]}'
+
+
+@pytest.mark.parametrize(
+    "text,flags",
+    [
+        (DIAG_1E200, []),  # A^T A overflows
+        (DIAG_1E200, ["--m-max", "4"]),  # A^T b' overflows
+        (B_1E160, []),  # ||b|| overflows
+        (B_1E160, ["--m-max", "535"]),  # the window weights squared overflow
+        (IDENTITY, ["--m-max", "1100"]),  # the bit weight 2^1100 overflows
+    ],
+    ids=["gram", "window-rhs", "norm-b", "window-weights", "bit-weight"],
+)
+def test_solve_past_float_range_is_solver_error(tmp_path, capsys, text, flags):
+    path = write_problem(tmp_path, text)
+    rc = main(["solve", path, *flags])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "solver error" in err and "float range" in err
+
+
+def test_solve_residual_past_float_range_still_descends(tmp_path, capsys):
+    path = write_problem(tmp_path, '{"a": [[1.0, 0.0], [0.0, 1.0]], "b": [1e160, 0.0]}')
+    rc = main(["solve", path, "--m-max", "4", "--l-min", "-2", "--max-recenters", "5"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    # every move lowers the exact residual, though each reads inf as a float
+    assert "x[0] = 80\n" in out
+    assert "residual_norm_sq = inf\n" in out
+    assert "terminated_by = recenter-cap\n" in out
+
+
+def test_solve_error_past_float_range_squared(tmp_path, capsys):
+    path = write_problem(tmp_path, '{"a": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0], "x_true": [1e300, 0.0]}')
+    rc = main(["solve", path, "--m-max", "2", "--l-min", "0"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "error_vs_truth = 1e+300\n" in out
+
+
 def test_solve_bad_anneal_reads(tmp_path, capsys):
     path = write_problem(tmp_path, '{"a": [[1.0]], "b": [3.0]}')
     rc = main(["solve", path, "--sampler", "sa", "--reads", "0"])

@@ -23,6 +23,7 @@ from qrefine import (
     residual_norm_sq,
     symmetric_eigen,
 )
+from qrefine.linalg import residual
 
 
 def test_system_validation():
@@ -89,51 +90,58 @@ def test_solve_singular():
 
 def test_residual_trivial():
     one = LinearSystem(a=[[1.0]], b=[0.0])
-    assert residual_norm_sq(one, DyadicVector((0,), 0)).to_float() == 0.0
+    assert residual_norm_sq(one, DyadicVector((0,), 0)) == 0
     two = LinearSystem(a=[[1.0]], b=[1.0])
-    assert residual_norm_sq(two, DyadicVector((0,), 0)).to_float() == 1.0
+    assert residual_norm_sq(two, DyadicVector((0,), 0)) == 1
 
 
 def test_residual_exact_zero_at_solution():
     system = LinearSystem(a=[[1.0, 0.0], [0.0, 1.0]], b=[3.0, -2.0])
-    dd = residual_norm_sq(system, DyadicVector((3, -2), 0))
-    assert (dd.hi, dd.lo) == (0.0, 0.0)
+    assert residual_norm_sq(system, DyadicVector((3, -2), 0)) == 0
 
 
 def test_residual_direct_solve_small():
     system, _ = irrational_system()
     x = solve_direct(system)
-    dd = residual_norm_sq(system, DyadicVector.from_floats(tuple(x)))
-    assert 0.0 <= dd.to_float() <= 1e-20
+    assert 0 <= residual_norm_sq(system, DyadicVector.from_floats(tuple(x))) <= 1e-20
 
 
 def test_residual_sees_past_float_rounding():
     # x = 2^27 + 2^-27 needs 55 mantissa bits; as a float it collapses
-    # to 2^27 and the naive residual is exactly 0. The compensated path
-    # must report the true 2^-54.
+    # to 2^27 and the naive residual is exactly 0. The exact path must
+    # report the true 2^-54.
     system = LinearSystem(a=[[1.0]], b=[float(2**27)])
     x = DyadicVector(((2**54) + 1,), -27)
     naive = (system.b[0] - system.a[0, 0] * x.to_floats()[0]) ** 2
     assert naive == 0.0
-    dd = residual_norm_sq(system, x)
-    assert Fraction(dd.hi) + Fraction(dd.lo) == Fraction(2) ** -54
+    assert residual_norm_sq(system, x) == Fraction(2) ** -54
+
+
+def test_residual_sees_drop_far_below_float_precision():
+    # the squared residuals are 1 + 2^-60 + 2^-200 and 1 + 2^-60 + 2^-202:
+    # they differ 140 bits below even their 2^-60 term, and the move must
+    # still count as a drop
+    system = LinearSystem(a=np.eye(3), b=[1.0, 2.0**-30, 2.0**-100])
+    x, moved = DyadicVector.zero(3), DyadicVector((0, 0, 1), -101)
+    exact = [frac_residual_sq(system.a, system.b, dyadic_fractions(v)) for v in (x, moved)]
+    assert exact[1] < exact[0]
+    assert [residual_norm_sq(system, v) for v in (x, moved)] == exact
+    assert residual_norm_sq(system, moved) < residual_norm_sq(system, x)
 
 
 def test_residual_matches_fraction_oracle():
     rng = random.Random(4021)
-    worst = Fraction(0)
     for _ in range(20):
         n = rng.randint(1, 4)
         a = [[rng.uniform(-3, 3) for _ in range(n)] for _ in range(n)]
         b = [rng.uniform(-3, 3) for _ in range(n)]
         x = DyadicVector(tuple(rng.randint(-2**40, 2**40) for _ in range(n)), -45)
-        dd = residual_norm_sq(LinearSystem(a=a, b=b), x)
-        got = Fraction(dd.hi) + Fraction(dd.lo)
-        true = frac_residual_sq(a, b, dyadic_fractions(x))
-        scale = max(Fraction(1), true)
-        worst = max(worst, abs(got - true) / scale)
-    # >= 30 effective digits
-    assert worst <= Fraction(1, 10**30)
+        system = LinearSystem(a=a, b=b)
+        xf = dyadic_fractions(x)
+        assert dyadic_fractions(residual(system, x)) == [
+            Fraction(b[r]) - sum(Fraction(a[r][i]) * xf[i] for i in range(n)) for r in range(n)
+        ]
+        assert residual_norm_sq(system, x) == frac_residual_sq(a, b, xf)
 
 
 def test_residual_agrees_with_naive_when_well_scaled():
@@ -145,7 +153,7 @@ def test_residual_agrees_with_naive_when_well_scaled():
         xs = [rng.uniform(-2, 2) for _ in range(n)]
         x = DyadicVector.from_floats(xs)
         naive = sum((sum(a[r][i] * xs[i] for i in range(n)) - b[r]) ** 2 for r in range(n))
-        got = residual_norm_sq(LinearSystem(a=a, b=b), x).to_float()
+        got = float(residual_norm_sq(LinearSystem(a=a, b=b), x))
         assert abs(got - naive) <= 1e-12 * max(1.0, abs(naive))
 
 
@@ -249,6 +257,6 @@ def test_solve_then_residual_well_conditioned():
         system = LinearSystem(a=a, b=b)
         x = solve_direct(system)
         bound = 1e-10 * (float(np.linalg.norm(a)) * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
-        res = math.sqrt(max(residual_norm_sq(system, DyadicVector.from_floats(tuple(x))).to_float(), 0.0))
+        res = math.sqrt(residual_norm_sq(system, DyadicVector.from_floats(tuple(x))))
         assert res <= bound
         checked += 1

@@ -133,7 +133,7 @@ def test_energy_floor_is_target():
         system = LinearSystem(a=a, b=b)
         spec = window(len(b), l, k)
         q = build_window(system, center, spec)
-        target = -residual_norm_sq(system, center).to_float()
+        target = -float(residual_norm_sq(system, center))
         assert target <= 0.0
         floor = target - 1e-9 * max(1.0, abs(target))
         for state in range(1 << spec.total_qubits):
@@ -167,15 +167,13 @@ def test_negation_symmetry_of_energy():
 
 def test_target_min_energy_values():
     system = LinearSystem(a=[[1.0, 0.0], [0.0, 1.0]], b=[3.0, -2.0])
-    at_solution = -residual_norm_sq(system, DyadicVector((3, -2), 0))
-    assert (at_solution.hi, at_solution.lo) == (0.0, 0.0)
-    at_zero = -residual_norm_sq(system, DyadicVector.zero(2)).to_float()
-    assert at_zero == -13.0
+    assert residual_norm_sq(system, DyadicVector((3, -2), 0)) == 0
+    assert -residual_norm_sq(system, DyadicVector.zero(2)) == -13
 
 
 def test_target_min_energy_irrational_system():
     system, _ = irrational_system()
-    got = -residual_norm_sq(system, DyadicVector.zero(2)).to_float()
+    got = -float(residual_norm_sq(system, DyadicVector.zero(2)))
     true = -frac_residual_sq(system.a, system.b, [Fraction(0), Fraction(0)])
     assert abs(Fraction(got) - true) <= abs(true) * Fraction(1, 10**12)
     # magnitude ~7.06e7: b = (4700.17..., 6963.26...)

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import build_illcond, dyadic_fractions, enumerate_grid, irrational_system, frac_residual_sq
 from qrefine import (
@@ -87,6 +89,16 @@ def test_recenter_cap_counts_accepted_moves():
     assert result.terminated_by == "recenter-cap"
     assert len(result.records) == 2
     assert fracs(result.final_center) == [Fraction(2)]  # walked 0 -> 1 -> 2, then cut off
+
+
+def test_move_accepted_when_residual_drops_below_float_precision():
+    # x0 and x1 have zero columns, so no move changes their rows; moving
+    # x2 by 2^-101 takes the residual from 1 + 2^-60 + 2^-200 to
+    # 1 + 2^-60 + 2^-202, a drop 140 bits below the 2^-60 term
+    system = LinearSystem(a=np.diag([0.0, 0.0, 1.0]), b=[1.0, 2.0**-30, 2.0**-100])
+    result = one_level(system, DyadicVector.zero(3), -101, max_recenters=1)
+    assert result.terminated_by == "recenter-cap"
+    assert fracs(result.records[0].center_after) == [0, 0, Fraction(2) ** -101]
 
 
 def test_refine_exact_on_integer_grid():
@@ -218,6 +230,26 @@ def test_error_vs_truth_examples():
     assert 3218.0 < error_vs_truth(DyadicVector((0, 0), 0), truth) < 3218.5
     assert error_vs_truth(DyadicVector((3,), 0), (5.0,)) == 2.0
     assert error_vs_truth(DyadicVector.from_floats(truth), truth) == 0.0
+    # the square passes the float range, the distance does not
+    assert error_vs_truth(DyadicVector.zero(2), (1e300, 0.0)) == 1e300
+    assert error_vs_truth(DyadicVector((3, 4), 1020), (0.0, 0.0)) == 5.0 * 2.0**1020
+    assert error_vs_truth(DyadicVector((1,), 1100), (0.0,)) == math.inf
+
+
+@given(
+    st.lists(st.tuples(st.integers(min_value=-(2**80), max_value=2**80),
+                       st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=3),
+    st.integers(min_value=-1200, max_value=600),
+)
+def test_error_vs_truth_is_root_of_rounded_exact_square(pairs, exponent):
+    center = DyadicVector(tuple(m for m, _ in pairs), exponent)
+    truth = [t for _, t in pairs]
+    square = sum((c - Fraction(t)) ** 2 for c, t in zip(fracs(center), truth))
+    try:
+        expect = math.sqrt(float(square))
+    except OverflowError:
+        return  # the square is past the float range
+    assert error_vs_truth(center, truth) == expect
 
 
 def test_observer_sees_every_record():

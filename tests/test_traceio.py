@@ -11,7 +11,6 @@ from qrefine.traceio import (
     format_record,
     header,
     trace_to_csv,
-    write_trace,
 )
 
 from helpers import dyadic_fractions, irrational_system
@@ -86,7 +85,7 @@ def test_trace_to_csv_deterministic():
 def test_write_then_read_inverts(tmp_path):
     trace = small_trace()
     path = tmp_path / "trace.csv"
-    write_trace(trace, str(path))
+    path.write_text(trace_to_csv(trace), encoding="utf-8", newline="")
     with open(path, encoding="utf-8", newline="") as fh:
         head, *rows = csv.reader(fh)
     assert head == header(2)
@@ -110,7 +109,7 @@ def test_read_empty_file(tmp_path):
     empty = RefinementTrace(records=(), final_center=DyadicVector.zero(2),
                             total_qubo_solves=0, terminated_by="level-exhausted")
     path = tmp_path / "empty.csv"
-    write_trace(empty, str(path))
+    path.write_text(trace_to_csv(empty), encoding="utf-8", newline="")
     assert path.read_bytes() == b""
     with open(path, encoding="utf-8", newline="") as fh:
         assert list(csv.reader(fh)) == []
