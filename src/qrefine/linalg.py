@@ -9,6 +9,7 @@ and caches its Gram matrix A^T A and the exact dyadic form of A and b.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,12 +48,21 @@ class LinearSystem:
 
     @cached_property
     def exact(self) -> tuple[tuple[tuple[int, ...], ...], int, DyadicVector]:
-        """(rows, e, b): A is the integer rows times 2^e, one e for every
-        entry, and b a DyadicVector; both taken exactly."""
-        flat = DyadicVector.from_floats(self.a.ravel().tolist())
-        n = self.n
-        rows = tuple(flat.mantissas[r * n : (r + 1) * n] for r in range(n))
-        return rows, flat.exponent, DyadicVector.from_floats(self.b.tolist())
+        """(rows, e, b): exact_form(A) and b as a DyadicVector."""
+        return (*exact_form(self.a), DyadicVector.from_floats(self.b.tolist()))
+
+
+def exact_form(a: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, e): the float matrix A exactly, as integer rows times one 2^e."""
+    flat = DyadicVector.from_floats(a.ravel().tolist())
+    n = a.shape[1]
+    return tuple(flat.mantissas[r * n : (r + 1) * n] for r in range(a.shape[0])), flat.exponent
+
+
+def exact_matvec(rows: tuple[tuple[int, ...], ...], e: int, x: DyadicVector) -> tuple[list[int], int]:
+    """(mantissas, exponent) of (rows * 2^e) x, exactly and not normalized,
+    for a matrix in its exact_form."""
+    return [sum(map(operator.mul, row, x.mantissas)) for row in rows], e + x.exponent
 
 
 def gram(a: np.ndarray) -> tuple[tuple[float, ...], ...]:
@@ -76,14 +86,10 @@ def residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
     if len(x) != system.n:
         raise DimensionMismatch("solution length != system size")
     rows, a_exp, b = system.exact
-    ax_exp = a_exp + x.exponent
+    ax, ax_exp = exact_matvec(rows, a_exp, x)
     e = min(b.exponent, ax_exp)
     return DyadicVector(
-        tuple(
-            (bm << (b.exponent - e)) - (sum(a * m for a, m in zip(row, x.mantissas)) << (ax_exp - e))
-            for row, bm in zip(rows, b.mantissas)
-        ),
-        e,
+        tuple((bm << (b.exponent - e)) - (am << (ax_exp - e)) for bm, am in zip(b.mantissas, ax)), e
     )
 
 

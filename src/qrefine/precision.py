@@ -28,11 +28,3 @@ def dyadic_to_float(m: int, e: int) -> float:
     except OverflowError:
         return math.inf if m > 0 else -math.inf  # m itself may not fit a float
 
-
-def dyadic_sum(terms: list[tuple[int, int]]) -> tuple[int, int]:
-    """Exact sum of (mantissa, exponent) pairs at the minimum exponent."""
-    live = [(m, e) for m, e in terms if m]
-    if not live:
-        return 0, 0
-    e = min(ex for _, ex in live)
-    return sum(m << (ex - e) for m, ex in live), e

@@ -27,8 +27,8 @@ from .encoding import (
     decode_increments,
 )
 from .errors import DimensionMismatch, SingularMatrix, TooLarge
-from .linalg import EigenBasis, LinearSystem, residual_norm_sq, symmetric_eigen
-from .precision import dyadic_of_float, dyadic_sum, dyadic_to_float
+from .linalg import EigenBasis, LinearSystem, exact_form, exact_matvec, residual_norm_sq, symmetric_eigen
+from .precision import dyadic_of_float, dyadic_to_float
 from .qubo import QuboMatrix, build_window
 from .samplers import AnnealConfig, SampleSet, sample_anneal, sample_exhaustive
 
@@ -147,8 +147,8 @@ def refine(
     if config.use_eigenbasis:
         vectors = _eigenbasis_of_normal_matrix(system).vectors
         work = LinearSystem(a=_fsum_matmul(system.a, vectors), b=system.b)
-        rows = [list(map(dyadic_of_float, r)) for r in vectors.tolist()]  # V exactly, once
-        to_x = lambda u: _dyadic_matvec(rows, u)
+        v_rows, v_exp = exact_form(vectors)  # V exactly, once
+        to_x = lambda u: DyadicVector(*exact_matvec(v_rows, v_exp, u))
     sample = sampler if sampler is not None else make_sampler(config)
     k = config.bits_per_sign
     step = config.level_step if config.level_step is not None else k
@@ -244,10 +244,3 @@ def _fsum_matmul(a: np.ndarray, v: np.ndarray) -> np.ndarray:
         [[math.fsum(float(a[r, m]) * float(v[m, j]) for m in range(n)) for j in range(n)] for r in range(n)]
     )
 
-
-def _dyadic_matvec(rows: list[list[tuple[int, int]]], vec: DyadicVector) -> DyadicVector:
-    """Exact product of a matrix, given as rows of dyadic (mantissa,
-    exponent) pairs, and a dyadic vector."""
-    return DyadicVector.from_pairs(
-        dyadic_sum([(am * m, ae + vec.exponent) for (am, ae), m in zip(row, vec.mantissas)]) for row in rows
-    )

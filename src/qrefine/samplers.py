@@ -6,12 +6,12 @@ The exhaustive backend is the exact oracle, the annealer is the scalable
 stand-in whose occurrence counts play the role of hardware read
 statistics.
 
-The exhaustive sampler scores every state in float with numpy, a block
-of states at a time so memory stays O(block * nq) up to the 24-qubit
-cap. It then rescores exactly with ``qubo.energy`` only the band of
-states whose float score lies within a proven rounding bound of the
-float minimum, which holds every state of minimum exact energy. Its
-full ordered entry list is built on first access.
+The exhaustive sampler scores every state in float with one chain of
+matrix products per block of states, so memory stays O(block * nq) up
+to the 24-qubit cap. It then rescores exactly with ``qubo.energy`` only
+the band of states whose float score lies within a proven rounding
+bound of the float minimum, which holds every state of minimum exact
+energy. Its full ordered entry list is built on first access.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ _EXHAUSTIVE_LIMIT = 24
 _BLOCK = 1 << 14  # states per float-pass block; a power of two
 _U = 2.0**-53  # unit roundoff of binary64
 _TINY = 2.0**-1074  # smallest subnormal
+_ONES = np.ones(_EXHAUSTIVE_LIMIT)  # sliced to sum a block's columns
+_ONES.flags.writeable = False
 
 
 class SampleEntry(NamedTuple):
@@ -120,10 +122,14 @@ def _near_minimum_states(q: qubo.QuboMatrix) -> Iterable[int]:
     Proof. Let E(x) be the exact sum of the coefficients state x selects,
     S(x) the sum of their magnitudes, S the sum of all |coef|, u = 2^-53,
     gamma_k = k*u / (1 - k*u), s(x) = qubo.energy(q, x) and f(x) the float
-    energy computed here as x @ linear + rowsum((x @ upper) * x).
+    energy computed here as ((x @ coef) * x) @ ones, with linear on the
+    diagonal of coef (x_u^2 = x_u) and quadratic above it.
 
-    - With x in {0, 1} every product is exact, so f(x) is a summation tree
-      over the N <= nq + #quadratic nonzero selected coefficients. An
+    - With x in {0, 1} every product is exact, and a BLAS fused multiply-add
+      with a 0/1 factor is an exact product and one rounded addition. A
+      column zeroed by "* x" is an exact zero, never NaN: 4 S is finite and
+      bounds every partial sum. So in any BLAS order f(x) is a summation
+      tree over the N <= nq + #quadratic nonzero selected coefficients. An
       addition with an exact-zero operand does not round, and one whose
       result is subnormal is exact, so each leaf meets at most N - 1
       additions with relative error <= u: |f(x) - E(x)| <= gamma_{N-1} S(x)
@@ -152,15 +158,17 @@ def _near_minimum_states(q: qubo.QuboMatrix) -> Iterable[int]:
         return range(1 << nq)
     width = 2.0 * (2.0 * m * _U * total + m * _TINY)
 
-    lin = np.array(q.linear, dtype=np.float64)
-    upper = np.zeros((nq, nq))
+    coef = np.zeros((nq, nq))
+    for u, c in enumerate(q.linear):
+        coef[u, u] = c
     for (u, v), c in q.quadratic.items():
-        upper[u, v] = c
+        coef[u, v] = c
+    ones = _ONES[:nq]
     lo = math.inf
     states = np.empty(0, dtype=np.int64)
     scores = np.empty(0)
     for start, x in _state_blocks(nq):
-        f = x @ lin + ((x @ upper) * x).sum(axis=1)
+        f = ((x @ coef) * x) @ ones
         lo = min(lo, float(f.min()))
         cut = math.nextafter(lo + width, math.inf)
         old = scores <= cut

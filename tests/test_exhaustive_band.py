@@ -34,23 +34,28 @@ from qrefine import samplers
 from qrefine.samplers import SampleEntry, _near_minimum_states, _state_blocks
 
 
-def expected(q) -> tuple[tuple[SampleEntry, ...], set[int]]:
-    """The full entry order and the states tied with the exact minimum."""
+def expected(q) -> tuple[list[float], set[int]]:
+    """The exact energy of every state, rounded once, and the states tied
+    with the exact minimum."""
     exact = [float(e) for e in frac_energies(q)]
-    order = sorted((e, state_bits(s, q.n_qubits)) for s, e in enumerate(exact))
-    grounds = {s for s, e in enumerate(exact) if e == order[0][0]}
-    return tuple(SampleEntry(bits, e, 1) for e, bits in order), grounds
+    e0 = min(exact)
+    return exact, {s for s, e in enumerate(exact) if e == e0}
 
 
-def check_exact(q):
-    """best(), ground_occurrences() and entries match the oracle, and the
-    band holds every state tied with the exact minimum."""
-    want, grounds = expected(q)
+def check_exact(q, entries=True):
+    """best(), ground_occurrences() and, with entries, the full entry list
+    match the oracle, and the band holds every state tied with the exact
+    minimum. The full list is built without the float pass, so skipping
+    it leaves every check of the blocks in place."""
+    nq = q.n_qubits
+    exact, grounds = expected(q)
     got = sample_exhaustive(q)
-    assert got.best() == want[0]
+    assert got.best() == SampleEntry(min(state_bits(s, nq) for s in grounds), min(exact), 1)
     assert got.ground_occurrences() == len(grounds)
     assert grounds <= set(_near_minimum_states(q))
-    assert got.entries == want
+    if entries:
+        order = sorted((e, state_bits(s, nq)) for s, e in enumerate(exact))
+        assert got.entries == tuple(SampleEntry(bits, e, 1) for e, bits in order)
     return got
 
 
@@ -142,12 +147,24 @@ def test_large_cancellations():
     # which the float pass may have rounded away on the way
     rng = random.Random(60)
     for _ in range(200):
-        nq = rng.randint(2, 8)
-        pool = (2.0**60, -(2.0**60), 1.5, -1.25, 0.75, -3.0, 2.5)
-        linear = tuple(rng.choice(pool) for _ in range(nq))
-        quadratic = {(u, v): rng.choice(pool)
-                     for u in range(nq) for v in range(u + 1, nq) if rng.random() < 0.6}
-        check_exact(QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic))
+        check_exact(large_cancellation_qubo(rng, rng.randint(2, 8)))
+
+
+def large_cancellation_qubo(rng, nq):
+    pool = (2.0**60, -(2.0**60), 1.5, -1.25, 0.75, -3.0, 2.5)
+    linear = tuple(rng.choice(pool) for _ in range(nq))
+    quadratic = {(u, v): rng.choice(pool)
+                 for u in range(nq) for v in range(u + 1, nq) if rng.random() < 0.6}
+    return QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
+
+
+@pytest.mark.parametrize("nq", [15, 16])
+def test_real_blocks(nq):
+    # 2 and 4 blocks of the unpatched block size
+    assert (1 << nq) // samplers._BLOCK == 1 << (nq - 14)
+    linear, quadratic = random_qubo_coeffs(random.Random(nq), nq)
+    check_exact(QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic), entries=False)
+    check_exact(large_cancellation_qubo(random.Random(60 + nq), nq), entries=False)
 
 
 def test_all_subnormal_coefficients():

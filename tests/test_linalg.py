@@ -23,7 +23,7 @@ from qrefine import (
     residual_norm_sq,
     symmetric_eigen,
 )
-from qrefine.linalg import residual
+from qrefine.linalg import exact_form, exact_matvec, residual
 
 
 def test_system_validation():
@@ -142,6 +142,22 @@ def test_residual_matches_fraction_oracle():
             Fraction(b[r]) - sum(Fraction(a[r][i]) * xf[i] for i in range(n)) for r in range(n)
         ]
         assert residual_norm_sq(system, x) == frac_residual_sq(a, b, xf)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n),
+             min_size=1, max_size=4),
+    st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=n, max_size=n),
+    st.integers(min_value=-1100, max_value=1100),
+)))
+def test_exact_matvec_matches_fraction_oracle(case):
+    # any float entries, subnormal to huge, rectangular A included
+    a, mantissas, e = case
+    x = DyadicVector(tuple(mantissas), e)
+    rows, a_exp = exact_form(np.array(a))
+    got = DyadicVector(*exact_matvec(rows, a_exp, x))
+    xf = dyadic_fractions(x)
+    assert dyadic_fractions(got) == [sum(Fraction(v) * xi for v, xi in zip(row, xf)) for row in a]
 
 
 def test_residual_agrees_with_naive_when_well_scaled():

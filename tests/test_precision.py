@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qrefine.precision import dyadic_of_float, dyadic_sum, dyadic_to_float
+from qrefine.precision import dyadic_of_float, dyadic_to_float
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
 
@@ -40,10 +40,3 @@ def test_dyadic_to_float_mantissa_past_float_range():
     assert dyadic_to_float(-(2**1100), -10) == -math.inf
     assert dyadic_to_float(3 * 2**1100, -1100) == 3.0
 
-
-@given(st.lists(st.tuples(st.integers(min_value=-(2**70), max_value=2**70),
-                          st.integers(min_value=-90, max_value=90)), max_size=12))
-def test_dyadic_sum_exact(terms):
-    m, e = dyadic_sum(terms)
-    true = sum((Fraction(tm) * Fraction(2) ** te for tm, te in terms), Fraction(0))
-    assert Fraction(m) * Fraction(2) ** e == true

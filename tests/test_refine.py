@@ -112,6 +112,19 @@ def test_refine_exact_on_integer_grid():
     assert set(levels) == {2, 1, 0}
 
 
+def test_refine_wide_windows_span_blocks():
+    # 18-qubit windows: 16 blocks of the exhaustive sampler per solve
+    a = [[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]
+    trace = refine(LinearSystem(a=a, b=[1.0, 2.0, 3.0]),
+                   RefinementConfig(bits_per_sign=3, level_step=3, l_min=-30))
+    assert trace.total_qubo_solves == 22
+    assert trace.terminated_by == "level-exhausted"
+    solution = [Fraction(2, 9), Fraction(1, 9), Fraction(13, 9)]
+    dist_sq = sum((c - x) ** 2 for c, x in zip(fracs(trace.final_center), solution))
+    kappa = 2.0 + math.sqrt(3.0)  # A is symmetric with eigenvalues 3 - sqrt 3, 3, 3 + sqrt 3
+    assert dist_sq <= (Fraction(kappa) * Fraction(2) ** -30) ** 2
+
+
 def test_refine_record_bookkeeping():
     trace = refine(ID2, RefinementConfig(m_max=2, l_min=0), truth=(3.0, -2.0))
     assert [r.ordinal for r in trace.records] == list(range(1, len(trace.records) + 1))
