@@ -3,7 +3,8 @@ eigendecomposition, condition number.
 
 Matrices and vectors are plain float64 numpy arrays; LinearSystem wraps
 read-only copies of the (A, b) pair with shape and finiteness checks,
-and caches its Gram matrix A^T A and the exact dyadic form of A and b.
+and caches its Gram matrix A^T A and the exact dyadic form of A, A^T
+and b.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .encoding import DyadicVector
-from .errors import DimensionMismatch, NotSymmetric, SingularMatrix
+from .errors import DimensionMismatch, NotSymmetric, SingularMatrix, TooLarge
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -51,6 +52,11 @@ class LinearSystem:
         """(rows, e, b): exact_form(A) and b as a DyadicVector."""
         return (*exact_form(self.a), DyadicVector.from_floats(self.b.tolist()))
 
+    @cached_property
+    def exact_t(self) -> tuple[tuple[int, ...], ...]:
+        """The integer rows of A^T, under the exponent e of exact."""
+        return tuple(zip(*self.exact[0]))
+
 
 def exact_form(a: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(rows, e): the float matrix A exactly, as integer rows times one 2^e."""
@@ -67,9 +73,16 @@ def exact_matvec(rows: tuple[tuple[int, ...], ...], e: int, x: DyadicVector) -> 
 
 def gram(a: np.ndarray) -> tuple[tuple[float, ...], ...]:
     """A^T A as plain floats; each entry is the fsum (exact sum, rounded
-    once) of the float products a[r, i] * a[r, j]."""
+    once) of the float products a[r, i] * a[r, j]. Raises TooLarge when an
+    entry is past the float range."""
     cols = a.T.tolist()
-    return tuple(tuple(math.fsum(x * y for x, y in zip(ci, cj)) for cj in cols) for ci in cols)
+    try:  # fsum raises on an overflowing sum and on inf - inf
+        g = tuple(tuple(math.fsum(x * y for x, y in zip(ci, cj)) for cj in cols) for ci in cols)
+        if all(math.isfinite(v) for row in g for v in row):
+            return g
+    except (OverflowError, ValueError):
+        pass
+    raise TooLarge("A^T A is past the float range")
 
 
 @dataclass(frozen=True)
@@ -112,12 +125,12 @@ def symmetric_eigen(s: np.ndarray) -> EigenBasis:
     a = s.copy()
     v = np.eye(n)
     for _ in range(60):
-        off = float(np.sqrt(np.sum(np.tril(a, -1) ** 2)))
+        off = math.hypot(*np.tril(a, -1).ravel().tolist())  # no squares to overflow
         if off <= 1e-30 * scale:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                if abs(a[p, q]) <= 1e-300:
+                if abs(a[p, q]) <= 1e-300 * scale:  # relative, so theta stays finite
                     continue
                 theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
                 # hypot keeps this finite for any theta

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .encoding import BitVector, DyadicVector, EncodingSpec
 from .errors import DimensionMismatch, LengthMismatch, ParseError, TooLarge
-from .linalg import LinearSystem, residual
+from .linalg import LinearSystem, exact_matvec, residual
 from .precision import dyadic_to_float
 from .problems import _number, strict_json
 
@@ -75,12 +75,8 @@ def build_window(
         raise TooLarge(f"bit weight 2^{spec.l_hi} is past the float range")
 
     # b' = b - A c exactly, then g = A^T b' exactly, rounded once per entry
-    bprime = residual(system, center)
-    rows, a_exp, _ = system.exact
-    g = [
-        dyadic_to_float(sum(row[i] * m for row, m in zip(rows, bprime.mantissas)), a_exp + bprime.exponent)
-        for i in range(n)
-    ]
+    g_m, g_e = exact_matvec(system.exact_t, system.exact[1], residual(system, center))
+    g = [dyadic_to_float(m, g_e) for m in g_m]
 
     gram = system.gram
 

@@ -215,6 +215,14 @@ def _exact_entries(q: qubo.QuboMatrix, states: Iterable[int]) -> tuple[SampleEnt
 
 
 def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
+    """Single-bit-flip Metropolis sweeps over all reads at once; each read
+    reports the best state it visited.
+
+    The state is qubit-major, x[u] holding qubit u's bit in every read,
+    so each flip works on contiguous rows and preallocated buffers. A
+    sweep's uniforms come from one (nq, reads) draw, which PCG64 fills in
+    C order: the same stream as nq draws of `reads` each.
+    """
     nq = q.n_qubits
     if nq < 1:
         raise DimensionMismatch("annealer needs at least one qubit")
@@ -224,8 +232,7 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
         coupling[u, v] = c
         coupling[v, u] = c
 
-    scale = max(float(np.max(np.abs(lin))) if nq else 0.0,
-                max((abs(c) for c in q.quadratic.values()), default=0.0))
+    scale = max(float(np.max(np.abs(lin))), max((abs(c) for c in q.quadratic.values()), default=0.0))
     if scale == 0.0:
         scale = 1.0
     beta_lo = config.beta_start if config.beta_start is not None else 0.05 / scale
@@ -237,23 +244,40 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
     state = rng.integers(0, 2, size=(reads, nq)).astype(float)
     e_now = state @ lin + 0.5 * np.einsum("ri,ij,rj->r", state, coupling, state)
     best_e = e_now.copy()
-    best_state = state.copy()
+    x = np.ascontiguousarray(state.T)
+    best = x.copy()
+    field, sign, delta, p = (np.empty(reads) for _ in range(4))
+    accept = np.empty(reads, dtype=bool)
+    improved = np.empty(reads, dtype=bool)
 
     for beta in betas:
+        uniforms = rng.random((nq, reads))
         for u in range(nq):
-            field = lin[u] + state @ coupling[:, u]
-            delta = (1.0 - 2.0 * state[:, u]) * field
-            accept = (delta <= 0.0) | (rng.random(reads) < np.exp(-beta * np.maximum(delta, 0.0)))
-            state[:, u] = np.where(accept, 1.0 - state[:, u], state[:, u])
-            e_now = e_now + np.where(accept, delta, 0.0)
-            improved = e_now < best_e
-            if improved.any():
-                best_e[improved] = e_now[improved]
-                best_state[improved] = state[improved]
+            xu = x[u]
+            np.dot(coupling[u], x, out=field)
+            field += lin[u]
+            np.multiply(xu, -2.0, out=sign)
+            sign += 1.0  # 1 - 2 x_u, the direction of the flip
+            np.multiply(sign, field, out=delta)
+            # accept with probability exp(-beta max(delta, 0)); the clamp
+            # keeps exp from overflowing, and exp(0) = 1 accepts every
+            # downhill move since uniforms are below 1
+            np.maximum(delta, 0.0, out=p)
+            p *= -beta
+            np.exp(p, out=p)
+            np.less(uniforms[u], p, out=accept)
+            sign *= accept
+            xu += sign
+            delta *= accept
+            e_now += delta
+            np.less(e_now, best_e, out=improved)
+            if np.count_nonzero(improved):
+                np.minimum(best_e, e_now, out=best_e)
+                np.copyto(best, x, where=improved)
 
-    # each read reports the best state it visited; exact energies are
-    # recomputed per distinct state so SampleSet stays sampler-agnostic
-    counts = Counter(tuple(int(b) for b in row) for row in best_state)
+    # exact energies are recomputed per distinct state so SampleSet stays
+    # sampler-agnostic
+    counts = Counter(map(tuple, best.T.astype(np.int64).tolist()))
     entries = [
         SampleEntry(bits, qubo.energy(q, bits), occ) for bits, occ in counts.items()
     ]

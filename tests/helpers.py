@@ -4,18 +4,22 @@ families.
 The oracles recompute quantities from scratch with Fraction (or plain
 integer) arithmetic so the package's own exact paths are never
 used to check themselves. The reference routines (qubit layout, decode,
-grid enumeration, Ising energy, direct solve) exist only for the tests.
+grid enumeration, Ising energy, direct solve, annealer) exist only for
+the tests.
 """
 
 import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from qrefine import (
+    AnnealConfig,
+    DimensionMismatch,
     DyadicVector,
     EncodingSpec,
     IndexOutOfRange,
@@ -23,7 +27,9 @@ from qrefine import (
     SingularMatrix,
     TooLarge,
     decode_increments,
+    qubo,
 )
+from qrefine.samplers import SampleEntry, SampleSet
 
 _PIVOT_FLOOR = 1e-300
 
@@ -224,3 +230,53 @@ def build_illcond(theta_deg: float = 44.0):
          for i in range(2)]
     b = [math.fsum(a[i]) for i in range(2)]
     return LinearSystem(a=a, b=b), (1.0, 1.0)
+
+
+def anneal_reference(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
+    """Reference annealer: the Metropolis sweeps of sample_anneal over
+    read-major state, with fresh arrays and one uniform draw per flip;
+    sample_anneal must make the same decisions."""
+    nq = q.n_qubits
+    if nq < 1:
+        raise DimensionMismatch("annealer needs at least one qubit")
+    lin = np.array(q.linear, dtype=float)
+    coupling = np.zeros((nq, nq))
+    for (u, v), c in q.quadratic.items():
+        coupling[u, v] = c
+        coupling[v, u] = c
+
+    scale = max(float(np.max(np.abs(lin))) if nq else 0.0,
+                max((abs(c) for c in q.quadratic.values()), default=0.0))
+    if scale == 0.0:
+        scale = 1.0
+    beta_lo = config.beta_start if config.beta_start is not None else 0.05 / scale
+    beta_hi = config.beta_end if config.beta_end is not None else 10.0 / scale
+    betas = np.geomspace(beta_lo, beta_hi, config.sweeps)
+
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    reads = config.reads
+    state = rng.integers(0, 2, size=(reads, nq)).astype(float)
+    e_now = state @ lin + 0.5 * np.einsum("ri,ij,rj->r", state, coupling, state)
+    best_e = e_now.copy()
+    best_state = state.copy()
+
+    for beta in betas:
+        for u in range(nq):
+            field = lin[u] + state @ coupling[:, u]
+            delta = (1.0 - 2.0 * state[:, u]) * field
+            accept = (delta <= 0.0) | (rng.random(reads) < np.exp(-beta * np.maximum(delta, 0.0)))
+            state[:, u] = np.where(accept, 1.0 - state[:, u], state[:, u])
+            e_now = e_now + np.where(accept, delta, 0.0)
+            improved = e_now < best_e
+            if improved.any():
+                best_e[improved] = e_now[improved]
+                best_state[improved] = state[improved]
+
+    # each read reports the best state it visited; exact energies are
+    # recomputed per distinct state so SampleSet stays sampler-agnostic
+    counts = Counter(tuple(int(b) for b in row) for row in best_state)
+    entries = [
+        SampleEntry(bits, qubo.energy(q, bits), occ) for bits, occ in counts.items()
+    ]
+    entries.sort(key=lambda e: (e.energy, e.bits))
+    return SampleSet(entries=tuple(entries))

@@ -34,6 +34,7 @@ from qrefine.refine import make_sampler
 from qrefine.traceio import trace_to_csv
 
 from helpers import (
+    anneal_reference,
     build_illcond,
     decode,
     dyadic_fractions,
@@ -295,6 +296,13 @@ def test_criterion_7_annealer_adequacy(c1):
         f"SA found the exhaustive ground on all {len(c1['qubos'])} window "
         f"QUBOs, min occurrences {min_occ}/1000 >= 300, engine {engine:.3f}s < 10s",
     )
+
+
+def test_anneal_matches_reference_on_table1_windows(c1):
+    """Criterion 7's runs make the decisions of the reference loop."""
+    anneal = AnnealConfig(reads=1000, sweeps=100, seed=_ANNEAL_SEED)
+    for qm in c1["qubos"]:
+        assert sample_anneal(qm, anneal).entries == anneal_reference(qm, anneal).entries
 
 
 def test_criterion_8_ising_equivalence():

@@ -110,18 +110,24 @@ def test_solve_trace_that_cannot_be_opened_is_left_alone(tmp_path, capsys):
 
 DIAG_1E200 = '{"a": [[1e200, 0.0], [0.0, 1e200]], "b": [1e200, 2e200]}'
 B_1E160 = '{"a": [[1.0, 0.0], [0.0, 1.0]], "b": [1e160, -3e159]}'
+GRAM_FSUM = '{"a": [[1e154, 1e154], [1e154, 0]], "b": [1e154, 1e154]}'
+RHS_1E308 = '{"a": [[1e154]], "b": [1e308]}'
 
 
 @pytest.mark.parametrize(
     "text,flags",
     [
         (DIAG_1E200, []),  # A^T A overflows
-        (DIAG_1E200, ["--m-max", "4"]),  # A^T b' overflows
+        (DIAG_1E200, ["--m-max", "4"]),  # A^T A and A^T b' overflow
         (B_1E160, []),  # ||b|| overflows
         (B_1E160, ["--m-max", "535"]),  # the window weights squared overflow
         (IDENTITY, ["--m-max", "1100"]),  # the bit weight 2^1100 overflows
+        (GRAM_FSUM, []),  # the fsum of A^T A overflows
+        (GRAM_FSUM, ["--m-max", "4"]),  # the same, first met in the window
+        (RHS_1E308, ["--m-max", "4"]),  # A^T b' overflows, A^T A is finite
     ],
-    ids=["gram", "window-rhs", "norm-b", "window-weights", "bit-weight"],
+    ids=["gram", "window-rhs", "norm-b", "window-weights", "bit-weight",
+         "gram-fsum", "gram-fsum-m-max", "window-rhs-only"],
 )
 def test_solve_past_float_range_is_solver_error(tmp_path, capsys, text, flags):
     path = write_problem(tmp_path, text)

@@ -6,6 +6,7 @@ against exact Fraction arithmetic, not against itself.
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -19,11 +20,12 @@ from qrefine import (
     LinearSystem,
     NotSymmetric,
     SingularMatrix,
+    TooLarge,
     condition_number,
     residual_norm_sq,
     symmetric_eigen,
 )
-from qrefine.linalg import exact_form, exact_matvec, residual
+from qrefine.linalg import exact_form, exact_matvec, gram, residual
 
 
 def test_system_validation():
@@ -209,6 +211,34 @@ def test_eigen_normal_matrix_of_irrational_system():
     assert abs(basis.values[1] - lam[1]) <= 1e-9 * lam[0]
     assert 12.2 < basis.values[0] < 12.4
     assert 4.6 < basis.values[1] < 4.8
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[1e154, 1e154], [1e154, 0.0]],  # fsum overflows on 1e308 + 1e308
+        [[1e200, 1e200], [1e200, -1e200]],  # fsum meets inf - inf
+        [[1e200]],  # the product itself overflows
+    ],
+    ids=["fsum-overflow", "inf-minus-inf", "product-overflow"],
+)
+def test_gram_past_float_range_is_too_large(a):
+    with pytest.raises(TooLarge, match="float range"):
+        gram(np.array(a))
+    with pytest.raises(TooLarge, match="float range"):
+        LinearSystem(a=a, b=[1.0] * len(a)).gram
+
+
+def test_eigen_huge_entries_scale_exactly():
+    # entries of 2^600 would overflow a sum of squares; a power-of-two
+    # scale must scale the values exactly and leave the vectors alone
+    s = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        small = symmetric_eigen(s)
+        large = symmetric_eigen(s * 2.0**600)
+    assert np.array_equal(large.values, small.values * 2.0**600)
+    assert np.array_equal(large.vectors, small.vectors)
 
 
 def test_eigen_rejects_asymmetric():

@@ -1,10 +1,11 @@
 """Exhaustive oracle behavior and annealer adequacy/determinism."""
 
 import random
+import warnings
 
 import pytest
 
-from helpers import random_qubo_coeffs
+from helpers import anneal_reference, random_qubo_coeffs
 from qrefine import (
     AnnealConfig,
     QuboMatrix,
@@ -131,6 +132,44 @@ def test_anneal_explicit_beta_schedule():
     q = QuboMatrix(n_qubits=2, linear=(-1.0, 2.0), quadratic={(0, 1): -0.5})
     config = AnnealConfig(reads=100, sweeps=50, beta_start=0.1, beta_end=20.0, seed=5)
     assert sample_anneal(q, config).best().energy == -1.0
+
+
+@pytest.mark.parametrize("nq", range(1, 11))
+def test_anneal_matches_reference_on_integer_qubos(nq):
+    # small integer coefficients make every float sum exact, so fields and
+    # energies do not depend on summation order and the two loops must
+    # make the same decisions from the same uniforms; short anneals leave
+    # reads spread over many states, so a changed stream shows
+    rng = random.Random(700 + nq)
+    for seed, sweeps in ((0, 4), (1, 12), (2, 30)):
+        linear = tuple(float(rng.randint(-8, 8)) for _ in range(nq))
+        quadratic = {
+            (u, v): float(rng.randint(-8, 8))
+            for u in range(nq) for v in range(u + 1, nq) if rng.random() < 0.6
+        }
+        q = QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
+        config = AnnealConfig(reads=100, sweeps=sweeps, seed=seed)
+        assert sample_anneal(q, config).entries == anneal_reference(q, config).entries
+
+
+@pytest.mark.parametrize("betas", [(None, None), (0.1, 20.0)], ids=["default-beta", "explicit-beta"])
+def test_anneal_extreme_scales_raise_no_warning(betas):
+    # an uphill move of 2^500 at beta 20 would overflow exp without the
+    # clamp of the Metropolis test at max(delta, 0)
+    rng = random.Random(2500)
+    nq = 6
+    linear = (-(2.0**500), 2.0**-500, -(2.0**-500), 2.0**500, -1.0, 2.0**250)
+    quadratic = {
+        (u, v): rng.choice((-1.0, 1.0)) * 2.0 ** rng.randint(-500, 500)
+        for u in range(nq) for v in range(u + 1, nq)
+    }
+    q = QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
+    config = AnnealConfig(reads=100, sweeps=30, beta_start=betas[0], beta_end=betas[1], seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sample_anneal(q, config)
+    assert sum(e.occurrences for e in result.entries) == 100
+    assert result.entries == anneal_reference(q, config).entries
 
 
 def test_sample_set_ground_occurrences():
