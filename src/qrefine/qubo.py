@@ -11,15 +11,20 @@ scale 2^t of qubit u on variable i(u), the coefficients are
 The shift b' is computed in exact dyadic arithmetic and rounded once
 per coefficient; since every w_u is a signed power of two, the only
 other rounding is in A^T A itself. The constant ||b'||^2 is kept out of
-the matrix, so all-zero bits cost exactly zero and no window can go
-below -||b'||^2, minus the residual_norm_sq of c.
+the matrix, so all-zero bits cost exactly zero and no window energy can
+go below -||b'||^2, which is -residual_norm_sq(c).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import chain, compress, islice
+
+import numpy as np
 
 from .encoding import BitVector, DyadicVector, EncodingSpec
 from .errors import DimensionMismatch, LengthMismatch, ParseError, TooLarge
@@ -28,10 +33,14 @@ from .precision import dyadic_to_float
 from .problems import _number, strict_json
 
 _PRUNE = 1e-300
+_ROWS = 1 << 10  # rows per chunk of an energy batch, bounding its rows x nq x nq products
+_PICK = 256  # most outer-product entries in a batch scored without numpy (timed crossover: 100-300)
 
 
 @dataclass(frozen=True, eq=True)
 class QuboMatrix:
+    """Linear and upper-triangular quadratic coefficients of nq qubits."""
+
     n_qubits: int
     linear: tuple[float, ...]
     quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
@@ -50,6 +59,20 @@ class QuboMatrix:
         object.__setattr__(
             self, "quadratic", dict(sorted(self.quadratic.items()))
         )
+
+    @functools.cached_property
+    def coef(self) -> np.ndarray:
+        """Read-only dense upper-triangular matrix with the linear terms on
+        its diagonal, so state x selects exactly the entries of x x^T.
+        ``energy`` and both samplers use it. It is built on first use, so
+        a QUBO that is only parsed, dumped or converted never costs nq^2."""
+        coef = np.zeros((self.n_qubits, self.n_qubits))
+        for u, c in enumerate(self.linear):
+            coef[u, u] = c
+        for (u, v), c in self.quadratic.items():
+            coef[u, v] = c
+        coef.setflags(write=False)
+        return coef
 
     __hash__ = None  # dict field; value identity is via ==
 
@@ -105,13 +128,67 @@ def build_window(
     return QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
 
 
-def energy(q: QuboMatrix, bits: BitVector) -> float:
-    if len(bits) != q.n_qubits:
-        raise LengthMismatch(f"expected {q.n_qubits} bits, got {len(bits)}")
-    lin = q.linear
-    terms = [lin[u] for u in range(len(bits)) if bits[u]]
-    terms += [c for (u, v), c in q.quadratic.items() if bits[u] and bits[v]]
-    return math.fsum(terms)
+def energy(q: QuboMatrix, bits: BitVector | np.ndarray) -> float | list[float]:
+    """Exact-sum energy of one state, or of each row of a batch.
+
+    ``bits`` is one 0/1 vector of length n_qubits, which gives a float,
+    or a 2-D 0/1 array with one state per row, which gives a list of
+    floats, one per row (an empty batch has shape (0, n_qubits)). Any
+    nonzero entry counts as a 1, in a vector and in a batch alike. Each
+    result is the exact sum of the coefficients the state selects, the
+    entries of coef where x x^T is nonzero, rounded once, so it depends
+    neither on the order of the terms nor on the layout of a batch. It
+    is taken by ``math.fsum``, which is correctly rounded, or exactly in
+    rationals when a running fsum passes the float range. Raises
+    TooLarge if an exact sum itself rounds past the float range. A batch
+    whose outer products have at most _PICK entries picks each state's
+    entries of coef in Python; a larger one forms them with numpy, in
+    chunks of _ROWS states.
+    """
+    x = np.asarray(bits, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != q.n_qubits:
+        raise LengthMismatch(f"expected rows of {q.n_qubits} bits, got shape {x.shape}")
+    if x.ndim == 1:
+        return _energies(q.coef, x[None])[0]
+    return _energies(q.coef, x)
+
+
+def _energies(coef: np.ndarray, x: np.ndarray) -> list[float]:
+    if x.size * len(coef) <= _PICK:
+        # a few small states: picking each one's entries of coef in Python
+        # costs less than the fixed cost of the numpy products below
+        table = coef.tolist()
+        return [
+            _exact_sum(list(chain.from_iterable(compress(t, row) for t in compress(table, row))))
+            for row in x.tolist()
+        ]
+    out: list[float] = []
+    for lo in range(0, len(x), _ROWS):
+        rows = x[lo:lo + _ROWS] != 0.0
+        terms = (rows[:, :, None] & rows[:, None, :]) * coef
+        # drop the exact zeros before they become Python floats: most
+        # entries are zero, and fsum ignores them
+        nonzero = terms != 0.0
+        values = iter(terms[nonzero].tolist())
+        try:
+            out += [math.fsum(islice(values, n)) for n in nonzero.sum(axis=(1, 2)).tolist()]
+        except OverflowError:
+            out += [_exact_sum(t[z].tolist()) for t, z in zip(terms, nonzero)]
+    return out
+
+
+def _exact_sum(terms: list[float]) -> float:
+    """Correctly rounded sum of finite terms, whatever their order. fsum
+    raises OverflowError when a running sum passes the float range, which
+    depends on the order; the exact rational sum does not."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        pass
+    try:
+        return float(sum(map(Fraction, terms)))
+    except OverflowError:
+        raise TooLarge("a QUBO energy is past the float range") from None
 
 
 def qubo_to_ising(q: QuboMatrix) -> IsingModel:

@@ -4,14 +4,16 @@ Both samplers return a SampleSet ordered by (energy, bits), where energy
 is the exact-sum score ``qubo.energy`` (one correctly rounded ``fsum``).
 The exhaustive backend is the exact oracle, the annealer is the scalable
 stand-in whose occurrence counts play the role of hardware read
-statistics.
+statistics. Each solve scores its candidate states with one batched
+``qubo.energy`` call: the annealer its distinct best states, the
+exhaustive sampler its near-minimum band.
 
 The exhaustive sampler scores every state in float with one chain of
 matrix products per block of states, so memory stays O(block * nq) up
-to the 24-qubit cap. It then rescores exactly with ``qubo.energy`` only
-the band of states whose float score lies within a proven rounding
-bound of the float minimum, which holds every state of minimum exact
-energy. Its full ordered entry list is built on first access.
+to the 24-qubit cap. It keeps, as bit rows, the band of states whose
+float score lies within a proven rounding bound of the float minimum,
+which holds every state of minimum exact energy, and scores only that
+band exactly. Its full ordered entry list is built on first access.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import qubo
 from .encoding import BitVector
-from .errors import DimensionMismatch, TooManyQubits
+from .errors import DimensionMismatch, TooLarge, TooManyQubits
 
 _EXHAUSTIVE_LIMIT = 24
 _BLOCK = 1 << 14  # states per float-pass block; a power of two
@@ -105,25 +107,41 @@ class AnnealConfig:
 
 
 def sample_exhaustive(q: qubo.QuboMatrix) -> SampleSet:
-    """Exact minimum by (qubo.energy, bits) over all 2^nq states; the full
-    ordered list of every state is built only when ``entries`` is read."""
+    """Exact minimum by (qubo.energy, bits) over all 2^nq states.
+
+    The band of near-minimum states comes from the float pass as bit
+    rows and is scored by one ``qubo.energy`` call; bit tuples are built
+    only for the states tied at its minimum. The full ordered list of
+    every state is scored, block by block, only when ``entries`` is read.
+    """
     if q.n_qubits > _EXHAUSTIVE_LIMIT:
         raise TooManyQubits(f"{q.n_qubits} qubits exceeds exhaustive limit {_EXHAUSTIVE_LIMIT}")
-    band = _exact_entries(q, _near_minimum_states(q))
-    e0 = band[0].energy
-    ground = [e for e in band if e.energy == e0]
-    return SampleSet(head=ground, build=lambda: _exact_entries(q, range(1 << q.n_qubits)))
+    band = _near_minimum_rows(q)
+    scores = qubo.energy(q, band)
+    e0 = min(scores)
+    ground = sorted(tuple(map(int, band[i].tolist())) for i, e in enumerate(scores) if e == e0)
+    head = [SampleEntry(bits, e0, 1) for bits in ground]
+    return SampleSet(head=head, build=lambda: _all_entries(q))
 
 
-def _near_minimum_states(q: qubo.QuboMatrix) -> Iterable[int]:
-    """States whose float energy lies within 2*delta of the float minimum,
-    ascending; they include every state of minimum exact energy.
+def _abs_total(q: qubo.QuboMatrix) -> float:
+    """Sum of all |coef| by fsum, inf if it overflows."""
+    try:
+        return math.fsum(map(abs, (*q.linear, *q.quadratic.values())))
+    except OverflowError:
+        return math.inf
+
+
+def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
+    """Bit rows of the states whose float energy lies within 2*delta of the
+    float minimum, in ascending state order; they include every state of
+    minimum exact energy.
 
     Proof. Let E(x) be the exact sum of the coefficients state x selects,
     S(x) the sum of their magnitudes, S the sum of all |coef|, u = 2^-53,
     gamma_k = k*u / (1 - k*u), s(x) = qubo.energy(q, x) and f(x) the float
-    energy computed here as ((x @ coef) * x) @ ones, with linear on the
-    diagonal of coef (x_u^2 = x_u) and quadratic above it.
+    energy computed here as ((x @ coef) * x) @ ones, with coef = q.coef,
+    linear on the diagonal (x_u^2 = x_u) and quadratic above it.
 
     - With x in {0, 1} every product is exact, and a BLAS fused multiply-add
       with a 0/1 factor is an exact product and one rounded addition. A
@@ -147,35 +165,32 @@ def _near_minimum_states(q: qubo.QuboMatrix) -> Iterable[int]:
     is covered by the absolute term. The cut f(y) + 2 delta is rounded up
     by one ulp. If 4 S overflows, the float pass could overflow too, and
     every state is returned instead.
+
+    The first block needs no merge, so a window of one block (up to 14
+    qubits) keeps its band in one step.
     """
     nq = q.n_qubits
     m = nq + len(q.quadratic) + 2
-    try:
-        total = math.fsum(abs(c) for c in (*q.linear, *q.quadratic.values()))
-    except OverflowError:
-        total = math.inf
+    total = _abs_total(q)
     if not math.isfinite(4.0 * total):
-        return range(1 << nq)
+        return _state_rows(nq, np.arange(1 << nq))
     width = 2.0 * (2.0 * m * _U * total + m * _TINY)
 
-    coef = np.zeros((nq, nq))
-    for u, c in enumerate(q.linear):
-        coef[u, u] = c
-    for (u, v), c in q.quadratic.items():
-        coef[u, v] = c
+    coef = q.coef
     ones = _ONES[:nq]
     lo = math.inf
-    states = np.empty(0, dtype=np.int64)
-    scores = np.empty(0)
     for start, x in _state_blocks(nq):
         f = ((x @ coef) * x) @ ones
         lo = min(lo, float(f.min()))
         cut = math.nextafter(lo + width, math.inf)
-        old = scores <= cut
-        mine = np.flatnonzero(f <= cut)
-        states = np.concatenate((states[old], start + mine))
-        scores = np.concatenate((scores[old], f[mine]))
-    return states.tolist()
+        mine = f <= cut
+        if start == 0:
+            rows, scores = x[mine], f[mine]
+        else:
+            old = scores <= cut
+            rows = np.concatenate((rows[old], x[mine]))
+            scores = np.concatenate((scores[old], f[mine]))
+    return rows
 
 
 def _state_blocks(nq: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -195,21 +210,25 @@ def _state_blocks(nq: int) -> Iterator[tuple[int, np.ndarray]]:
         yield start, x
 
 
+def _state_rows(nq: int, states: np.ndarray) -> np.ndarray:
+    """Rows bits[u] = (state >> u) & 1 of the given states, as floats."""
+    return ((states[:, None] >> np.arange(nq)) & 1).astype(np.float64)
+
+
 @functools.lru_cache(maxsize=8)
 def _low_states(nq: int, rows: int) -> np.ndarray:
     """Read-only state matrix of the first `rows` states of nq qubits."""
-    x = ((np.arange(rows)[:, None] >> np.arange(nq)) & 1).astype(np.float64)
+    x = _state_rows(nq, np.arange(rows))
     x.flags.writeable = False
     return x
 
 
-def _exact_entries(q: qubo.QuboMatrix, states: Iterable[int]) -> tuple[SampleEntry, ...]:
-    """The given states scored by qubo.energy, ordered by (energy, bits)."""
-    nq = q.n_qubits
+def _all_entries(q: qubo.QuboMatrix) -> tuple[SampleEntry, ...]:
+    """Every state scored by qubo.energy, one call per block, ordered by
+    (energy, bits)."""
     scored = []
-    for state in states:
-        bits = tuple((state >> u) & 1 for u in range(nq))
-        scored.append((qubo.energy(q, bits), bits))
+    for _, x in _state_blocks(q.n_qubits):
+        scored += zip(qubo.energy(q, x), map(tuple, x.astype(np.int64).tolist()))
     scored.sort()
     return tuple(SampleEntry(bits, e, 1) for e, bits in scored)
 
@@ -226,11 +245,12 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
     nq = q.n_qubits
     if nq < 1:
         raise DimensionMismatch("annealer needs at least one qubit")
+    if not math.isfinite(4.0 * _abs_total(q)):
+        # the bound that keeps every field, energy and update finite
+        raise TooLarge("QUBO coefficient magnitudes sum past the float range")
     lin = np.array(q.linear, dtype=float)
-    coupling = np.zeros((nq, nq))
-    for (u, v), c in q.quadratic.items():
-        coupling[u, v] = c
-        coupling[v, u] = c
+    coupling = q.coef + q.coef.T  # each quadratic term on both sides, exactly
+    np.fill_diagonal(coupling, 0.0)
 
     scale = max(float(np.max(np.abs(lin))), max((abs(c) for c in q.quadratic.values()), default=0.0))
     if scale == 0.0:
@@ -275,11 +295,12 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
                 np.minimum(best_e, e_now, out=best_e)
                 np.copyto(best, x, where=improved)
 
-    # exact energies are recomputed per distinct state so SampleSet stays
-    # sampler-agnostic
+    # exact energies are recomputed per distinct state, in one batch, so
+    # SampleSet stays sampler-agnostic
     counts = Counter(map(tuple, best.T.astype(np.int64).tolist()))
+    energies = qubo.energy(q, np.array(list(counts), dtype=np.float64))
     entries = [
-        SampleEntry(bits, qubo.energy(q, bits), occ) for bits, occ in counts.items()
+        SampleEntry(bits, e, occ) for (bits, occ), e in zip(counts.items(), energies)
     ]
     entries.sort(key=lambda e: (e.energy, e.bits))
     return SampleSet(entries=tuple(entries))

@@ -9,6 +9,7 @@ promises since fsum is correctly rounded.
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ from qrefine import (
     sample_exhaustive,
 )
 from qrefine import samplers
-from qrefine.samplers import SampleEntry, _near_minimum_states, _state_blocks
+from qrefine.samplers import SampleEntry, _near_minimum_rows, _state_blocks
 
 
 def expected(q) -> tuple[list[float], set[int]]:
@@ -40,6 +41,13 @@ def expected(q) -> tuple[list[float], set[int]]:
     exact = [float(e) for e in frac_energies(q)]
     e0 = min(exact)
     return exact, {s for s, e in enumerate(exact) if e == e0}
+
+
+def band_states(q) -> list[int]:
+    """The states of the float pass's band rows, in row order."""
+    rows = _near_minimum_rows(q).astype(np.int64)
+    assert rows.shape[1:] == (q.n_qubits,) and set(rows.flat) <= {0, 1}
+    return (rows << np.arange(q.n_qubits)).sum(axis=1).tolist()
 
 
 def check_exact(q, entries=True):
@@ -52,7 +60,7 @@ def check_exact(q, entries=True):
     got = sample_exhaustive(q)
     assert got.best() == SampleEntry(min(state_bits(s, nq) for s in grounds), min(exact), 1)
     assert got.ground_occurrences() == len(grounds)
-    assert grounds <= set(_near_minimum_states(q))
+    assert grounds <= set(band_states(q))
     if entries:
         order = sorted((e, state_bits(s, nq)) for s, e in enumerate(exact))
         assert got.entries == tuple(SampleEntry(bits, e, 1) for e, bits in order)
@@ -183,7 +191,7 @@ def test_all_subnormal_coefficients():
 def test_overflowing_scale_scores_every_state_exactly():
     # sum |coef| overflows, no single state's sum does
     q = QuboMatrix(n_qubits=2, linear=(1e308, -1e308), quadratic={(0, 1): 5e307})
-    assert list(_near_minimum_states(q)) == [0, 1, 2, 3]
+    assert band_states(q) == [0, 1, 2, 3]
     assert check_exact(q).best() == SampleEntry((0, 1), -1e308, 1)
 
 
@@ -232,21 +240,30 @@ def test_block_edges_keep_band_states(monkeypatch):
         assert after.best() == before.best()
         assert after.ground_occurrences() == before.ground_occurrences()
         assert after.entries == before.entries
-        assert expected(q)[1] <= set(_near_minimum_states(q))
+        assert expected(q)[1] <= set(band_states(q))
     assert plain[1].ground_occurrences() > 1
 
 
 @pytest.mark.parametrize("nq", [0, 3])
 def test_entries_built_once_on_demand(nq, monkeypatch):
+    # each solve scores its band rows in one batch, and the first read of
+    # entries scores every state once more
     rng = random.Random(nq)
     linear, quadratic = random_qubo_coeffs(rng, nq)
     q = QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
-    calls = []
+    scored = []
     energy = samplers.qubo.energy
-    monkeypatch.setattr(samplers.qubo, "energy", lambda *a: calls.append(1) or energy(*a))
+
+    def counted(q, rows):
+        assert np.ndim(rows) == 2
+        scored.append(len(rows))
+        return energy(q, rows)
+
+    monkeypatch.setattr(samplers.qubo, "energy", counted)
     result = sample_exhaustive(q)
-    band = len(calls)
-    assert band <= 1 << nq
+    band = len(_near_minimum_rows(q))
+    assert scored == [band] and band <= 1 << nq
     result.entries
+    assert sum(scored[1:]) == 1 << nq
     result.entries
-    assert len(calls) == band + (1 << nq)
+    assert sum(scored) == band + (1 << nq)

@@ -4,7 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
     dyadic_fractions,
@@ -24,6 +27,7 @@ from qrefine import (
     LinearSystem,
     ParseError,
     QuboMatrix,
+    TooLarge,
     build_window,
     decode_increments,
     dump,
@@ -80,6 +84,85 @@ def test_energy_trivials():
     assert energy(single, (1,)) == 2.0
     with pytest.raises(LengthMismatch):
         energy(q, (0,))
+
+
+@st.composite
+def qubo_and_rows(draw):
+    # exponents scale + offset within [-1000, 1000]: a narrow spread makes
+    # terms of one magnitude whose plain float sum would round differently
+    nq = draw(st.integers(min_value=0, max_value=12))
+    scale = draw(st.integers(min_value=-1000, max_value=1000))
+    spread = draw(st.sampled_from((2, 60, 2000)))
+    coefficient = st.one_of(
+        st.just(0.0),
+        st.builds(
+            lambda sign, mant, off: sign * math.ldexp(mant, max(-1000, min(1000, scale + off))),
+            st.sampled_from((-1.0, 1.0)),
+            st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+            st.integers(min_value=-spread, max_value=spread),
+        ),
+    )
+    pairs = [(u, v) for u in range(nq) for v in range(u + 1, nq)]
+    linear = draw(st.lists(coefficient, min_size=nq, max_size=nq))
+    upper = draw(st.lists(coefficient, min_size=len(pairs), max_size=len(pairs)))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    quadratic = {p: c for p, c, k in zip(pairs, upper, keep) if k}
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=nq, max_size=nq), max_size=8))
+    return QuboMatrix(n_qubits=nq, linear=tuple(linear), quadratic=quadratic), rows
+
+
+@given(qubo_and_rows())
+def test_batched_energy_is_exact_per_row(case):
+    q, rows = case
+    batch = np.array(rows, dtype=np.int64).reshape(len(rows), q.n_qubits)
+    got = energy(q, batch)
+    assert isinstance(got, list)
+    assert got == [float(frac_energy(q, bits)) for bits in rows]
+    assert got == [energy(q, tuple(bits)) for bits in rows]
+    assert all(isinstance(energy(q, tuple(bits)), float) for bits in rows)
+    with pytest.raises(LengthMismatch):
+        energy(q, np.zeros((len(rows), q.n_qubits + 1)))
+
+
+def test_batched_energy_shapes():
+    q = QuboMatrix(n_qubits=3, linear=(1.0, -2.0, 0.5), quadratic={(0, 2): -4.0})
+    assert energy(q, np.zeros((0, 3))) == []
+    assert energy(q, np.array([[1, 0, 1], [0, 1, 0]])) == [-2.5, -2.0]
+    assert energy(QuboMatrix(n_qubits=0, linear=()), ()) == 0.0
+    assert energy(QuboMatrix(n_qubits=0, linear=()), np.zeros((2, 0))) == [0.0, 0.0]
+    # a nonzero entry selects its qubit, one state or a batch alike
+    assert energy(q, (2, 0, -1)) == energy(q, (1, 0, 1)) == -2.5
+    assert energy(q, np.array([[2, 0, -1], [0, 0.5, 0]])) == [-2.5, -2.0]
+    assert energy(q, np.array([[2, 0, -1], [0, 0.5, 0]] * 30)) == [-2.5, -2.0] * 30
+    for bad in ((0, 1), np.zeros((2, 4)), np.zeros((0, 2)), np.zeros((1, 1, 3))):
+        with pytest.raises(LengthMismatch):
+            energy(q, bad)
+
+
+def test_energy_running_sum_past_float_range_is_exact():
+    # a running sum of these terms can pass the float range in one order
+    # and stay inside it in another; the energy is their exact sum either way
+    q = QuboMatrix(n_qubits=2, linear=(1e308, -1e308), quadratic={(0, 1): 1e308})
+    rows = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert energy(q, np.array(rows)) == [0.0, 1e308, -1e308, 1e308]
+    # a batch too large to pick in Python goes through numpy
+    assert energy(q, np.array(rows * 100)) == [0.0, 1e308, -1e308, 1e308] * 100
+    assert [energy(q, bits) for bits in rows] == [float(frac_energy(q, bits)) for bits in rows]
+    q = QuboMatrix(n_qubits=3, linear=(1e308, 1e308, -1e308))
+    assert energy(q, (1, 1, 1)) == 1e308
+    assert energy(q, np.array([[1, 0, 1], [0, 0, 1]])) == [0.0, -1e308]
+    # a row whose exact energy is past the float range fails its batch
+    for batch in ([[1, 0, 1], [1, 1, 0]], [[1, 0, 1], [1, 1, 0]] * 100):
+        with pytest.raises(TooLarge):
+            energy(q, np.array(batch))
+
+
+def test_sparse_qubo_is_not_densified():
+    # a large num_qubits with no entries parses and dumps without
+    # allocating nq^2 coefficients
+    q = parse('{"num_qubits":100000,"linear":{},"quadratic":{}}')
+    assert parse(dump(q)) == q
+    assert qubo_to_ising(q).offset == 0.0
 
 
 def test_quadratic_validation():

@@ -9,6 +9,7 @@ from helpers import anneal_reference, random_qubo_coeffs
 from qrefine import (
     AnnealConfig,
     QuboMatrix,
+    TooLarge,
     TooManyQubits,
     sample_anneal,
     sample_exhaustive,
@@ -170,6 +171,34 @@ def test_anneal_extreme_scales_raise_no_warning(betas):
         result = sample_anneal(q, config)
     assert sum(e.occurrences for e in result.entries) == 100
     assert result.entries == anneal_reference(q, config).entries
+
+
+def test_anneal_coefficient_sum_past_float_range_is_too_large():
+    # each coefficient is finite, but fields and energies could reach
+    # 2e308: without the guard they overflow to inf, then NaN, and some
+    # reads report (1, 1) at +1e308 although (0, 0) at 0 is lower
+    q = QuboMatrix(n_qubits=2, linear=(1e308, -1e308), quadratic={(0, 1): 1e308})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TooLarge):
+            sample_anneal(q, AnnealConfig(reads=20, sweeps=10, seed=0))
+
+
+def test_exhaustive_running_sum_past_float_range():
+    # 4 S overflows, so every state is scored exactly; the terms of (1, 1)
+    # pass the float range in coef's order, but their exact sum is 1e308
+    q = QuboMatrix(n_qubits=2, linear=(1e308, -1e308), quadratic={(0, 1): 1e308})
+    result = sample_exhaustive(q)
+    assert result.best() == SampleEntry(bits=(0, 1), energy=-1e308, occurrences=1)
+    assert [e.energy for e in result.entries] == [-1e308, 0.0, 1e308, 1e308]
+    # a state whose exact energy is past the float range is a typed error
+    with pytest.raises(TooLarge):
+        sample_exhaustive(QuboMatrix(n_qubits=3, linear=(1e308, 1e308, -1e308)))
+
+
+def test_exhaustive_cap_before_dense_coefficients():
+    with pytest.raises(TooManyQubits):
+        sample_exhaustive(QuboMatrix(n_qubits=100_000, linear=(0.0,) * 100_000))
 
 
 def test_sample_set_ground_occurrences():
