@@ -8,9 +8,14 @@ statistics. Each solve scores its candidate states with one batched
 ``qubo.energy`` call: the annealer its distinct best states, the
 exhaustive sampler its near-minimum band.
 
-The exhaustive sampler scores every state in float with one chain of
-matrix products per block of states, so memory stays O(block * nq) up
-to the 24-qubit cap. It keeps, as bit rows, the band of states whose
+The exhaustive sampler scores every state in float. Up to 10 qubits one
+chain of matrix products scores all states at once. A wider state is
+split into its low and high bits, as in Horowitz and Sahni's
+meet-in-the-middle (JACM 21(2), 1974): the low part's energies and
+cross terms are formed once per solve, and each chunk of high states
+adds its own energies to one product with them. A state then costs
+O(nq - 10) instead of O(nq^2), and memory stays O(chunk) up to the
+24-qubit cap. It keeps, as bit rows, the band of states whose
 float score lies within a proven rounding bound of the float minimum,
 which holds every state of minimum exact energy, and scores only that
 band exactly. Its full ordered entry list is built on first access.
@@ -31,7 +36,10 @@ from .encoding import BitVector
 from .errors import DimensionMismatch, TooLarge, TooManyQubits
 
 _EXHAUSTIVE_LIMIT = 24
-_BLOCK = 1 << 14  # states per float-pass block; a power of two
+_BLOCK = 1 << 14  # float scores per block or chunk, and rows per exact block; a power of two
+# low bits of a split state, and the most qubits scored unsplit, in one
+# block; timed, the split is no faster up to 10 qubits and faster from 11
+_LOW_BITS = 10
 _U = 2.0**-53  # unit roundoff of binary64
 _TINY = 2.0**-1074  # smallest subnormal
 _ONES = np.ones(_EXHAUSTIVE_LIMIT)  # sliced to sum a block's columns
@@ -119,7 +127,8 @@ def sample_exhaustive(q: qubo.QuboMatrix) -> SampleSet:
     band = _near_minimum_rows(q)
     scores = qubo.energy(q, band)
     e0 = min(scores)
-    ground = sorted(tuple(map(int, band[i].tolist())) for i, e in enumerate(scores) if e == e0)
+    rows = map(tuple, band.astype(np.int64).tolist())
+    ground = sorted(bits for e, bits in zip(scores, rows) if e == e0)
     head = [SampleEntry(bits, e0, 1) for bits in ground]
     return SampleSet(head=head, build=lambda: _all_entries(q))
 
@@ -137,22 +146,37 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     float minimum, in ascending state order; they include every state of
     minimum exact energy.
 
+    Up to _LOW_BITS qubits, f(x) = ((x @ coef) * x) @ ones over all states
+    at once, with coef = q.coef, linear on the diagonal (x_u^2 = x_u) and
+    quadratic above it. A wider state splits into its low b = _LOW_BITS
+    bits and its high h = nq - b bits, x = (lo, hi) with state index
+    lo + (hi << b), and coef into the blocks C_ll, C_lh and C_hh. Once per
+    solve, E_lo = ((X_lo @ C_ll) * X_lo) @ ones over the 2^b low states and
+    M = C_lh^T @ X_lo^T; then each chunk X_hi of max(1, _BLOCK >> b) high
+    states, at most _BLOCK scores under the default, gets
+
+        f = (X_hi @ M + E_lo) + E_hi[:, None],  E_hi = ((X_hi @ C_hh) * X_hi) @ ones,
+
+    so f(x) costs O(h) instead of O(nq^2).
+
     Proof. Let E(x) be the exact sum of the coefficients state x selects,
     S(x) the sum of their magnitudes, S the sum of all |coef|, u = 2^-53,
-    gamma_k = k*u / (1 - k*u), s(x) = qubo.energy(q, x) and f(x) the float
-    energy computed here as ((x @ coef) * x) @ ones, with coef = q.coef,
-    linear on the diagonal (x_u^2 = x_u) and quadratic above it.
+    gamma_k = k*u / (1 - k*u) and s(x) = qubo.energy(q, x).
 
     - With x in {0, 1} every product is exact, and a BLAS fused multiply-add
       with a 0/1 factor is an exact product and one rounded addition. A
-      column zeroed by "* x" is an exact zero, never NaN: 4 S is finite and
-      bounds every partial sum. So in any BLAS order f(x) is a summation
-      tree over the N <= nq + #quadratic nonzero selected coefficients. An
-      addition with an exact-zero operand does not round, and one whose
-      result is subnormal is exact, so each leaf meets at most N - 1
-      additions with relative error <= u: |f(x) - E(x)| <= gamma_{N-1} S(x)
-      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-      lemma 3.1 and eq. 4.4).
+      column zeroed by "* x", and an entry M[v, lo] met by hi_v = 0, becomes
+      an exact zero, never NaN: 4 S is finite and bounds every partial sum.
+      Every other partial sum is a sum of coefficients x selects: E_lo[lo]
+      of those in C_ll, M[v, lo] with hi_v = 1 of those in C_lh, and
+      E_hi[hi] of those in C_hh. So in any BLAS order, split or not, f(x)
+      is a summation tree over the N <= nq + #quadratic nonzero selected
+      coefficients. An addition with an exact-zero operand does not round,
+      and one whose result is subnormal is exact, so each leaf meets at
+      most N - 1 additions with relative error <= u:
+      |f(x) - E(x)| <= gamma_{N-1} S(x) (Higham, Accuracy and Stability of
+      Numerical Algorithms, 2nd ed., lemma 3.1 and eq. 4.4). The split
+      only regroups the tree, so delta below does not change.
     - fsum is correctly rounded: |s(x) - E(x)| <= u S(x) + 2^-1075.
     - With m = nq + #quadratic + 2, gamma_{N-1} + u <= gamma_m, so
       |f(x) - s(x)| <= gamma_m S + 2^-1075 <= delta := gamma_m S + m 2^-1074.
@@ -164,40 +188,66 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     2 covers the roundings of S and of the product; an underflowing product
     is covered by the absolute term. The cut f(y) + 2 delta is rounded up
     by one ulp. If 4 S overflows, the float pass could overflow too, and
-    every state is returned instead.
-
-    The first block needs no merge, so a window of one block (up to 14
-    qubits) keeps its band in one step.
+    the band is instead exactly the states tied at the minimum s, found
+    block by block.
     """
     nq = q.n_qubits
     m = nq + len(q.quadratic) + 2
     total = _abs_total(q)
     if not math.isfinite(4.0 * total):
-        return _state_rows(nq, np.arange(1 << nq))
+        return _exact_minimum_rows(q)
     width = 2.0 * (2.0 * m * _U * total + m * _TINY)
 
     coef = q.coef
-    ones = _ONES[:nq]
-    lo = math.inf
-    for start, x in _state_blocks(nq):
-        f = ((x @ coef) * x) @ ones
-        lo = min(lo, float(f.min()))
-        cut = math.nextafter(lo + width, math.inf)
-        mine = f <= cut
+    if nq <= _LOW_BITS:
+        x = _low_states(nq, 1 << nq)
+        f = ((x @ coef) * x) @ _ONES[:nq]
+        return x[f <= math.nextafter(float(f.min()) + width, math.inf)]
+
+    b = _LOW_BITS
+    x_lo = _low_states(b, 1 << b)
+    e_lo = ((x_lo @ coef[:b, :b]) * x_lo) @ _ONES[:b]
+    cross = coef[:b, b:].T @ x_lo.T
+    c_hh = coef[b:, b:]
+    ones = _ONES[:nq - b]
+    f_min = math.inf
+    for start, x_hi in _state_blocks(nq - b, max(1, _BLOCK >> b)):
+        f = x_hi @ cross
+        f += e_lo
+        f += (((x_hi @ c_hh) * x_hi) @ ones)[:, None]
+        f = f.ravel()  # entry (j << b) + lo is state lo + ((start + j) << b)
+        f_min = min(f_min, float(f.min()))
+        cut = math.nextafter(f_min + width, math.inf)
+        mine = np.flatnonzero(f <= cut)
         if start == 0:
-            rows, scores = x[mine], f[mine]
+            states, scores = mine, f[mine]
         else:
             old = scores <= cut
-            rows = np.concatenate((rows[old], x[mine]))
+            states = np.concatenate((states[old], mine + (start << b)))
             scores = np.concatenate((scores[old], f[mine]))
-    return rows
+    return _state_rows(nq, states)
 
 
-def _state_blocks(nq: int) -> Iterator[tuple[int, np.ndarray]]:
+def _exact_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
+    """Bit rows of the states tied at the minimum qubo.energy, in ascending
+    state order, scored one block at a time against a running minimum."""
+    e0, parts = math.inf, []
+    for _, x in _state_blocks(q.n_qubits):
+        scores = np.array(qubo.energy(q, x))
+        lo = float(scores.min())
+        if lo < e0:
+            e0, parts = lo, []
+        if lo == e0:
+            parts.append(x[scores == lo])
+    return np.concatenate(parts)
+
+
+def _state_blocks(nq: int, rows: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """(first state, rows bits[u] = (state >> u) & 1) over all 2^nq states,
-    in blocks of at most _BLOCK rows. The rows yielded for later blocks
-    reuse one buffer, so use each block before asking for the next."""
-    rows = min(1 << nq, _BLOCK)
+    in blocks of at most `rows` rows, a power of two (default _BLOCK). The
+    rows yielded for later blocks reuse one buffer, so use each block
+    before asking for the next."""
+    rows = min(1 << nq, _BLOCK if rows is None else rows)
     low = _low_states(nq, rows)
     if rows == 1 << nq:
         yield 0, low

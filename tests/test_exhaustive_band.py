@@ -11,7 +11,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -140,14 +140,17 @@ def test_near_ties_lost_to_float_rounding():
     # many states' exact energies differ by less than their float rounding
     rng = random.Random(53)
     for _ in range(200):
-        nq = rng.randint(3, 8)
-        scale = 2.0 ** rng.choice((0, -600, 600))
-        linear = [rng.choice((-1, 1)) * 2.0**53 * scale]
-        linear += [rng.randint(-3, 1) * scale for _ in range(nq - 1)]
-        rng.shuffle(linear)
-        quadratic = {(u, v): rng.randint(-2, 2) * scale
-                     for u in range(nq) for v in range(u + 1, nq) if rng.random() < 0.5}
-        check_exact(QuboMatrix(n_qubits=nq, linear=tuple(linear), quadratic=quadratic))
+        check_exact(near_tie_qubo(rng, rng.randint(3, 8)))
+
+
+def near_tie_qubo(rng, nq):
+    scale = 2.0 ** rng.choice((0, -600, 600))
+    linear = [rng.choice((-1, 1)) * 2.0**53 * scale]
+    linear += [rng.randint(-3, 1) * scale for _ in range(nq - 1)]
+    rng.shuffle(linear)
+    quadratic = {(u, v): rng.randint(-2, 2) * scale
+                 for u in range(nq) for v in range(u + 1, nq) if rng.random() < 0.5}
+    return QuboMatrix(n_qubits=nq, linear=tuple(linear), quadratic=quadratic)
 
 
 def test_large_cancellations():
@@ -189,9 +192,10 @@ def test_all_subnormal_coefficients():
 
 
 def test_overflowing_scale_scores_every_state_exactly():
-    # sum |coef| overflows, no single state's sum does
+    # sum |coef| overflows, no single state's sum does: every state is
+    # scored exactly and the band is exactly the minimum state
     q = QuboMatrix(n_qubits=2, linear=(1e308, -1e308), quadratic={(0, 1): 5e307})
-    assert band_states(q) == [0, 1, 2, 3]
+    assert band_states(q) == [2]
     assert check_exact(q).best() == SampleEntry((0, 1), -1e308, 1)
 
 
@@ -206,18 +210,105 @@ coefficient = st.one_of(
 )
 
 
-@given(st.integers(min_value=1, max_value=6).flatmap(
-    lambda nq: st.tuples(
-        st.just(nq),
-        st.lists(coefficient, min_size=nq, max_size=nq),
-        st.lists(coefficient, min_size=nq * (nq - 1) // 2, max_size=nq * (nq - 1) // 2),
+def exponent_range_qubos(min_nq, max_nq):
+    return st.integers(min_value=min_nq, max_value=max_nq).flatmap(
+        lambda nq: st.tuples(
+            st.just(nq),
+            st.lists(coefficient, min_size=nq, max_size=nq),
+            st.lists(coefficient, min_size=nq * (nq - 1) // 2, max_size=nq * (nq - 1) // 2),
+        )
     )
-))
-def test_band_holds_minimum_over_exponent_range(case):
+
+
+def check_exponent_range_case(case, entries=True):
     nq, linear, upper = case
     pairs = [(u, v) for u in range(nq) for v in range(u + 1, nq)]
     q = QuboMatrix(n_qubits=nq, linear=tuple(linear), quadratic=dict(zip(pairs, upper)))
-    check_exact(q)
+    check_exact(q, entries)
+
+
+@given(exponent_range_qubos(1, 6))
+def test_band_holds_minimum_over_exponent_range(case):
+    check_exponent_range_case(case)
+
+
+# the split float pass: a high part of 1 to 3 bits
+SPLIT_NQ = range(samplers._LOW_BITS + 1, samplers._LOW_BITS + 4)
+
+
+@settings(max_examples=15)
+@given(exponent_range_qubos(SPLIT_NQ[0], SPLIT_NQ[-1]))
+def test_split_band_holds_minimum_over_exponent_range(case):
+    check_exponent_range_case(case, entries=False)
+
+
+@pytest.mark.parametrize("nq", SPLIT_NQ)
+def test_split_near_ties_and_cancellations(nq):
+    rng = random.Random(nq)
+    for _ in range(8):
+        check_exact(near_tie_qubo(rng, nq), entries=False)
+        check_exact(large_cancellation_qubo(rng, nq), entries=False)
+
+
+def chain_qubo(nq, c=1.0):
+    """-c per bit, +c per adjacent pair: the energy is -c per run of ones,
+    so for even nq the ties spread over the whole state range."""
+    return QuboMatrix(n_qubits=nq, linear=(-c,) * nq,
+                      quadratic={(u, u + 1): c for u in range(nq - 1)})
+
+
+def test_split_chunk_edges_keep_band_states(monkeypatch):
+    # the high part spans several chunks when _BLOCK holds only a few
+    # rows of 2^_LOW_BITS scores
+    nq = samplers._LOW_BITS + 4
+    linear, quadratic = random_qubo_coeffs(random.Random(1310), nq)
+    cases = [
+        QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic),
+        large_cancellation_qubo(random.Random(1311), nq),
+        chain_qubo(nq),
+    ]
+    plain = [sample_exhaustive(q) for q in cases]
+    chunks = []
+    state_blocks = samplers._state_blocks
+
+    def counted(nq, rows=None):
+        for start, x in state_blocks(nq, rows):
+            chunks.append((start, len(x)))
+            yield start, x
+
+    monkeypatch.setattr(samplers, "_state_blocks", counted)
+    monkeypatch.setattr(samplers, "_BLOCK", 1 << (samplers._LOW_BITS + 1))
+    for q, before in zip(cases, plain):
+        chunks.clear()
+        after = sample_exhaustive(q)
+        assert chunks == [(start, 2) for start in range(0, 16, 2)]
+        assert after.best() == before.best()
+        assert after.ground_occurrences() == before.ground_occurrences()
+        assert expected(q)[1] <= set(band_states(q))
+    assert plain[2].ground_occurrences() > 1
+
+
+def test_overflowing_scale_keeps_running_minimum_per_block(monkeypatch):
+    # 4 * sum |coef| overflows: every state is scored exactly, one block of
+    # at most _BLOCK rows at a time, and only the tied rows are kept
+    q = chain_qubo(10, 1e307)
+    assert not math.isfinite(4.0 * samplers._abs_total(q))
+    exact, grounds = expected(q)
+    monkeypatch.setattr(samplers, "_BLOCK", 2**4)
+    batches = []
+    energy = samplers.qubo.energy
+
+    def counted(q, rows):
+        batches.append(len(rows))
+        return energy(q, rows)
+
+    monkeypatch.setattr(samplers.qubo, "energy", counted)
+    got = sample_exhaustive(q)
+    assert got.best() == SampleEntry(min(state_bits(s, 10) for s in grounds), min(exact), 1)
+    assert got.ground_occurrences() == len(grounds) > 1
+    assert sum(batches) == (1 << 10) + len(grounds)
+    assert max(batches) <= samplers._BLOCK
+    assert band_states(q) == sorted(grounds)
 
 
 def test_block_edges_keep_band_states(monkeypatch):
