@@ -189,11 +189,11 @@ def cmd_repro_table1(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail("input error", exc, 2)
     base_sampler = make_sampler(config)
-    samplesets = []
+    ground_counts = []  # ground_occurrences() of each solve, in solve order
 
     def capture(qm):
         ss = base_sampler(qm)
-        samplesets.append(ss)
+        ground_counts.append(ss.ground_occurrences())
         return ss
 
     trace = _run(args, system, config, truth, sampler=capture)
@@ -212,7 +212,7 @@ def cmd_repro_table1(args: argparse.Namespace) -> int:
     failures = []
     for m in shown:
         first = trace.records[first_by_level[m]]
-        occ = samplesets[first_by_level[m]].ground_occurrences()
+        occ = ground_counts[first_by_level[m]]
         err = trace.records[last_by_level[m]].error_vs_truth
         bits = "".join(str(b) for b in first.bits)
         print(f"{m:>5}  {bits:<20} {occ:>10}  {err:>18.3e}")

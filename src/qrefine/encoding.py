@@ -14,11 +14,10 @@ before minus block, least significant bit first:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, LengthMismatch
-from .precision import dyadic_to_float
+from .precision import dyadic_of_float, dyadic_to_float
 
 BitVector = tuple[int, ...]
 
@@ -62,10 +61,8 @@ class DyadicVector:
 
     @staticmethod
     def from_floats(values: Sequence[float]) -> "DyadicVector":
-        # every finite float is dyadic: its denominator is a power of two
-        return DyadicVector.from_pairs(
-            (f.numerator, 1 - f.denominator.bit_length()) for f in map(Fraction, values)
-        )
+        """Vector equal to the given finite floats, exactly."""
+        return DyadicVector.from_pairs(map(dyadic_of_float, values))
 
     def __len__(self) -> int:
         return len(self.mantissas)

@@ -1,12 +1,13 @@
 """Classical QUBO minimization backends.
 
-Both samplers return a SampleSet ordered by (energy, bits), where energy
-is the exact-sum score ``qubo.energy`` (one correctly rounded ``fsum``).
-The exhaustive backend is the exact oracle, the annealer is the scalable
-stand-in whose occurrence counts play the role of hardware read
-statistics. Each solve scores its candidate states with one batched
-``qubo.energy`` call: the annealer its distinct best states, the
-exhaustive sampler its near-minimum band.
+Both samplers return a SampleSet of the states they found, ordered by
+(energy, bits), where energy is the exact-sum score ``qubo.energy`` (one
+correctly rounded ``fsum``). The exhaustive backend is the exact oracle
+and returns the states tied at the minimum; the annealer is the scalable
+stand-in and returns every read's best state, whose occurrence counts
+play the role of hardware read statistics. Each solve scores its
+candidate states with one batched ``qubo.energy`` call: the annealer
+its distinct best states, the exhaustive sampler its near-minimum band.
 
 The exhaustive sampler scores every state in float. Up to 10 qubits one
 chain of matrix products scores all states at once. A wider state is
@@ -18,7 +19,7 @@ O(nq - 10) instead of O(nq^2), and memory stays O(chunk) up to the
 24-qubit cap. It keeps, as bit rows, the band of states whose
 float score lies within a proven rounding bound of the float minimum,
 which holds every state of minimum exact energy, and scores only that
-band exactly. Its full ordered entry list is built on first access.
+band exactly.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -52,75 +53,54 @@ class SampleEntry(NamedTuple):
     occurrences: int
 
 
+@dataclass(frozen=True)
 class SampleSet:
-    """Samples ordered by (energy, bits), each with its occurrence count.
+    """A sampler's result: its entries ordered by (energy, bits), each
+    with its occurrence count. Any sequence is accepted and stored as a
+    sorted tuple; it must not be empty."""
 
-    Built either from the full ordered ``entries``, or from ``head`` and
-    ``build``: ``head`` is the leading run of the full order, holding at
-    least every entry tied with the minimum energy, and ``build()``
-    returns the full order, called on first access to ``entries``.
-    best() and ground_occurrences() read only the head.
-    """
+    entries: tuple[SampleEntry, ...]
 
-    def __init__(
-        self,
-        entries: Sequence[SampleEntry] | None = None,
-        *,
-        head: Sequence[SampleEntry] | None = None,
-        build: Callable[[], tuple[SampleEntry, ...]] | None = None,
-    ) -> None:
-        if (entries is None) == (head is None) or (head is None) != (build is None):
-            raise ValueError("give entries, or head and build")
-        self._entries = None if entries is None else tuple(entries)
-        self._head = self._entries if head is None else tuple(head)
-        self._build = build
-
-    @property
-    def entries(self) -> tuple[SampleEntry, ...]:
-        if self._entries is None:
-            self._entries = self._build()
-        return self._entries
+    def __post_init__(self) -> None:
+        if not self.entries:
+            raise ValueError("a SampleSet needs at least one entry")
+        ordered = sorted(self.entries, key=lambda e: (e.energy, e.bits))
+        object.__setattr__(self, "entries", tuple(ordered))
 
     def best(self) -> SampleEntry:
-        return self._head[0]
+        return self.entries[0]
 
     def ground_occurrences(self) -> int:
         """Total occurrences across entries tied with the minimum energy."""
-        e0 = self._head[0].energy
-        return sum(e.occurrences for e in self._head if e.energy == e0)
+        e0 = self.entries[0].energy
+        return sum(e.occurrences for e in self.entries if e.energy == e0)
 
 
 @dataclass(frozen=True)
 class AnnealConfig:
     """Seeded single-bit-flip Metropolis annealer settings.
 
-    beta_start/beta_end omitted means the geometric schedule is scaled
-    by the QUBO itself: 0.05/E to 10/E with E the largest coefficient
-    magnitude, so the same settings work at scale 2^40 and 2^-80.
+    The inverse temperature runs geometrically from 0.05/E to 10/E over
+    the sweeps, with E the largest coefficient magnitude of the QUBO, so
+    the same settings work at scale 2^40 and 2^-80.
     """
 
     reads: int = 1000
     sweeps: int = 100
-    beta_start: float | None = None
-    beta_end: float | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.reads < 1 or self.sweeps < 1:
             raise ValueError("reads and sweeps must be >= 1")
-        if (self.beta_start is None) != (self.beta_end is None):
-            raise ValueError("give both beta endpoints or neither")
-        if self.beta_start is not None and not 0 < self.beta_start < self.beta_end:
-            raise ValueError("need 0 < beta_start < beta_end")
 
 
 def sample_exhaustive(q: qubo.QuboMatrix) -> SampleSet:
-    """Exact minimum by (qubo.energy, bits) over all 2^nq states.
+    """The states of minimum qubo.energy over all 2^nq states, one
+    occurrence each, ordered by bits.
 
     The band of near-minimum states comes from the float pass as bit
     rows and is scored by one ``qubo.energy`` call; bit tuples are built
-    only for the states tied at its minimum. The full ordered list of
-    every state is scored, block by block, only when ``entries`` is read.
+    only for the states tied at its minimum.
     """
     if q.n_qubits > _EXHAUSTIVE_LIMIT:
         raise TooManyQubits(f"{q.n_qubits} qubits exceeds exhaustive limit {_EXHAUSTIVE_LIMIT}")
@@ -128,9 +108,7 @@ def sample_exhaustive(q: qubo.QuboMatrix) -> SampleSet:
     scores = qubo.energy(q, band)
     e0 = min(scores)
     rows = map(tuple, band.astype(np.int64).tolist())
-    ground = sorted(bits for e, bits in zip(scores, rows) if e == e0)
-    head = [SampleEntry(bits, e0, 1) for bits in ground]
-    return SampleSet(head=head, build=lambda: _all_entries(q))
+    return SampleSet([SampleEntry(bits, e0, 1) for e, bits in zip(scores, rows) if e == e0])
 
 
 def _abs_total(q: qubo.QuboMatrix) -> float:
@@ -273,16 +251,6 @@ def _low_states(nq: int, rows: int) -> np.ndarray:
     return x
 
 
-def _all_entries(q: qubo.QuboMatrix) -> tuple[SampleEntry, ...]:
-    """Every state scored by qubo.energy, one call per block, ordered by
-    (energy, bits)."""
-    scored = []
-    for _, x in _state_blocks(q.n_qubits):
-        scored += zip(qubo.energy(q, x), map(tuple, x.astype(np.int64).tolist()))
-    scored.sort()
-    return tuple(SampleEntry(bits, e, 1) for e, bits in scored)
-
-
 def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
     """Single-bit-flip Metropolis sweeps over all reads at once; each read
     reports the best state it visited.
@@ -305,9 +273,7 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
     scale = max(float(np.max(np.abs(lin))), max((abs(c) for c in q.quadratic.values()), default=0.0))
     if scale == 0.0:
         scale = 1.0
-    beta_lo = config.beta_start if config.beta_start is not None else 0.05 / scale
-    beta_hi = config.beta_end if config.beta_end is not None else 10.0 / scale
-    betas = np.geomspace(beta_lo, beta_hi, config.sweeps)
+    betas = np.geomspace(0.05 / scale, 10.0 / scale, config.sweeps)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     reads = config.reads
@@ -349,8 +315,5 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
     # SampleSet stays sampler-agnostic
     counts = Counter(map(tuple, best.T.astype(np.int64).tolist()))
     energies = qubo.energy(q, np.array(list(counts), dtype=np.float64))
-    entries = [
-        SampleEntry(bits, e, occ) for (bits, occ), e in zip(counts.items(), energies)
-    ]
-    entries.sort(key=lambda e: (e.energy, e.bits))
-    return SampleSet(entries=tuple(entries))
+    return SampleSet([SampleEntry(bits, e, occ)
+                      for (bits, occ), e in zip(counts.items(), energies)])

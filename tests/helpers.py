@@ -249,9 +249,7 @@ def anneal_reference(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
                 max((abs(c) for c in q.quadratic.values()), default=0.0))
     if scale == 0.0:
         scale = 1.0
-    beta_lo = config.beta_start if config.beta_start is not None else 0.05 / scale
-    beta_hi = config.beta_end if config.beta_end is not None else 10.0 / scale
-    betas = np.geomspace(beta_lo, beta_hi, config.sweeps)
+    betas = np.geomspace(0.05 / scale, 10.0 / scale, config.sweeps)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     reads = config.reads

@@ -1,10 +1,11 @@
 """Window layout, exact decode, canonical bits, grid enumeration."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import decode, dyadic_fractions, enumerate_grid, qubit_index
@@ -189,7 +190,13 @@ def test_dyadic_normalization_and_equality():
     assert DyadicVector((0, 0), -9) == DyadicVector.zero(2)
 
 
-def test_dyadic_from_floats_roundtrip():
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6))
+@example([5e-324, -5e-324, sys.float_info.max, -sys.float_info.max, sys.float_info.min, -0.0])
+def test_dyadic_from_floats_roundtrip(values):
+    # any finite floats, subnormals and +-max included, exactly
+    got = DyadicVector.from_floats(values)
+    assert dyadic_fractions(got) == [Fraction(v) for v in values]
+    assert got.to_floats() == tuple(values)
     vec = DyadicVector.from_floats((0.5, -0.25, 3.0))
     assert dyadic_fractions(vec) == [Fraction(1, 2), Fraction(-1, 4), Fraction(3)]
     assert vec.to_floats() == (0.5, -0.25, 3.0)

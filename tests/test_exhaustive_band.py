@@ -50,20 +50,17 @@ def band_states(q) -> list[int]:
     return (rows << np.arange(q.n_qubits)).sum(axis=1).tolist()
 
 
-def check_exact(q, entries=True):
-    """best(), ground_occurrences() and, with entries, the full entry list
-    match the oracle, and the band holds every state tied with the exact
-    minimum. The full list is built without the float pass, so skipping
-    it leaves every check of the blocks in place."""
+def check_exact(q):
+    """The entries are exactly the oracle's states tied with the exact
+    minimum, in (energy, bits) order, one occurrence each, and the band
+    holds every one of them."""
     nq = q.n_qubits
     exact, grounds = expected(q)
     got = sample_exhaustive(q)
-    assert got.best() == SampleEntry(min(state_bits(s, nq) for s in grounds), min(exact), 1)
+    order = sorted((exact[s], state_bits(s, nq)) for s in grounds)
+    assert got.entries == tuple(SampleEntry(bits, e, 1) for e, bits in order)
     assert got.ground_occurrences() == len(grounds)
     assert grounds <= set(band_states(q))
-    if entries:
-        order = sorted((e, state_bits(s, nq)) for s, e in enumerate(exact))
-        assert got.entries == tuple(SampleEntry(bits, e, 1) for e, bits in order)
     return got
 
 
@@ -174,8 +171,8 @@ def test_real_blocks(nq):
     # 2 and 4 blocks of the unpatched block size
     assert (1 << nq) // samplers._BLOCK == 1 << (nq - 14)
     linear, quadratic = random_qubo_coeffs(random.Random(nq), nq)
-    check_exact(QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic), entries=False)
-    check_exact(large_cancellation_qubo(random.Random(60 + nq), nq), entries=False)
+    check_exact(QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic))
+    check_exact(large_cancellation_qubo(random.Random(60 + nq), nq))
 
 
 def test_all_subnormal_coefficients():
@@ -220,11 +217,11 @@ def exponent_range_qubos(min_nq, max_nq):
     )
 
 
-def check_exponent_range_case(case, entries=True):
+def check_exponent_range_case(case):
     nq, linear, upper = case
     pairs = [(u, v) for u in range(nq) for v in range(u + 1, nq)]
     q = QuboMatrix(n_qubits=nq, linear=tuple(linear), quadratic=dict(zip(pairs, upper)))
-    check_exact(q, entries)
+    check_exact(q)
 
 
 @given(exponent_range_qubos(1, 6))
@@ -239,15 +236,15 @@ SPLIT_NQ = range(samplers._LOW_BITS + 1, samplers._LOW_BITS + 4)
 @settings(max_examples=15)
 @given(exponent_range_qubos(SPLIT_NQ[0], SPLIT_NQ[-1]))
 def test_split_band_holds_minimum_over_exponent_range(case):
-    check_exponent_range_case(case, entries=False)
+    check_exponent_range_case(case)
 
 
 @pytest.mark.parametrize("nq", SPLIT_NQ)
 def test_split_near_ties_and_cancellations(nq):
     rng = random.Random(nq)
     for _ in range(8):
-        check_exact(near_tie_qubo(rng, nq), entries=False)
-        check_exact(large_cancellation_qubo(rng, nq), entries=False)
+        check_exact(near_tie_qubo(rng, nq))
+        check_exact(large_cancellation_qubo(rng, nq))
 
 
 def chain_qubo(nq, c=1.0):
@@ -336,9 +333,8 @@ def test_block_edges_keep_band_states(monkeypatch):
 
 
 @pytest.mark.parametrize("nq", [0, 3])
-def test_entries_built_once_on_demand(nq, monkeypatch):
-    # each solve scores its band rows in one batch, and the first read of
-    # entries scores every state once more
+def test_solve_scores_band_in_one_batch(nq, monkeypatch):
+    # each solve scores its band rows in one batch and no other state
     rng = random.Random(nq)
     linear, quadratic = random_qubo_coeffs(rng, nq)
     q = QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
@@ -351,10 +347,6 @@ def test_entries_built_once_on_demand(nq, monkeypatch):
         return energy(q, rows)
 
     monkeypatch.setattr(samplers.qubo, "energy", counted)
-    result = sample_exhaustive(q)
+    sample_exhaustive(q)
     band = len(_near_minimum_rows(q))
     assert scored == [band] and band <= 1 << nq
-    result.entries
-    assert sum(scored[1:]) == 1 << nq
-    result.entries
-    assert sum(scored) == band + (1 << nq)
