@@ -6,9 +6,12 @@ Subcommands:
                  optionally writing trace CSV and SVG plots
   qubo-dump      emit the interchange JSON for one window around a given center
 
-Exit codes: 0 success, 2 input error, 3 solver error, 4 checkpoint
-assertion failure. Set QREFINE_LOG=error|info|debug for diagnostics on
-standard error.
+Exit codes: 0 success; 2 input error (OSError, ValueError, ParseError,
+DimensionMismatch, LengthMismatch, IndexOutOfRange); 3 solver error (any
+other QrefineError: SingularMatrix, NotSymmetric, TooLarge,
+TooManyQubits); 4 checkpoint assertion failure. `main` alone maps an
+error to its code and its "input error:" or "solver error:" line. Set
+QREFINE_LOG=error|info|debug for diagnostics on standard error.
 """
 
 from __future__ import annotations
@@ -25,17 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .encoding import DyadicVector, EncodingSpec
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    LengthMismatch,
-    NotSymmetric,
-    ParseError,
-    QrefineError,
-    SingularMatrix,
-    TooLarge,
-    TooManyQubits,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, LengthMismatch, ParseError, QrefineError
 from .linalg import LinearSystem
 from .plots import emit_plots
 from .problems import load_problem
@@ -44,7 +37,8 @@ from .refine import RefinementConfig, RefinementTrace, Sampler, make_sampler, re
 from .samplers import AnnealConfig
 from .traceio import TraceWriter
 
-_SOLVER_ERRORS = (SingularMatrix, NotSymmetric, TooManyQubits, TooLarge)
+# exit 2; every other QrefineError is a solver error, exit 3
+_INPUT_ERRORS = (OSError, ValueError, ParseError, DimensionMismatch, LengthMismatch, IndexOutOfRange)
 _CHECKPOINTS = [15, 10, 5, 0, -5, -10, -15, -20, -25, -30, -35, -40]
 
 
@@ -110,66 +104,46 @@ def _config_from(args: argparse.Namespace) -> RefinementConfig:
     )
 
 
-def _fail(kind: str, exc: Exception, code: int) -> int:
-    print(f"{kind}: {exc}", file=sys.stderr)
-    return code
-
-
 def _run(
     args: argparse.Namespace,
     system: LinearSystem,
     config: RefinementConfig,
     truth: tuple[float, ...] | None,
     sampler: Sampler | None = None,
-) -> RefinementTrace | int:
+) -> RefinementTrace:
     """Refine, streaming rows to the --trace file; when refine raises,
-    remove that file if it is a regular file (not a link or a device),
-    report the error and return the exit code instead of a trace."""
-    try:
-        if not args.trace:
-            return refine(system, config, truth=truth, sampler=sampler)
-        with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            try:
-                return refine(system, config, truth=truth, observer=TraceWriter(fh), sampler=sampler)
-            except Exception:
-                fh.close()
-                # only a regular file: never a link, a device or /dev/null
-                with contextlib.suppress(OSError):
-                    if stat.S_ISREG(os.lstat(args.trace).st_mode):
-                        os.remove(args.trace)
-                raise
-    except _SOLVER_ERRORS as exc:
-        return _fail("solver error", exc, 3)
-    except (OSError, DimensionMismatch, LengthMismatch, ValueError) as exc:
-        return _fail("input error", exc, 2)
+    remove that file if it is a regular file (not a link or a device)
+    and re-raise."""
+    if not args.trace:
+        return refine(system, config, truth=truth, sampler=sampler)
+    with open(args.trace, "w", encoding="utf-8", newline="") as fh:
+        try:
+            return refine(system, config, truth=truth, observer=TraceWriter(fh), sampler=sampler)
+        except Exception:  # not KeyboardInterrupt: an interrupted run keeps its rows
+            fh.close()
+            # only a regular file: never a link, a device or /dev/null
+            with contextlib.suppress(OSError):
+                if stat.S_ISREG(os.lstat(args.trace).st_mode):
+                    os.remove(args.trace)
+            raise
 
 
-def _plot(args: argparse.Namespace, trace: RefinementTrace, truth: tuple[float, ...] | None) -> int:
-    """Write the --plot charts and list them; returns the exit code."""
+def _plot(args: argparse.Namespace, trace: RefinementTrace, truth: tuple[float, ...] | None) -> None:
+    """Write the --plot charts and list them."""
     if not args.plot:
-        return 0
-    try:
-        written = emit_plots(trace, args.plot, truth)
-    except OSError as exc:
-        return _fail("input error", exc, 2)
-    for path in written:
+        return
+    for path in emit_plots(trace, args.plot, truth):
         print(f"wrote {path}")
     if len(trace.final_center) != 2:
         print("trajectory plot skipped: needs exactly 2 unknowns")
-    return 0
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        problem = load_problem(args.problem)
-        config = _config_from(args)
-        system = problem.system()
-    except (ParseError, OSError, DimensionMismatch, ValueError) as exc:
-        return _fail("input error", exc, 2)
+    problem = load_problem(args.problem)
+    config = _config_from(args)
+    system = problem.system()
     truth = problem.truth()
     trace = _run(args, system, config, truth)
-    if isinstance(trace, int):
-        return trace
 
     for i, value in enumerate(trace.final_center.to_floats()):
         print(f"x[{i}] = {value:.18g}")
@@ -179,15 +153,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"error_vs_truth = {final.error_vs_truth!r}")
     print(f"qubo_solves = {trace.total_qubo_solves}")
     print(f"terminated_by = {trace.terminated_by}")
-    return _plot(args, trace, truth)
+    _plot(args, trace, truth)
+    return 0
 
 
 def cmd_repro_table1(args: argparse.Namespace) -> int:
     system, truth = irrational_system()
-    try:
-        config = _config_from(args)
-    except ValueError as exc:
-        return _fail("input error", exc, 2)
+    config = _config_from(args)
     base_sampler = make_sampler(config)
     ground_counts = []  # ground_occurrences() of each solve, in solve order
 
@@ -197,8 +169,6 @@ def cmd_repro_table1(args: argparse.Namespace) -> int:
         return ss
 
     trace = _run(args, system, config, truth, sampler=capture)
-    if isinstance(trace, int):
-        return trace
 
     first_by_level: dict[int, int] = {}  # in descent order
     last_by_level: dict[int, int] = {}
@@ -229,10 +199,10 @@ def cmd_repro_table1(args: argparse.Namespace) -> int:
     ]
     if max(per_component) > 5e-12:
         failures.append(f"final per-component error {max(per_component):.3e} exceeds 5e-12")
-    rc = _plot(args, trace, truth)
-    for failure in failures:
+    for failure in failures:  # before the plots, so a plot error cannot hide them
         print(f"FAIL: {failure}", file=sys.stderr)
-    return rc or (4 if failures else 0)
+    _plot(args, trace, truth)
+    return 4 if failures else 0
 
 
 def _parse_center(text: str, n: int) -> DyadicVector:
@@ -253,26 +223,16 @@ def _parse_center(text: str, n: int) -> DyadicVector:
 
 
 def cmd_qubo_dump(args: argparse.Namespace) -> int:
-    try:
-        problem = load_problem(args.problem)
-        system = problem.system()
-        n = system.n
-        center = _parse_center(args.center, n) if args.center else DyadicVector.zero(n)
-        spec = EncodingSpec(n_vars=n, l_lo=args.level, l_hi=args.level + args.bits_per_sign - 1)
-    except (ParseError, OSError, DimensionMismatch, IndexOutOfRange, ValueError) as exc:
-        return _fail("input error", exc, 2)
-    try:
-        text = dump(build_window(system, center, spec))
-    except _SOLVER_ERRORS as exc:
-        return _fail("solver error", exc, 3)
+    system = load_problem(args.problem).system()
+    n = system.n
+    center = _parse_center(args.center, n) if args.center else DyadicVector.zero(n)
+    spec = EncodingSpec(n_vars=n, l_lo=args.level, l_hi=args.level + args.bits_per_sign - 1)
+    text = dump(build_window(system, center, spec))
     if not args.out:
         print(text)
         return 0
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text + "\n")
-    except OSError as exc:
-        return _fail("input error", exc, 2)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text + "\n")
     return 0
 
 
@@ -312,15 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _init_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse: usage error or --help
+        return int(exc.code or 0)
+    except _INPUT_ERRORS as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     except QrefineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"solver error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -143,16 +143,16 @@ def refine(
     residuals and energies are those of the transformed system the loop
     actually minimizes.
     """
-    work, to_x = system, None
+    work, to_x, basis = system, None, None
     if config.use_eigenbasis:
-        vectors = _eigenbasis_of_normal_matrix(system).vectors
-        work = LinearSystem(a=_fsum_matmul(system.a, vectors), b=system.b)
-        v_rows, v_exp = exact_form(vectors)  # V exactly, once
+        basis = _eigenbasis_of_normal_matrix(system)  # also bounds m_max below
+        work = LinearSystem(a=_fsum_matmul(system.a, basis.vectors), b=system.b)
+        v_rows, v_exp = exact_form(basis.vectors)  # V exactly, once
         to_x = lambda u: DyadicVector(*exact_matvec(v_rows, v_exp, u))
     sample = sampler if sampler is not None else make_sampler(config)
     k = config.bits_per_sign
     step = config.level_step if config.level_step is not None else k
-    m_max = config.m_max if config.m_max is not None else default_m_max(system)
+    m_max = config.m_max if config.m_max is not None else default_m_max(system, basis)
     if m_max - k + 1 < config.l_min:
         raise ValueError(f"no {k}-bit window fits between m_max {m_max} and l_min {config.l_min}")
     center = config.initial_center if config.initial_center is not None else DyadicVector.zero(work.n)
@@ -219,9 +219,10 @@ def refine(
     )
 
 
-def default_m_max(system: LinearSystem) -> int:
-    """ceil(log2(||b|| / smallest-singular-value + 1)) + 1, a magnitude bound."""
-    basis = _eigenbasis_of_normal_matrix(system)
+def default_m_max(system: LinearSystem, basis: EigenBasis | None = None) -> int:
+    """ceil(log2(||b|| / smallest-singular-value + 1)) + 1, a magnitude bound;
+    basis, when given, is the eigenbasis of A^T A, so it is not found again."""
+    basis = basis if basis is not None else _eigenbasis_of_normal_matrix(system)
     lam_min = float(basis.values[-1])
     if lam_min <= 0.0:
         raise SingularMatrix("cannot bound the solution magnitude of a singular system")

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from qrefine import cli, errors
 from qrefine.cli import main
 
 
@@ -329,3 +330,23 @@ def test_repro_table_writes_plots(tmp_path, capsys):
     for suffix in ("_decay.svg", "_trajectory.svg"):
         assert f"wrote {prefix}{suffix}\n" in out
         assert (tmp_path / f"table1{suffix}").read_text(encoding="utf-8").startswith("<svg")
+
+
+INPUT_ERRORS = {OSError, ValueError, errors.ParseError, errors.DimensionMismatch,
+                errors.LengthMismatch, errors.IndexOutOfRange}
+RAISED = sorted(errors.QrefineError.__subclasses__(), key=lambda t: t.__name__) + [OSError, ValueError]
+
+
+@pytest.mark.parametrize("exc_type", RAISED, ids=lambda t: t.__name__)
+def test_exit_code_depends_only_on_error_type(tmp_path, capsys, monkeypatch, exc_type):
+    # the same error gives the same code and prefix whichever command meets it
+    def boom(*args, **kwargs):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "refine", boom)
+    monkeypatch.setattr(cli, "build_window", boom)
+    path = write_problem(tmp_path, IDENTITY)
+    code, prefix = (2, "input error: boom\n") if exc_type in INPUT_ERRORS else (3, "solver error: boom\n")
+    for argv in (["solve", path], ["qubo-dump", path]):
+        assert main(argv) == code
+        assert capsys.readouterr().err == prefix

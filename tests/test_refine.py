@@ -1,5 +1,6 @@
 """Level descent: acceptance rule, stalls, caps, eigenbasis, exactness."""
 
+import importlib
 import math
 import random
 from dataclasses import replace
@@ -278,6 +279,24 @@ def test_default_m_max_covers_solution():
     trace = refine(system, RefinementConfig(l_min=-40))
     for value, t in zip(trace.final_center.to_floats(), truth):
         assert abs(value - t) <= 5e-12
+
+
+def test_eigenbasis_run_finds_the_eigenbasis_once(monkeypatch):
+    # the eigenbasis refine works in also gives the default m_max, so the
+    # Jacobi solve runs once; the count is taken on refine's module
+    # global, the name perfbench's tracer wraps
+    refine_mod = importlib.import_module("qrefine.refine")
+    original, calls = refine_mod.symmetric_eigen, []
+
+    def counted(s):
+        calls.append(s)
+        return original(s)
+
+    monkeypatch.setattr(refine_mod, "symmetric_eigen", counted)
+    system, truth = irrational_system()
+    trace = refine(system, RefinementConfig(l_min=-10, use_eigenbasis=True))
+    assert len(calls) == 1
+    assert trace.records[0].level == default_m_max(system)
 
 
 def test_eigenbasis_diagonal_matches_plain():

@@ -163,6 +163,21 @@ def test_anneal_extreme_scales_raise_no_warning():
     assert result.entries == anneal_reference(q, config).entries
 
 
+def test_anneal_clamp_keeps_downhill_exponents_finite():
+    # 80 qubits, every pair coupled at -1: late in the anneal (beta = 10)
+    # a bit joining more than ~71 set bits lowers the energy by more than
+    # 71, and exp(-beta * delta) would overflow without the max(delta, 0)
+    # clamp; downhill flips are accepted either way
+    nq = 80
+    quadratic = {(u, v): -1.0 for u in range(nq) for v in range(u + 1, nq)}
+    q = QuboMatrix(n_qubits=nq, linear=(0.0,) * nq, quadratic=quadratic)
+    config = AnnealConfig(reads=20, sweeps=2, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sample_anneal(q, config)
+    assert result.entries == anneal_reference(q, config).entries
+
+
 def test_anneal_coefficient_sum_past_float_range_is_too_large():
     # each coefficient is finite, but fields and energies could reach
     # 2e308: without the guard they overflow to inf, then NaN, and some
