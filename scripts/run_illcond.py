@@ -65,7 +65,7 @@ def main() -> int:
     t0 = time.perf_counter()
     for theta in args.angles:
         system = rotated_system(args.kappa, theta)
-        cond = condition_number(system.a)
+        cond = condition_number(system)
         plain = refine(system, config, truth=truth)
         eigen = refine(system, replace(config, use_eigenbasis=True), truth=truth)
         pm, em = accepted_moves(plain), accepted_moves(eigen)

@@ -33,7 +33,7 @@ from .linalg import LinearSystem
 from .plots import emit_plots
 from .problems import load_problem
 from .qubo import build_window, dump
-from .refine import RefinementConfig, RefinementTrace, Sampler, make_sampler, refine
+from .refine import RefinementConfig, RefinementTrace, refine
 from .samplers import AnnealConfig
 from .traceio import TraceWriter
 
@@ -109,16 +109,15 @@ def _run(
     system: LinearSystem,
     config: RefinementConfig,
     truth: tuple[float, ...] | None,
-    sampler: Sampler | None = None,
 ) -> RefinementTrace:
     """Refine, streaming rows to the --trace file; when refine raises,
     remove that file if it is a regular file (not a link or a device)
     and re-raise."""
     if not args.trace:
-        return refine(system, config, truth=truth, sampler=sampler)
+        return refine(system, config, truth=truth)
     with open(args.trace, "w", encoding="utf-8", newline="") as fh:
         try:
-            return refine(system, config, truth=truth, observer=TraceWriter(fh), sampler=sampler)
+            return refine(system, config, truth=truth, observer=TraceWriter(fh))
         except Exception:  # not KeyboardInterrupt: an interrupted run keeps its rows
             fh.close()
             # only a regular file: never a link, a device or /dev/null
@@ -142,7 +141,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     config = _config_from(args)
     system = problem.system()
-    truth = problem.truth()
+    truth = problem.x_true
     trace = _run(args, system, config, truth)
 
     for i, value in enumerate(trace.final_center.to_floats()):
@@ -160,15 +159,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_repro_table1(args: argparse.Namespace) -> int:
     system, truth = irrational_system()
     config = _config_from(args)
-    base_sampler = make_sampler(config)
-    ground_counts = []  # ground_occurrences() of each solve, in solve order
-
-    def capture(qm):
-        ss = base_sampler(qm)
-        ground_counts.append(ss.ground_occurrences())
-        return ss
-
-    trace = _run(args, system, config, truth, sampler=capture)
+    trace = _run(args, system, config, truth)
 
     first_by_level: dict[int, int] = {}  # in descent order
     last_by_level: dict[int, int] = {}
@@ -182,10 +173,9 @@ def cmd_repro_table1(args: argparse.Namespace) -> int:
     failures = []
     for m in shown:
         first = trace.records[first_by_level[m]]
-        occ = ground_counts[first_by_level[m]]
         err = trace.records[last_by_level[m]].error_vs_truth
         bits = "".join(str(b) for b in first.bits)
-        print(f"{m:>5}  {bits:<20} {occ:>10}  {err:>18.3e}")
+        print(f"{m:>5}  {bits:<20} {first.ground_occurrences:>10}  {err:>18.3e}")
         if m in _CHECKPOINTS and err > 2.0 * 2.0**m:
             failures.append(f"error {err:.3e} after level {m} exceeds bound {2.0 * 2.0 ** m:.3e}")
 

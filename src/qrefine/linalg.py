@@ -45,7 +45,17 @@ class LinearSystem:
 
     @cached_property
     def gram(self) -> tuple[tuple[float, ...], ...]:
-        return gram(self.a)
+        """A^T A as plain floats; each entry is the fsum (exact sum, rounded
+        once) of the float products a[r, i] * a[r, j]. Raises TooLarge when
+        an entry is past the float range."""
+        cols = self.a.T.tolist()
+        try:  # fsum raises on an overflowing sum and on inf - inf
+            g = tuple(tuple(math.fsum(x * y for x, y in zip(ci, cj)) for cj in cols) for ci in cols)
+            if all(math.isfinite(v) for row in g for v in row):
+                return g
+        except (OverflowError, ValueError):
+            pass
+        raise TooLarge("A^T A is past the float range")
 
     @cached_property
     def exact(self) -> tuple[tuple[tuple[int, ...], ...], int, DyadicVector]:
@@ -69,20 +79,6 @@ def exact_matvec(rows: tuple[tuple[int, ...], ...], e: int, x: DyadicVector) -> 
     """(mantissas, exponent) of (rows * 2^e) x, exactly and not normalized,
     for a matrix in its exact_form."""
     return [sum(map(operator.mul, row, x.mantissas)) for row in rows], e + x.exponent
-
-
-def gram(a: np.ndarray) -> tuple[tuple[float, ...], ...]:
-    """A^T A as plain floats; each entry is the fsum (exact sum, rounded
-    once) of the float products a[r, i] * a[r, j]. Raises TooLarge when an
-    entry is past the float range."""
-    cols = a.T.tolist()
-    try:  # fsum raises on an overflowing sum and on inf - inf
-        g = tuple(tuple(math.fsum(x * y for x, y in zip(ci, cj)) for cj in cols) for ci in cols)
-        if all(math.isfinite(v) for row in g for v in row):
-            return g
-    except (OverflowError, ValueError):
-        pass
-    raise TooLarge("A^T A is past the float range")
 
 
 @dataclass(frozen=True)
@@ -154,12 +150,12 @@ def symmetric_eigen(s: np.ndarray) -> EigenBasis:
     return EigenBasis(values=values, vectors=vectors)
 
 
-def condition_number(a: np.ndarray) -> float:
-    """2-norm condition number sqrt(lmax/lmin) of A^T A."""
-    a = np.asarray(a, dtype=float)
-    basis = symmetric_eigen(np.array(gram(a)))
+def condition_number(system: LinearSystem) -> float:
+    """2-norm condition number sqrt(lmax/lmin) of A^T A, from the
+    system's cached Gram matrix."""
+    basis = symmetric_eigen(np.array(system.gram))
     lmax = float(basis.values[0])
     lmin = float(basis.values[-1])
-    if lmax <= 0.0 or lmin <= lmax * (a.shape[0] ** 2) * 2.5e-16:
+    if lmax <= 0.0 or lmin <= lmax * (system.n ** 2) * 2.5e-16:
         raise SingularMatrix("smallest eigenvalue of A^T A is zero within tolerance")
     return float(np.sqrt(lmax / lmin))

@@ -22,9 +22,6 @@ class ProblemDocument:
     def system(self) -> LinearSystem:
         return LinearSystem(a=np.array(self.a), b=np.array(self.b))
 
-    def truth(self) -> Optional[np.ndarray]:
-        return None if self.x_true is None else np.array(self.x_true)
-
 
 def strict_json(text: str, what: str) -> object:
     """json.loads that rejects NaN/Infinity constants and duplicate keys."""

@@ -7,7 +7,9 @@ drops. The last clause guards against coefficient-rounding dust: a
 state whose true improvement is zero can acquire a tiny negative float
 energy, and accepting it would break the strict-descent invariant that
 proves termination. Rejected solves are recorded as the canonical
-all-zero state with energy exactly 0.
+all-zero state with energy exactly 0. Every record carries the solve's
+ground-state count, SampleSet.ground_occurrences(), whether or not the
+move was accepted.
 """
 
 from __future__ import annotations
@@ -79,6 +81,7 @@ class IterationRecord:
     center_after: DyadicVector
     residual_norm_sq: float
     error_vs_truth: float | None
+    ground_occurrences: int  # the solve's SampleSet.ground_occurrences(); not in the trace CSV
 
 
 @dataclass(frozen=True)
@@ -87,13 +90,6 @@ class RefinementTrace:
     final_center: DyadicVector
     total_qubo_solves: int
     terminated_by: str  # level-exhausted | residual-tolerance | recenter-cap
-
-
-def make_sampler(config: RefinementConfig) -> Sampler:
-    if config.sampler == "sa":
-        anneal = config.anneal if config.anneal is not None else AnnealConfig()
-        return lambda q: sample_anneal(q, anneal)
-    return sample_exhaustive
 
 
 def error_vs_truth(center: DyadicVector, truth: Sequence[float]) -> float:
@@ -135,6 +131,11 @@ def refine(
     residual_tolerance > 0 the run stops early once the exact residual
     reaches it (checked as each level settles).
 
+    Each window goes to `sampler` when given, else to the one that
+    config.sampler names: sample_exhaustive, or sample_anneal with
+    config.anneal (AnnealConfig() when None). `observer`, when given,
+    gets each IterationRecord as it is made.
+
     With use_eigenbasis the unknowns are u with x = V u, V the
     eigenvectors of A^T A. Level moves then track the residual contours'
     axes, which kills the zigzag walk on ill-conditioned systems.
@@ -149,7 +150,9 @@ def refine(
         work = LinearSystem(a=_fsum_matmul(system.a, basis.vectors), b=system.b)
         v_rows, v_exp = exact_form(basis.vectors)  # V exactly, once
         to_x = lambda u: DyadicVector(*exact_matvec(v_rows, v_exp, u))
-    sample = sampler if sampler is not None else make_sampler(config)
+    if sampler is None:
+        anneal = config.anneal if config.anneal is not None else AnnealConfig()
+        sampler = (lambda q: sample_anneal(q, anneal)) if config.sampler == "sa" else sample_exhaustive
     k = config.bits_per_sign
     step = config.level_step if config.level_step is not None else k
     m_max = config.m_max if config.m_max is not None else default_m_max(system, basis)
@@ -175,7 +178,8 @@ def refine(
                 terminated = "recenter-cap"
                 break
             qm = build_window(work, center, spec)
-            best = sample(qm).best()
+            solved = sampler(qm)
+            best = solved.best()
             increments = decode_increments(best.bits, spec)
             # floor of the QUBO just solved; res_now is dyadic (its
             # denominator is a power of two), so dyadic_to_float rounds it
@@ -202,6 +206,7 @@ def refine(
                 center_after=reported,
                 residual_norm_sq=dyadic_to_float(res_now.numerator, 1 - res_now.denominator.bit_length()),
                 error_vs_truth=error_vs_truth(reported, truth) if truth is not None else None,
+                ground_occurrences=solved.ground_occurrences(),
             )
             records.append(record)
             if observer is not None:

@@ -28,7 +28,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,7 +131,8 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     lo + (hi << b), and coef into the blocks C_ll, C_lh and C_hh. Once per
     solve, E_lo = ((X_lo @ C_ll) * X_lo) @ ones over the 2^b low states and
     M = C_lh^T @ X_lo^T; then each chunk X_hi of max(1, _BLOCK >> b) high
-    states, at most _BLOCK scores under the default, gets
+    states, a slice of the cached rows of all 2^h high states and at most
+    _BLOCK scores under the default, gets
 
         f = (X_hi @ M + E_lo) + E_hi[:, None],  E_hi = ((X_hi @ C_hh) * X_hi) @ ones,
 
@@ -178,18 +179,21 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
 
     coef = q.coef
     if nq <= _LOW_BITS:
-        x = _low_states(nq, 1 << nq)
+        x = _low_states(nq)
         f = ((x @ coef) * x) @ _ONES[:nq]
         return x[f <= math.nextafter(float(f.min()) + width, math.inf)]
 
     b = _LOW_BITS
-    x_lo = _low_states(b, 1 << b)
+    x_lo = _low_states(b)
     e_lo = ((x_lo @ coef[:b, :b]) * x_lo) @ _ONES[:b]
     cross = coef[:b, b:].T @ x_lo.T
     c_hh = coef[b:, b:]
     ones = _ONES[:nq - b]
+    x_high = _low_states(nq - b)
+    rows = max(1, _BLOCK >> b)
     f_min = math.inf
-    for start, x_hi in _state_blocks(nq - b, max(1, _BLOCK >> b)):
+    for start in range(0, len(x_high), rows):
+        x_hi = x_high[start:start + rows]
         f = x_hi @ cross
         f += e_lo
         f += (((x_hi @ c_hh) * x_hi) @ ones)[:, None]
@@ -209,8 +213,10 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
 def _exact_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     """Bit rows of the states tied at the minimum qubo.energy, in ascending
     state order, scored one block at a time against a running minimum."""
+    nq = q.n_qubits
     e0, parts = math.inf, []
-    for _, x in _state_blocks(q.n_qubits):
+    for start in range(0, 1 << nq, _BLOCK):
+        x = _state_rows(nq, np.arange(start, min(start + _BLOCK, 1 << nq)))
         scores = np.array(qubo.energy(q, x))
         lo = float(scores.min())
         if lo < e0:
@@ -220,33 +226,15 @@ def _exact_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _state_blocks(nq: int, rows: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """(first state, rows bits[u] = (state >> u) & 1) over all 2^nq states,
-    in blocks of at most `rows` rows, a power of two (default _BLOCK). The
-    rows yielded for later blocks reuse one buffer, so use each block
-    before asking for the next."""
-    rows = min(1 << nq, _BLOCK if rows is None else rows)
-    low = _low_states(nq, rows)
-    if rows == 1 << nq:
-        yield 0, low
-        return
-    low_bits = rows.bit_length() - 1
-    high = np.arange(low_bits, nq)
-    x = low.copy()
-    for start in range(0, 1 << nq, rows):
-        x[:, low_bits:] = (start >> high) & 1
-        yield start, x
-
-
 def _state_rows(nq: int, states: np.ndarray) -> np.ndarray:
     """Rows bits[u] = (state >> u) & 1 of the given states, as floats."""
     return ((states[:, None] >> np.arange(nq)) & 1).astype(np.float64)
 
 
 @functools.lru_cache(maxsize=8)
-def _low_states(nq: int, rows: int) -> np.ndarray:
-    """Read-only state matrix of the first `rows` states of nq qubits."""
-    x = _state_rows(nq, np.arange(rows))
+def _low_states(nq: int) -> np.ndarray:
+    """Read-only state matrix of all 2^nq states of nq qubits, in state order."""
+    x = _state_rows(nq, np.arange(1 << nq))
     x.flags.writeable = False
     return x
 

@@ -4,16 +4,19 @@ Columns: ordinal, level, recenter_index, bits (0/1 string in qubit
 layout order), qubo_energy, target_energy, residual_norm_sq,
 error_vs_truth (empty when no truth was supplied), then one exact
 decimal column per center component. Centers are dyadic, so their
-decimal expansions are finite and the file is lossless.
+decimal expansions are finite and the file is lossless. A record's
+ground_occurrences is not written.
+
+TraceWriter is the one writer: pass it to refine as the observer to
+stream rows as they are made.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-from typing import Optional, TextIO
+from typing import TextIO
 
-from .refine import IterationRecord, RefinementTrace
+from .refine import IterationRecord
 
 
 def header(n_components: int) -> list[str]:
@@ -56,10 +59,3 @@ class TraceWriter:
             self._wrote_header = True
         self._writer.writerow(format_record(record))
 
-
-def trace_to_csv(trace: RefinementTrace) -> str:
-    out = io.StringIO()
-    writer = TraceWriter(out)
-    for record in trace.records:
-        writer(record)
-    return out.getvalue()

@@ -4,10 +4,11 @@ families.
 The oracles recompute quantities from scratch with Fraction (or plain
 integer) arithmetic so the package's own exact paths are never
 used to check themselves. The reference routines (qubit layout, decode,
-grid enumeration, Ising energy, direct solve, annealer) exist only for
-the tests.
+grid enumeration, Ising energy, direct solve, annealer, whole-trace
+CSV text) exist only for the tests.
 """
 
+import io
 import itertools
 import json
 import math
@@ -21,15 +22,15 @@ from qrefine import (
     AnnealConfig,
     DimensionMismatch,
     DyadicVector,
-    EncodingSpec,
     IndexOutOfRange,
     LinearSystem,
     SingularMatrix,
     TooLarge,
-    decode_increments,
     qubo,
 )
+from qrefine.encoding import EncodingSpec, decode_increments
 from qrefine.samplers import SampleEntry, SampleSet
+from qrefine.traceio import TraceWriter
 
 _PIVOT_FLOOR = 1e-300
 
@@ -278,3 +279,12 @@ def anneal_reference(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
     ]
     entries.sort(key=lambda e: (e.energy, e.bits))
     return SampleSet(entries=tuple(entries))
+
+
+def trace_to_csv(trace) -> str:
+    """The trace CSV of a finished run, as TraceWriter streams it."""
+    out = io.StringIO()
+    writer = TraceWriter(out)
+    for record in trace.records:
+        writer(record)
+    return out.getvalue()

@@ -6,7 +6,6 @@ work, not the oracle. Run with -s to see the lines on success; they
 are always shown for failures.
 """
 
-import math
 import random
 import time
 from dataclasses import replace
@@ -16,22 +15,17 @@ import pytest
 
 from qrefine import (
     AnnealConfig,
-    DyadicVector,
-    EncodingSpec,
     LinearSystem,
     QuboMatrix,
     RefinementConfig,
-    build_window,
     condition_number,
-    energy,
-    qubo_to_ising,
     refine,
     sample_anneal,
     sample_exhaustive,
 )
 from qrefine.cli import main
-from qrefine.refine import make_sampler
-from qrefine.traceio import trace_to_csv
+from qrefine.encoding import EncodingSpec
+from qrefine.qubo import build_window, energy, qubo_to_ising
 
 from helpers import (
     anneal_reference,
@@ -46,6 +40,7 @@ from helpers import (
     random_grid_instance,
     random_instance,
     random_qubo_coeffs,
+    trace_to_csv,
 )
 
 _CHECKPOINTS = (15, 10, 5, 0, -5, -10, -15, -20, -25, -30, -35, -40)
@@ -63,11 +58,10 @@ def c1():
     exhaustive sample set, engine-timed."""
     system, truth = irrational_system()
     config = RefinementConfig(m_max=20, l_min=-40)
-    base = make_sampler(config)
     qubos, sets = [], []
 
     def capture(qm):
-        ss = base(qm)
+        ss = sample_exhaustive(qm)
         qubos.append(qm)
         sets.append(ss)
         return ss
@@ -251,7 +245,7 @@ def test_criterion_6_eigenbasis_advantage():
     system, truth = build_illcond(44.0)
     config = RefinementConfig(m_max=2, l_min=-40)
     t0 = time.perf_counter()
-    cond = condition_number(system.a)
+    cond = condition_number(system)
     plain = refine(system, config, truth=truth)
     eigen = refine(system, replace(config, use_eigenbasis=True), truth=truth)
     seconds = time.perf_counter() - t0

@@ -308,19 +308,23 @@ def test_qubo_dump_unwritable_out_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flags,digest",
+    "flags,digest,stdout_digest",
     [
-        ([], "5a7f15e447aaca250fdca48780bc2e74443f07adb20937c6f202bfe6f73465f7"),
+        ([], "5a7f15e447aaca250fdca48780bc2e74443f07adb20937c6f202bfe6f73465f7",
+         "cfce552a2c0f237146133a4417e4f855be1f7f70e645667804f0b4dc1d7214fc"),
         (["--bits-per-sign", "3", "--level-step", "3"],
-         "cb3b6cd72560892db798fbc07aca64183052aff269dbca092392e01f3fdeafec"),
+         "cb3b6cd72560892db798fbc07aca64183052aff269dbca092392e01f3fdeafec",
+         "3a9c3d91514a1c5e31e58dd99359d6e58027e7dbcaf7956349758fce81c6eb10"),
     ],
     ids=["k1", "k3-step3"],
 )
-def test_repro_table_trace_matches_golden_hash(tmp_path, capsys, flags, digest):
+def test_repro_table_trace_matches_golden_hash(tmp_path, capsys, flags, digest, stdout_digest):
+    # the stdout digest pins the table, ground-occurrence column included
     trace = tmp_path / "trace.csv"
     assert main(["repro-table1", *flags, "--trace", str(trace)]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
 
 
 def test_repro_table_writes_plots(tmp_path, capsys):

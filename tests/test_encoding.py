@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from helpers import decode, dyadic_fractions, enumerate_grid, qubit_index
 from qrefine import (
     DyadicVector,
-    EncodingSpec,
     IndexOutOfRange,
     LengthMismatch,
     TooLarge,
-    canonical_bits,
-    decode_increments,
 )
+from qrefine.encoding import EncodingSpec, canonical_bits, decode_increments
 
 
 def test_qubit_index_examples():

@@ -24,15 +24,15 @@ from helpers import (
 )
 from qrefine import (
     DyadicVector,
-    EncodingSpec,
     QuboMatrix,
     RefinementConfig,
-    build_window,
     refine,
     sample_exhaustive,
 )
+from qrefine.encoding import EncodingSpec
+from qrefine.qubo import build_window
 from qrefine import samplers
-from qrefine.samplers import SampleEntry, _near_minimum_rows, _state_blocks
+from qrefine.samplers import SampleEntry, _exact_minimum_rows, _near_minimum_rows
 
 
 def expected(q) -> tuple[list[float], set[int]]:
@@ -263,17 +263,32 @@ def test_split_chunk_edges_keep_band_states(monkeypatch):
         QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic),
         large_cancellation_qubo(random.Random(1311), nq),
         chain_qubo(nq),
+        # only the high bits count, and each chunk's minimum is below the
+        # last, so every chunk's 2^_LOW_BITS tied states but the last leave
+        QuboMatrix(n_qubits=nq, linear=(0.0,) * samplers._LOW_BITS
+                   + tuple(-2.0**v for v in range(nq - samplers._LOW_BITS))),
     ]
     plain = [sample_exhaustive(q) for q in cases]
+    # integer coefficients score exactly, so the band is the same set
+    # whether the high states come in one chunk or in many
+    plain_bands = [band_states(q) for q in cases[2:]]
+    assert len(plain_bands[1]) == 1 << samplers._LOW_BITS
     chunks = []
-    state_blocks = samplers._state_blocks
+    low_states = samplers._low_states
 
-    def counted(nq, rows=None):
-        for start, x in state_blocks(nq, rows):
-            chunks.append((start, len(x)))
-            yield start, x
+    class Sliced(np.ndarray):
+        # the high states' rows, recording each chunk sliced from them
+        def __getitem__(self, key):
+            rows = np.asarray(super().__getitem__(key))
+            if isinstance(key, slice):
+                chunks.append((key.start, len(rows)))
+            return rows
 
-    monkeypatch.setattr(samplers, "_state_blocks", counted)
+    def counted(bits):
+        x = low_states(bits)
+        return x.view(Sliced) if bits == nq - samplers._LOW_BITS else x
+
+    monkeypatch.setattr(samplers, "_low_states", counted)
     monkeypatch.setattr(samplers, "_BLOCK", 1 << (samplers._LOW_BITS + 1))
     for q, before in zip(cases, plain):
         chunks.clear()
@@ -282,6 +297,8 @@ def test_split_chunk_edges_keep_band_states(monkeypatch):
         assert after.best() == before.best()
         assert after.ground_occurrences() == before.ground_occurrences()
         assert expected(q)[1] <= set(band_states(q))
+    for q, before in zip(cases[2:], plain_bands):
+        assert band_states(q) == before
     assert plain[2].ground_occurrences() > 1
 
 
@@ -319,9 +336,18 @@ def test_block_edges_keep_band_states(monkeypatch):
     ]
     plain = [sample_exhaustive(q) for q in cases]
     monkeypatch.setattr(samplers, "_BLOCK", 2**4)
-    blocks = list((start, x.copy()) for start, x in _state_blocks(10))
-    assert [start for start, _ in blocks] == list(range(0, 1024, 16))
-    for start, x in blocks:
+    blocks = []
+    energy = samplers.qubo.energy
+
+    def counted(q, rows):
+        blocks.append(rows.copy())
+        return energy(q, rows)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(samplers.qubo, "energy", counted)
+        _exact_minimum_rows(cases[0])
+    assert len(blocks) == 64
+    for start, x in zip(range(0, 1024, 16), blocks):
         assert x.tolist() == [list(state_bits(start + r, 10)) for r in range(16)]
     for q, before in zip(cases, plain):
         after = sample_exhaustive(q)

@@ -9,9 +9,8 @@ import hashlib
 
 import pytest
 
-from helpers import build_illcond, irrational_system
+from helpers import build_illcond, irrational_system, trace_to_csv
 from qrefine import RefinementConfig, refine
-from qrefine.traceio import trace_to_csv
 
 TABLE1 = dict(m_max=20, l_min=-40)
 ILLCOND = dict(m_max=2, l_min=-40)

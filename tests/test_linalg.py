@@ -22,10 +22,8 @@ from qrefine import (
     SingularMatrix,
     TooLarge,
     condition_number,
-    residual_norm_sq,
-    symmetric_eigen,
 )
-from qrefine.linalg import exact_form, exact_matvec, gram, residual
+from qrefine.linalg import exact_form, exact_matvec, residual, residual_norm_sq, symmetric_eigen
 
 
 def test_system_validation():
@@ -224,8 +222,6 @@ def test_eigen_normal_matrix_of_irrational_system():
 )
 def test_gram_past_float_range_is_too_large(a):
     with pytest.raises(TooLarge, match="float range"):
-        gram(np.array(a))
-    with pytest.raises(TooLarge, match="float range"):
         LinearSystem(a=a, b=[1.0] * len(a)).gram
 
 
@@ -261,12 +257,12 @@ def test_eigen_reconstruction_random(seed, n):
 
 
 def test_condition_identity():
-    assert condition_number(np.eye(3)) == 1.0
+    assert condition_number(LinearSystem(a=np.eye(3), b=np.zeros(3))) == 1.0
 
 
 def test_condition_irrational_2x2():
     system, _ = irrational_system()
-    got = condition_number(system.a)
+    got = condition_number(system)
     g = system.a.T @ system.a
     tr = g[0, 0] + g[1, 1]
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
@@ -279,13 +275,13 @@ def test_condition_irrational_2x2():
 def test_condition_rotated_diagonal():
     for theta in (10.0, 30.0, 44.0, 71.5):
         system, _ = build_illcond(theta)
-        got = condition_number(system.a)
+        got = condition_number(system)
         assert abs(got - 129.44) <= 0.01 * 129.44
 
 
 def test_condition_singular():
     with pytest.raises(SingularMatrix):
-        condition_number(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        condition_number(LinearSystem(a=[[1.0, 1.0], [1.0, 1.0]], b=[0.0, 0.0]))
 
 
 def test_solve_then_residual_well_conditioned():
@@ -295,7 +291,7 @@ def test_solve_then_residual_well_conditioned():
         n = rng.randint(1, 8)
         a = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)]) + 2.0 * np.eye(n)
         try:
-            if condition_number(a) > 100.0:
+            if condition_number(LinearSystem(a=a, b=np.zeros(n))) > 100.0:
                 continue
         except SingularMatrix:
             continue

@@ -20,13 +20,11 @@ def test_parse_round_values():
     system = doc.system()
     assert system.a.shape == (2, 2)
     assert np.array_equal(system.b, np.array([3.0, -4.75]))
-    assert np.array_equal(doc.truth(), np.array([2.75, -2.5]))
 
 
 def test_truth_is_optional():
     doc = parse_problem('{"a": [[1.0]], "b": [5.0]}')
     assert doc.x_true is None
-    assert doc.truth() is None
 
 
 def test_explicit_null_truth():

@@ -22,20 +22,15 @@ from helpers import (
 from qrefine import (
     DimensionMismatch,
     DyadicVector,
-    EncodingSpec,
     LengthMismatch,
     LinearSystem,
     ParseError,
     QuboMatrix,
     TooLarge,
-    build_window,
-    decode_increments,
-    dump,
-    energy,
-    parse,
-    qubo_to_ising,
-    residual_norm_sq,
 )
+from qrefine.encoding import EncodingSpec, decode_increments
+from qrefine.linalg import residual_norm_sq
+from qrefine.qubo import build_window, dump, energy, parse, qubo_to_ising
 
 ONE_D = LinearSystem(a=[[1.0]], b=[0.0])
 

@@ -13,14 +13,16 @@ from hypothesis import strategies as st
 
 from helpers import build_illcond, dyadic_fractions, enumerate_grid, irrational_system, frac_residual_sq
 from qrefine import (
+    AnnealConfig,
     DyadicVector,
-    EncodingSpec,
     LinearSystem,
     RefinementConfig,
-    error_vs_truth,
     refine,
+    sample_anneal,
+    sample_exhaustive,
 )
-from qrefine.refine import default_m_max
+from qrefine.encoding import EncodingSpec
+from qrefine.refine import default_m_max, error_vs_truth
 
 ID2 = LinearSystem(a=[[1.0, 0.0], [0.0, 1.0]], b=[3.0, -2.0])
 
@@ -355,3 +357,30 @@ def test_sa_refinement_deterministic():
     second = refine(system, config)
     assert first.records == second.records
     assert first.final_center == second.final_center
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        RefinementConfig(m_max=20, l_min=-40, bits_per_sign=3, level_step=3),
+        RefinementConfig(m_max=6, l_min=-6, sampler="sa",
+                         anneal=AnnealConfig(reads=64, sweeps=40, seed=11)),
+    ],
+    ids=["exhaustive-k3", "anneal"],
+)
+def test_records_carry_each_solves_ground_occurrences(config):
+    # the record of every solve, accepted or not, carries the count that
+    # a sampler wrapped around the same backend sees
+    system, truth = irrational_system()
+    counts = []
+
+    def capture(qm):
+        ss = sample_anneal(qm, config.anneal) if config.sampler == "sa" else sample_exhaustive(qm)
+        counts.append(ss.ground_occurrences())
+        return ss
+
+    captured = refine(system, config, truth=truth, sampler=capture)
+    trace = refine(system, config, truth=truth)
+    assert trace.records == captured.records
+    assert [r.ground_occurrences for r in trace.records] == counts
+    assert max(counts) > 1

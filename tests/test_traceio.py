@@ -10,10 +10,9 @@ from qrefine.traceio import (
     TraceWriter,
     format_record,
     header,
-    trace_to_csv,
 )
 
-from helpers import dyadic_fractions, irrational_system
+from helpers import dyadic_fractions, irrational_system, trace_to_csv
 
 
 def small_trace():
@@ -48,6 +47,7 @@ def test_format_record_exact_fields():
         center_after=DyadicVector(mantissas=(5, -1), exponent=-2),
         residual_norm_sq=0.1,
         error_vs_truth=None,
+        ground_occurrences=1,
     )
     row = format_record(record)
     assert row == ["3", "-1", "2", "1001", "-2.5", "-3.0", repr(0.1), "", "1.25", "-0.25"]
@@ -64,6 +64,7 @@ def test_format_record_repr_floats_are_lossless():
         center_after=DyadicVector(mantissas=(1,), exponent=0),
         residual_norm_sq=2.0 / 3.0,
         error_vs_truth=1e-300,
+        ground_occurrences=1,
     )
     row = format_record(record)
     assert float(row[4]) == -1.0 / 3.0
