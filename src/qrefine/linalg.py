@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -95,18 +96,33 @@ def residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
     if len(x) != system.n:
         raise DimensionMismatch("solution length != system size")
     rows, a_exp, b = system.exact
-    ax, ax_exp = exact_matvec(rows, a_exp, x)
-    e = min(b.exponent, ax_exp)
+    return _minus(b, *exact_matvec(rows, a_exp, x))
+
+
+def moved_residual(system: LinearSystem, r: DyadicVector, increments: Sequence[int], scale: int) -> DyadicVector:
+    """r - A y 2^scale exactly: the residual b - A(x + y 2^scale) when r is
+    b - Ax."""
+    rows, a_exp, _ = system.exact
+    return _minus(r, *exact_matvec(rows, a_exp, DyadicVector(tuple(increments), scale)))
+
+
+def _minus(v: DyadicVector, mantissas: list[int], e: int) -> DyadicVector:
+    """v - mantissas * 2^e exactly."""
+    lo = min(v.exponent, e)
     return DyadicVector(
-        tuple((bm << (b.exponent - e)) - (am << (ax_exp - e)) for bm, am in zip(b.mantissas, ax)), e
+        tuple((vm << (v.exponent - lo)) - (m << (e - lo)) for vm, m in zip(v.mantissas, mantissas)), lo
     )
+
+
+def norm_sq(v: DyadicVector) -> Fraction:
+    """||v||^2 exactly."""
+    sq, e2 = sum(m * m for m in v.mantissas), 2 * v.exponent
+    return Fraction(sq << e2) if e2 >= 0 else Fraction(sq, 1 << -e2)
 
 
 def residual_norm_sq(system: LinearSystem, x: DyadicVector) -> Fraction:
     """||b - Ax||^2 exactly."""
-    r = residual(system, x)
-    sq, e2 = sum(m * m for m in r.mantissas), 2 * r.exponent
-    return Fraction(sq << e2) if e2 >= 0 else Fraction(sq, 1 << -e2)
+    return norm_sq(residual(system, x))
 
 
 def symmetric_eigen(s: np.ndarray) -> EigenBasis:

@@ -2,17 +2,23 @@
 
 For a window spec around an exact center c, the model assigns every
 bitvector q the energy ||A(c + y(q)) - b||^2 - ||b - Ac||^2 where y(q)
-is the decoded increment. Writing b' = b - Ac and w_u for the signed
+is the decoded increment. Writing r = b - Ac and w_u for the signed
 scale 2^t of qubit u on variable i(u), the coefficients are
 
-    linear[u]  = w_u^2 (A^T A)_{i(u),i(u)} - 2 w_u (A^T b')_{i(u)}
+    linear[u]  = w_u^2 (A^T A)_{i(u),i(u)} - 2 w_u (A^T r)_{i(u)}
     quad[u,v]  = 2 w_u w_v (A^T A)_{i(u),i(v)}        (u < v)
 
-The shift b' is computed in exact dyadic arithmetic and rounded once
-per coefficient; since every w_u is a signed power of two, the only
-other rounding is in A^T A itself. The constant ||b'||^2 is kept out of
-the matrix, so all-zero bits cost exactly zero and no window energy can
-go below -||b'||^2, which is -residual_norm_sq(c).
+Only the linear terms depend on the center, so a window is built in two
+steps: ``WindowLevel(system, spec)`` forms the weights and the quadratic
+terms once per level, and ``build_window(level, r)`` forms the linear
+terms of one solve from the exact residual r. Every window of a level
+shares the level's QuadraticPart: its quadratic terms, checked and sorted
+once, and what is derived from them alone. g = A^T r is computed in
+exact dyadic arithmetic and rounded once per entry; since every w_u is a
+signed power of two, the only other rounding is in A^T A itself. The
+constant ||r||^2 is kept out of the matrix, so all-zero bits cost
+exactly zero and no window energy can go below -||r||^2, which is
+-residual_norm_sq(c).
 """
 
 from __future__ import annotations
@@ -28,13 +34,45 @@ import numpy as np
 
 from .encoding import BitVector, DyadicVector, EncodingSpec
 from .errors import DimensionMismatch, LengthMismatch, ParseError, TooLarge
-from .linalg import LinearSystem, exact_matvec, residual
+from .linalg import LinearSystem, exact_matvec
 from .precision import dyadic_to_float
 from .problems import _number, strict_json
 
 _PRUNE = 1e-300
 _ROWS = 1 << 10  # rows per chunk of an energy batch, bounding its rows x nq x nq products
 _PICK = 256  # most outer-product entries in a batch scored without numpy (timed crossover: 100-300)
+
+
+class QuadraticPart:
+    """The quadratic terms of nq qubits, checked and sorted once, with the
+    matrices derived from them alone, each built on first use. QUBOs that
+    differ only in their linear terms share one part."""
+
+    def __init__(self, n_qubits: int, quadratic: dict[tuple[int, int], float]) -> None:
+        for (i, j), val in quadratic.items():
+            if not (0 <= i < j < n_qubits):
+                raise DimensionMismatch(f"quadratic index pair {(i, j)} not upper-triangular")
+            if not math.isfinite(val):
+                raise DimensionMismatch(f"non-finite coefficient at {(i, j)}")
+        self.n_qubits = n_qubits
+        self.quadratic = dict(sorted(quadratic.items()))
+
+    @functools.cached_property
+    def upper(self) -> np.ndarray:
+        """Read-only dense strictly upper-triangular matrix of the terms."""
+        upper = np.zeros((self.n_qubits, self.n_qubits))
+        for (u, v), c in self.quadratic.items():
+            upper[u, v] = c
+        upper.setflags(write=False)
+        return upper
+
+    @functools.cached_property
+    def coupling(self) -> np.ndarray:
+        """Read-only symmetric matrix with each term on both sides of a zero
+        diagonal, exactly: upper + upper^T adds each term to an exact zero."""
+        coupling = self.upper + self.upper.T
+        coupling.setflags(write=False)
+        return coupling
 
 
 @dataclass(frozen=True, eq=True)
@@ -44,33 +82,29 @@ class QuboMatrix:
     n_qubits: int
     linear: tuple[float, ...]
     quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
+    # the QuadraticPart of quadratic, shared by the windows of one level;
+    # a QUBO built without it, or with other quadratic terms, makes its own
+    _part: QuadraticPart | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.linear) != self.n_qubits:
             raise DimensionMismatch("linear term count != n_qubits")
-        for (i, j), val in self.quadratic.items():
-            if not (0 <= i < j < self.n_qubits):
-                raise DimensionMismatch(f"quadratic index pair {(i, j)} not upper-triangular")
-            if not math.isfinite(val):
-                raise DimensionMismatch(f"non-finite coefficient at {(i, j)}")
+        if self._part is None or self._part.quadratic is not self.quadratic:
+            part = QuadraticPart(self.n_qubits, self.quadratic)
+            object.__setattr__(self, "_part", part)
+            object.__setattr__(self, "quadratic", part.quadratic)
         for val in self.linear:
             if not math.isfinite(val):
                 raise DimensionMismatch("non-finite linear coefficient")
-        object.__setattr__(
-            self, "quadratic", dict(sorted(self.quadratic.items()))
-        )
 
     @functools.cached_property
     def coef(self) -> np.ndarray:
         """Read-only dense upper-triangular matrix with the linear terms on
         its diagonal, so state x selects exactly the entries of x x^T.
-        ``energy`` and both samplers use it. It is built on first use, so
-        a QUBO that is only parsed, dumped or converted never costs nq^2."""
-        coef = np.zeros((self.n_qubits, self.n_qubits))
-        for u, c in enumerate(self.linear):
-            coef[u, u] = c
-        for (u, v), c in self.quadratic.items():
-            coef[u, v] = c
+        ``energy`` uses it. It is built on first use, so a QUBO that is
+        only parsed, dumped or converted never costs nq^2."""
+        coef = self._part.upper.copy()
+        coef.ravel()[:: self.n_qubits + 1] = self.linear  # the diagonal of the copy
         coef.setflags(write=False)
         return coef
 
@@ -86,46 +120,66 @@ class IsingModel:
     __hash__ = None
 
 
-def build_window(
-    system: LinearSystem, center: DyadicVector, spec: EncodingSpec
-) -> QuboMatrix:
-    n = system.n
-    if spec.n_vars != n or len(center) != n:
+class WindowLevel:
+    """The part of a window that its level fixes: the qubit weights w_u and
+    variables i(u), the w_u^2 (A^T A)_{i(u),i(u)} term of each linear
+    coefficient, and the shared QuadraticPart. Raises DimensionMismatch when the spec
+    does not fit the system and TooLarge for a window past the float range."""
+
+    def __init__(self, system: LinearSystem, spec: EncodingSpec) -> None:
+        n = system.n
+        if spec.n_vars != n:
+            raise DimensionMismatch("system, center and spec sizes disagree")
+        if spec.total_qubits > 10**6:
+            raise TooLarge(f"{spec.total_qubits} qubits exceeds the 1e6 bound")
+        if spec.l_hi > 1023:
+            raise TooLarge(f"bit weight 2^{spec.l_hi} is past the float range")
+        gram = system.gram
+
+        k = spec.bits_per_sign
+        nq = spec.total_qubits
+        weight = [0.0] * nq
+        var = [0] * nq
+        for i in range(n):
+            for s, block in ((1.0, 0), (-1.0, k)):
+                for t in range(k):
+                    u = i * 2 * k + block + t
+                    weight[u] = s * 2.0 ** (spec.l_lo + t)
+                    var[u] = i
+        quadratic = {}
+        for u in range(nq):
+            for v in range(u + 1, nq):
+                q = 2.0 * weight[u] * weight[v] * gram[var[u]][var[v]]
+                if abs(q) >= _PRUNE:
+                    quadratic[(u, v)] = q
+        if not all(map(math.isfinite, quadratic.values())):
+            raise _past_float_range(spec)
+        self.system = system
+        self.spec = spec
+        self.var = var
+        self.square = [w * w * gram[i][i] for w, i in zip(weight, var)]
+        self.twice = [2.0 * w for w in weight]
+        self.part = QuadraticPart(nq, quadratic)
+
+
+def _past_float_range(spec: EncodingSpec) -> TooLarge:
+    return TooLarge(f"window [{spec.l_lo}, {spec.l_hi}] has coefficients past the float range")
+
+
+def build_window(level: WindowLevel, r: DyadicVector) -> QuboMatrix:
+    """The window QUBO of a level around the center whose exact residual
+    b - Ac is r; it shares the level's QuadraticPart."""
+    system = level.system
+    if len(r) != system.n:
         raise DimensionMismatch("system, center and spec sizes disagree")
-    if spec.total_qubits > 10**6:
-        raise TooLarge(f"{spec.total_qubits} qubits exceeds the 1e6 bound")
-    if spec.l_hi > 1023:
-        raise TooLarge(f"bit weight 2^{spec.l_hi} is past the float range")
-
-    # b' = b - A c exactly, then g = A^T b' exactly, rounded once per entry
-    g_m, g_e = exact_matvec(system.exact_t, system.exact[1], residual(system, center))
+    # g = A^T r exactly, rounded once per entry
+    g_m, g_e = exact_matvec(system.exact_t, system.exact[1], r)
     g = [dyadic_to_float(m, g_e) for m in g_m]
-
-    gram = system.gram
-
-    k = spec.bits_per_sign
-    nq = spec.total_qubits
-    weight = [0.0] * nq
-    var = [0] * nq
-    for i in range(n):
-        for s, block in ((1.0, 0), (-1.0, k)):
-            for t in range(k):
-                u = i * 2 * k + block + t
-                weight[u] = s * 2.0 ** (spec.l_lo + t)
-                var[u] = i
-    linear = tuple(
-        weight[u] * weight[u] * gram[var[u]][var[u]] - 2.0 * weight[u] * g[var[u]]
-        for u in range(nq)
-    )
-    quadratic = {}
-    for u in range(nq):
-        for v in range(u + 1, nq):
-            q = 2.0 * weight[u] * weight[v] * gram[var[u]][var[v]]
-            if abs(q) >= _PRUNE:
-                quadratic[(u, v)] = q
-    if not all(map(math.isfinite, (*linear, *quadratic.values()))):
-        raise TooLarge(f"window [{spec.l_lo}, {spec.l_hi}] has coefficients past the float range")
-    return QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
+    linear = tuple(sq - tw * g[i] for sq, tw, i in zip(level.square, level.twice, level.var))
+    if not all(map(math.isfinite, linear)):
+        raise _past_float_range(level.spec)
+    part = level.part
+    return QuboMatrix(n_qubits=part.n_qubits, linear=linear, quadratic=part.quadratic, _part=part)
 
 
 def energy(q: QuboMatrix, bits: BitVector | np.ndarray) -> float | list[float]:

@@ -29,9 +29,19 @@ from .encoding import (
     decode_increments,
 )
 from .errors import DimensionMismatch, SingularMatrix, TooLarge
-from .linalg import EigenBasis, LinearSystem, exact_form, exact_matvec, residual_norm_sq, symmetric_eigen
+from .linalg import (
+    EigenBasis,
+    LinearSystem,
+    exact_form,
+    exact_matvec,
+    moved_residual,
+    norm_sq,
+    residual,
+    residual_norm_sq,
+    symmetric_eigen,
+)
 from .precision import dyadic_of_float, dyadic_to_float
-from .qubo import QuboMatrix, build_window
+from .qubo import QuboMatrix, WindowLevel, build_window
 from .samplers import AnnealConfig, SampleSet, sample_anneal, sample_exhaustive
 
 logger = logging.getLogger("qrefine")
@@ -163,12 +173,14 @@ def refine(
         raise DimensionMismatch("initial center length != system size")
 
     records: list[IterationRecord] = []
-    res_now = residual_norm_sq(work, center)
+    # the exact residual b - Ac is carried from move to move
+    r, res_now = residual(work, center), residual_norm_sq(work, center)
     terminated = None
     l = m_max - k + 1
     while terminated is None and l >= config.l_min:
         logger.info("descending to level %d (window [%d, %d])", l, l, l + k - 1)
         spec = EncodingSpec(n_vars=work.n, l_lo=l, l_hi=l + k - 1)
+        level = WindowLevel(work, spec)
         level_start = len(records)
         moves = 0
         accepted = True
@@ -177,7 +189,7 @@ def refine(
                 logger.info("level %d: recenter cap %d reached", l, moves)
                 terminated = "recenter-cap"
                 break
-            qm = build_window(work, center, spec)
+            qm = build_window(level, r)
             solved = sampler(qm)
             best = solved.best()
             increments = decode_increments(best.bits, spec)
@@ -186,12 +198,13 @@ def refine(
             target = -dyadic_to_float(res_now.numerator, 1 - res_now.denominator.bit_length())
             accepted = False
             if best.energy < 0.0 and any(increments):
-                candidate = center.add_increments(increments, l)
-                res_next = residual_norm_sq(work, candidate)
+                r_next = moved_residual(work, r, increments, l)
+                res_next = norm_sq(r_next)
                 accepted = res_next < res_now
             if accepted:
                 moves += 1
-                center, res_now = candidate, res_next
+                center = center.add_increments(increments, l)
+                r, res_now = r_next, res_next
                 bits, solve_energy = best.bits, best.energy
             else:
                 bits, solve_energy = canonical_bits((0,) * work.n, spec), 0.0

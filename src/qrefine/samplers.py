@@ -9,23 +9,29 @@ play the role of hardware read statistics. Each solve scores its
 candidate states with one batched ``qubo.energy`` call: the annealer
 its distinct best states, the exhaustive sampler its near-minimum band.
 
-The exhaustive sampler scores every state in float. Up to 10 qubits one
-chain of matrix products scores all states at once. A wider state is
-split into its low and high bits, as in Horowitz and Sahni's
-meet-in-the-middle (JACM 21(2), 1974): the low part's energies and
-cross terms are formed once per solve, and each chunk of high states
-adds its own energies to one product with them. A state then costs
-O(nq - 10) instead of O(nq^2), and memory stays O(chunk) up to the
-24-qubit cap. It keeps, as bit rows, the band of states whose
-float score lies within a proven rounding bound of the float minimum,
-which holds every state of minimum exact energy, and scores only that
-band exactly.
+The exhaustive sampler scores every state in float, as the score of the
+quadratic terms plus that of the linear terms. The quadratic scores
+depend on the QUBO's QuadraticPart alone, so they are formed once per
+part: once per level for the windows of a level, which differ only in
+their linear terms. Up to 10 qubits one chain of matrix products scores
+all states at once. A wider state is split into its low and high bits,
+as in Horowitz and Sahni's meet-in-the-middle (JACM 21(2), 1974): the
+low part's quadratic energies and cross terms and the high part's
+quadratic energies are formed once per part, and each chunk of high
+states adds its own energies to one product with them. A state then
+costs O(nq - 10) instead of O(nq^2), and memory stays
+O(2^(nq - 10) nq + chunk) up to the 24-qubit cap. It keeps, as bit
+rows, the band of states whose float score lies within a proven rounding
+bound of the float minimum, which holds every state of minimum exact
+energy, and scores only that band exactly. The annealer likewise takes
+its coupling matrix from the part, built once per level.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -45,6 +51,7 @@ _U = 2.0**-53  # unit roundoff of binary64
 _TINY = 2.0**-1074  # smallest subnormal
 _ONES = np.ones(_EXHAUSTIVE_LIMIT)  # sliced to sum a block's columns
 _ONES.flags.writeable = False
+_SCORES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # QuadraticPart -> _quadratic_scores
 
 
 class SampleEntry(NamedTuple):
@@ -124,17 +131,22 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     float minimum, in ascending state order; they include every state of
     minimum exact energy.
 
-    Up to _LOW_BITS qubits, f(x) = ((x @ coef) * x) @ ones over all states
-    at once, with coef = q.coef, linear on the diagonal (x_u^2 = x_u) and
-    quadratic above it. A wider state splits into its low b = _LOW_BITS
-    bits and its high h = nq - b bits, x = (lo, hi) with state index
-    lo + (hi << b), and coef into the blocks C_ll, C_lh and C_hh. Once per
-    solve, E_lo = ((X_lo @ C_ll) * X_lo) @ ones over the 2^b low states and
-    M = C_lh^T @ X_lo^T; then each chunk X_hi of max(1, _BLOCK >> b) high
-    states, a slice of the cached rows of all 2^h high states and at most
-    _BLOCK scores under the default, gets
+    Every float score is the quadratic part's score plus the linear part's,
+    and the quadratic scores are formed once per QuadraticPart, so once per
+    level for the windows of a level (_quadratic_scores). With U the
+    strictly upper quadratic matrix and c the linear terms, up to _LOW_BITS
+    qubits f = F + X @ c over all states X at once, with the cached
+    F = ((X @ U) * X) @ ones. A wider state splits into its low b =
+    _LOW_BITS bits and its high h = nq - b bits, x = (lo, hi) with state
+    index lo + (hi << b), and U into the blocks U_ll, U_lh and U_hh; c into
+    c_lo and c_hi. Cached are F_lo = ((X_lo @ U_ll) * X_lo) @ ones over the
+    2^b low states, M = U_lh^T @ X_lo^T and F_hi = ((X_high @ U_hh) *
+    X_high) @ ones over all 2^h high states. Once per solve E_lo = F_lo +
+    X_lo @ c_lo; then each chunk X_hi of max(1, _BLOCK >> b) high states, a
+    slice of the cached rows X_high and at most _BLOCK scores under the
+    default, gets
 
-        f = (X_hi @ M + E_lo) + E_hi[:, None],  E_hi = ((X_hi @ C_hh) * X_hi) @ ones,
+        f = (X_hi @ M + E_lo) + E_hi[:, None],  E_hi = F_hi[chunk] + X_hi @ c_hi,
 
     so f(x) costs O(h) instead of O(nq^2).
 
@@ -146,16 +158,19 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
       with a 0/1 factor is an exact product and one rounded addition. A
       column zeroed by "* x", and an entry M[v, lo] met by hi_v = 0, becomes
       an exact zero, never NaN: 4 S is finite and bounds every partial sum.
-      Every other partial sum is a sum of coefficients x selects: E_lo[lo]
-      of those in C_ll, M[v, lo] with hi_v = 1 of those in C_lh, and
-      E_hi[hi] of those in C_hh. So in any BLAS order, split or not, f(x)
-      is a summation tree over the N <= nq + #quadratic nonzero selected
-      coefficients. An addition with an exact-zero operand does not round,
-      and one whose result is subnormal is exact, so each leaf meets at
-      most N - 1 additions with relative error <= u:
+      Every other partial sum is a sum of coefficients x selects: F and
+      X @ c of those in U and c, F_lo[lo] and E_lo[lo] of those in U_ll and
+      c_lo, M[v, lo] with hi_v = 1 of those in U_lh, and F_hi[hi] and
+      E_hi[hi] of those in U_hh and c_hi. So in any BLAS order, split or
+      not, f(x) is a summation tree over the N <= nq + #quadratic nonzero
+      selected coefficients: adding the linear score to the quadratic one
+      is one more node of the tree. An addition with an exact-zero operand
+      does not round, and one whose result is subnormal is exact, so each
+      leaf meets at most N - 1 additions with relative error <= u:
       |f(x) - E(x)| <= gamma_{N-1} S(x) (Higham, Accuracy and Stability of
-      Numerical Algorithms, 2nd ed., lemma 3.1 and eq. 4.4). The split
-      only regroups the tree, so delta below does not change.
+      Numerical Algorithms, 2nd ed., lemma 3.1 and eq. 4.4). The split and
+      the cached quadratic scores only regroup the tree, so delta below
+      does not change.
     - fsum is correctly rounded: |s(x) - E(x)| <= u S(x) + 2^-1075.
     - With m = nq + #quadratic + 2, gamma_{N-1} + u <= gamma_m, so
       |f(x) - s(x)| <= gamma_m S + 2^-1075 <= delta := gamma_m S + m 2^-1074.
@@ -177,18 +192,18 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
         return _exact_minimum_rows(q)
     width = 2.0 * (2.0 * m * _U * total + m * _TINY)
 
-    coef = q.coef
+    linear = np.array(q.linear)
     if nq <= _LOW_BITS:
+        (f_q,) = _quadratic_scores(q._part)
         x = _low_states(nq)
-        f = ((x @ coef) * x) @ _ONES[:nq]
+        f = f_q + x @ linear
         return x[f <= math.nextafter(float(f.min()) + width, math.inf)]
 
     b = _LOW_BITS
+    f_lo, cross, f_hi = _quadratic_scores(q._part)
     x_lo = _low_states(b)
-    e_lo = ((x_lo @ coef[:b, :b]) * x_lo) @ _ONES[:b]
-    cross = coef[:b, b:].T @ x_lo.T
-    c_hh = coef[b:, b:]
-    ones = _ONES[:nq - b]
+    e_lo = f_lo + x_lo @ linear[:b]
+    c_hi = linear[b:]
     x_high = _low_states(nq - b)
     rows = max(1, _BLOCK >> b)
     f_min = math.inf
@@ -196,7 +211,7 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
         x_hi = x_high[start:start + rows]
         f = x_hi @ cross
         f += e_lo
-        f += (((x_hi @ c_hh) * x_hi) @ ones)[:, None]
+        f += (f_hi[start:start + rows] + x_hi @ c_hi)[:, None]
         f = f.ravel()  # entry (j << b) + lo is state lo + ((start + j) << b)
         f_min = min(f_min, float(f.min()))
         cut = math.nextafter(f_min + width, math.inf)
@@ -208,6 +223,35 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
             states = np.concatenate((states[old], mine + (start << b)))
             scores = np.concatenate((scores[old], f[mine]))
     return _state_rows(nq, states)
+
+
+def _quadratic_scores(part: qubo.QuadraticPart) -> tuple[np.ndarray, ...]:
+    """The float pass's scores of a QuadraticPart's terms alone, read-only:
+    (F,) up to _LOW_BITS qubits, else (F_lo, M, F_hi) of the split pass
+    (_near_minimum_rows). They are formed on the first solve of a part and
+    kept while the part lives, so the windows of a level share them."""
+    scores = _SCORES.get(part)
+    if scores is not None:
+        return scores
+    nq = part.n_qubits
+    upper = part.upper
+    if nq <= _LOW_BITS:
+        x = _low_states(nq)
+        scores = (((x @ upper) * x) @ _ONES[:nq],)
+    else:
+        b = _LOW_BITS
+        x_lo = _low_states(b)
+        x_high = _low_states(nq - b)
+        u_hh = upper[b:, b:]
+        scores = (
+            ((x_lo @ upper[:b, :b]) * x_lo) @ _ONES[:b],
+            upper[:b, b:].T @ x_lo.T,
+            ((x_high @ u_hh) * x_high) @ _ONES[:nq - b],
+        )
+    for a in scores:
+        a.flags.writeable = False
+    _SCORES[part] = scores
+    return scores
 
 
 def _exact_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
@@ -255,8 +299,7 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
         # the bound that keeps every field, energy and update finite
         raise TooLarge("QUBO coefficient magnitudes sum past the float range")
     lin = np.array(q.linear, dtype=float)
-    coupling = q.coef + q.coef.T  # each quadratic term on both sides, exactly
-    np.fill_diagonal(coupling, 0.0)
+    coupling = q._part.coupling  # formed once per level for a level's windows
 
     scale = max(float(np.max(np.abs(lin))), max((abs(c) for c in q.quadratic.values()), default=0.0))
     if scale == 0.0:

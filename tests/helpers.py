@@ -29,6 +29,7 @@ from qrefine import (
     qubo,
 )
 from qrefine.encoding import EncodingSpec, decode_increments
+from qrefine.linalg import residual
 from qrefine.samplers import SampleEntry, SampleSet
 from qrefine.traceio import TraceWriter
 
@@ -50,6 +51,20 @@ def frac_residual_sq(a, b, x: list[Fraction]) -> Fraction:
             acc += Fraction(float(a[r][i])) * xi
         total += acc * acc
     return total
+
+
+def frac_normal_rhs(a, b, x: list[Fraction]) -> list[Fraction]:
+    """A^T (b - Ax) exactly; a, b are float rows, x exact rationals."""
+    n = len(b)
+    r = [Fraction(float(b[row])) - sum(Fraction(float(a[row][i])) * x[i] for i in range(n))
+         for row in range(n)]
+    return [sum(Fraction(float(a[row][i])) * r[row] for row in range(n)) for i in range(n)]
+
+
+def window_qubo(system: LinearSystem, center: DyadicVector, spec: EncodingSpec):
+    """The window QUBO around center, built in the package's two steps: the
+    level's part, then the solve's linear terms from the exact residual."""
+    return qubo.build_window(qubo.WindowLevel(system, spec), residual(system, center))
 
 
 def qubit_index(spec: EncodingSpec, var: int, sign: str, bit: int) -> int:

@@ -25,7 +25,7 @@ from qrefine import (
 )
 from qrefine.cli import main
 from qrefine.encoding import EncodingSpec
-from qrefine.qubo import build_window, energy, qubo_to_ising
+from qrefine.qubo import energy, qubo_to_ising
 
 from helpers import (
     anneal_reference,
@@ -41,6 +41,7 @@ from helpers import (
     random_instance,
     random_qubo_coeffs,
     trace_to_csv,
+    window_qubo,
 )
 
 _CHECKPOINTS = (15, 10, 5, 0, -5, -10, -15, -20, -25, -30, -35, -40)
@@ -140,7 +141,7 @@ def test_criterion_3_energy_identity():
         system = LinearSystem(a=a, b=b)
         bitsets = [random_bits(rng, 2 * k * n) for _ in range(256)]
         t0 = time.perf_counter()
-        qm = build_window(system, center, spec)
+        qm = window_qubo(system, center, spec)
         energies = [energy(qm, bits) for bits in bitsets]
         engine += time.perf_counter() - t0
         r0 = frac_residual_sq(a, b, dyadic_fractions(center))
@@ -168,7 +169,7 @@ def test_criterion_4_ground_truth_oracle():
         spec = EncodingSpec(n_vars=n, l_lo=l, l_hi=l + k - 1)
         system = LinearSystem(a=a, b=b)
         t0 = time.perf_counter()
-        qm = build_window(system, center, spec)
+        qm = window_qubo(system, center, spec)
         best = sample_exhaustive(qm).best()
         engine += time.perf_counter() - t0
         got = tuple(dyadic_fractions(decode(best.bits, spec, center)))

@@ -224,6 +224,21 @@ def test_qubo_dump_exact_line(tmp_path, capsys):
     )
 
 
+WIDE3 = '{"a": [[4, 1, 0], [1, 3, 1], [0, 1, 2]], "b": [1, 2, 3]}'
+
+
+def test_qubo_dump_wide3_golden_bytes(tmp_path, capsys):
+    # an 18-qubit window off the zero center, pinned byte for byte: the
+    # same command runs in CI and its output parses back
+    path = write_problem(tmp_path, WIDE3)
+    argv = ["qubo-dump", path, "--bits-per-sign", "3", "--level", "-3", "--center", "0.5,-0.25,0.375"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "a18ab1588d5f59c23396e83ce18b60761d31003a15522038d2114fae0289d3ce"
+    )
+
+
 def test_qubo_dump_to_file_ends_with_newline(tmp_path, capsys):
     path = write_problem(tmp_path, IDENTITY)
     out_path = tmp_path / "window.json"

@@ -8,6 +8,7 @@ promises since fsum is correctly rounded.
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from helpers import (
     irrational_system,
     random_qubo_coeffs,
     state_bits,
+    window_qubo,
 )
 from qrefine import (
     DyadicVector,
@@ -30,8 +32,7 @@ from qrefine import (
     sample_exhaustive,
 )
 from qrefine.encoding import EncodingSpec
-from qrefine.qubo import build_window
-from qrefine import samplers
+from qrefine import qubo, samplers
 from qrefine.samplers import SampleEntry, _exact_minimum_rows, _near_minimum_rows
 
 
@@ -72,7 +73,7 @@ def window_qubos(system, config):
     k = config.bits_per_sign
     for rec in trace.records:
         spec = EncodingSpec(n_vars=system.n, l_lo=rec.level, l_hi=rec.level + k - 1)
-        yield build_window(system, center, spec), rec
+        yield window_qubo(system, center, spec), rec
         center = rec.center_after
 
 
@@ -376,3 +377,20 @@ def test_solve_scores_band_in_one_batch(nq, monkeypatch):
     sample_exhaustive(q)
     band = len(_near_minimum_rows(q))
     assert scored == [band] and band <= 1 << nq
+
+
+@pytest.mark.parametrize("nq", [4, 8, samplers._LOW_BITS + 1, samplers._LOW_BITS + 2])
+def test_qubos_sharing_a_quadratic_part(nq):
+    # QUBOs that differ only in their linear terms share one quadratic part
+    # and its float scores; each must sample as its own parsed copy, which
+    # holds a part of its own, and as the exact oracle
+    rng = random.Random(9100 + nq)
+    linear, quadratic = random_qubo_coeffs(rng, nq)
+    first = QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
+    for _ in range(4):
+        q = replace(first, linear=tuple(rng.uniform(-8.0, 8.0) for _ in range(nq)))
+        assert q._part is first._part
+        copy = qubo.parse(qubo.dump(q))
+        assert copy == q and copy._part is not q._part
+        assert check_exact(q) == sample_exhaustive(copy)
+    check_exact(first)

@@ -13,11 +13,14 @@ from helpers import (
     dyadic_fractions,
     irrational_system,
     frac_energy,
+    frac_normal_rhs,
     frac_residual_sq,
     ising_energy,
+    qubit_index,
     random_bits,
     random_instance,
     random_qubo_coeffs,
+    window_qubo,
 )
 from qrefine import (
     DimensionMismatch,
@@ -29,8 +32,8 @@ from qrefine import (
     TooLarge,
 )
 from qrefine.encoding import EncodingSpec, decode_increments
-from qrefine.linalg import residual_norm_sq
-from qrefine.qubo import build_window, dump, energy, parse, qubo_to_ising
+from qrefine.linalg import residual, residual_norm_sq
+from qrefine.qubo import WindowLevel, build_window, dump, energy, parse, qubo_to_ising
 
 ONE_D = LinearSystem(a=[[1.0]], b=[0.0])
 
@@ -40,14 +43,14 @@ def window(n, l, k):
 
 
 def test_build_unit_system_b0():
-    q = build_window(ONE_D, DyadicVector.zero(1), window(1, 0, 1))
+    q = window_qubo(ONE_D, DyadicVector.zero(1), window(1, 0, 1))
     assert q.linear == (1.0, 1.0)
     assert q.quadratic == {(0, 1): -2.0}
 
 
 def test_build_unit_system_b1():
     system = LinearSystem(a=[[1.0]], b=[1.0])
-    q = build_window(system, DyadicVector.zero(1), window(1, 0, 1))
+    q = window_qubo(system, DyadicVector.zero(1), window(1, 0, 1))
     assert q.linear == (-1.0, 3.0)
     assert q.quadratic == {(0, 1): -2.0}
     energies = {bits: energy(q, bits) for bits in [(0, 0), (1, 0), (0, 1), (1, 1)]}
@@ -57,7 +60,7 @@ def test_build_unit_system_b1():
 
 def test_build_unit_system_b2_level1():
     system = LinearSystem(a=[[1.0]], b=[2.0])
-    q = build_window(system, DyadicVector.zero(1), window(1, 1, 1))
+    q = window_qubo(system, DyadicVector.zero(1), window(1, 1, 1))
     assert q.linear == (-4.0, 12.0)
     assert q.quadratic == {(0, 1): -8.0}
     assert energy(q, (1, 0)) == -4.0
@@ -65,10 +68,10 @@ def test_build_unit_system_b2_level1():
 
 
 def test_build_dimension_checks():
-    with pytest.raises(DimensionMismatch):
-        build_window(ONE_D, DyadicVector.zero(2), window(1, 0, 1))
-    with pytest.raises(DimensionMismatch):
-        build_window(ONE_D, DyadicVector.zero(1), window(2, 0, 1))
+    with pytest.raises(DimensionMismatch, match="sizes disagree"):
+        build_window(WindowLevel(ONE_D, window(1, 0, 1)), DyadicVector.zero(2))
+    with pytest.raises(DimensionMismatch, match="sizes disagree"):
+        WindowLevel(ONE_D, window(2, 0, 1))
 
 
 def test_energy_trivials():
@@ -176,7 +179,7 @@ def test_energy_identity_random_windows():
         a, b, center, k, l = random_instance(rng)
         system = LinearSystem(a=a, b=b)
         spec = window(len(b), l, k)
-        q = build_window(system, center, spec)
+        q = window_qubo(system, center, spec)
         cf = dyadic_fractions(center)
         r0 = frac_residual_sq(a, b, cf)
         bound = Fraction(1, 10**9) * max(Fraction(1), abs(r0))
@@ -197,7 +200,7 @@ def test_energy_zero_bits_exact_zero():
     for _ in range(10):
         a, b, center, k, l = random_instance(rng)
         spec = window(len(b), l, k)
-        q = build_window(LinearSystem(a=a, b=b), center, spec)
+        q = window_qubo(LinearSystem(a=a, b=b), center, spec)
         assert energy(q, (0,) * spec.total_qubits) == 0.0
 
 
@@ -210,7 +213,7 @@ def test_energy_floor_is_target():
                 break
         system = LinearSystem(a=a, b=b)
         spec = window(len(b), l, k)
-        q = build_window(system, center, spec)
+        q = window_qubo(system, center, spec)
         target = -float(residual_norm_sq(system, center))
         assert target <= 0.0
         floor = target - 1e-9 * max(1.0, abs(target))
@@ -226,7 +229,7 @@ def test_negation_symmetry_of_energy():
         system = LinearSystem(a=a, b=b)
         n = len(b)
         spec = window(n, l, k)
-        q = build_window(system, center, spec)
+        q = window_qubo(system, center, spec)
         bits = random_bits(rng, spec.total_qubits)
         swapped = []
         for i in range(n):
@@ -356,7 +359,7 @@ def test_build_matches_fraction_coefficients():
     b = [3.25, -1.125]
     center = DyadicVector((5, -3), -2)
     spec = window(2, -1, 1)
-    q = build_window(LinearSystem(a=a, b=b), center, spec)
+    q = window_qubo(LinearSystem(a=a, b=b), center, spec)
 
     af = [[Fraction(v) for v in row] for row in a]
     bf = [Fraction(v) for v in b]
@@ -372,6 +375,39 @@ def test_build_matches_fraction_coefficients():
     assert len(q.quadratic) == 6
     for (u, v), coeff in q.quadratic.items():
         assert coeff == 2.0 * weights[u] * weights[v] * gram[owner[u]][owner[v]]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_windows_of_one_level_match_fraction_oracle(k):
+    # one level serves windows at many centers: each window's linear terms
+    # come from its own exact g = A^T (b - Ac), rounded once, and its
+    # quadratic terms are those of a window built afresh at the zero
+    # center, so nothing of one solve leaks into the next through the level
+    rng = random.Random(4200 + k)
+    for _ in range(6):
+        n = rng.randint(1, 4)
+        l = rng.randint(-12, 6)
+        a = [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(n)]
+        b = [rng.uniform(-4.0, 4.0) for _ in range(n)]
+        system = LinearSystem(a=a, b=b)
+        spec = window(n, l, k)
+        level = WindowLevel(system, spec)
+        at_zero = window_qubo(system, DyadicVector.zero(n), spec)
+        # gram entries are exact sums of the float products, rounded once
+        gram = [float(sum(Fraction(a[r][i] * a[r][i]) for r in range(n))) for i in range(n)]
+        centers = [DyadicVector(tuple(rng.randint(-4096, 4096) for _ in range(n)), l - rng.randint(0, 8))
+                   for _ in range(4)]
+        for center in centers + [DyadicVector.zero(n)]:
+            q = build_window(level, residual(system, center))
+            g = frac_normal_rhs(a, b, dyadic_fractions(center))
+            for i in range(n):
+                for sign, s in (("plus", 1), ("minus", -1)):
+                    for t in range(k):
+                        w = s * Fraction(2) ** (l + t)
+                        expect = float(w * w * Fraction(gram[i]) - 2 * w * Fraction(float(g[i])))
+                        assert q.linear[qubit_index(spec, i, sign, t)] == expect
+            assert q.quadratic == at_zero.quadratic
+            assert q == window_qubo(system, center, spec)
 
 
 def test_frac_energy_helper_agrees():

@@ -384,3 +384,37 @@ def test_records_carry_each_solves_ground_occurrences(config):
     assert trace.records == captured.records
     assert [r.ground_occurrences for r in trace.records] == counts
     assert max(counts) > 1
+
+
+def check_carried_residuals(system, trace, start):
+    """Every record's residual is the exact ||b - A center_after||^2,
+    rounded once, and a rejected solve keeps the residual before it."""
+    a, b = system.a.tolist(), system.b.tolist()
+    before = float(frac_residual_sq(a, b, fracs(start)))
+    for rec in trace.records:
+        assert rec.residual_norm_sq == float(frac_residual_sq(a, b, fracs(rec.center_after)))
+        if not any(rec.bits):
+            assert rec.residual_norm_sq == before
+        before = rec.residual_norm_sq
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_carried_residual_is_exact_on_table1(k):
+    system, truth = irrational_system()
+    trace = refine(system, RefinementConfig(m_max=20, l_min=-40, bits_per_sign=k, level_step=k), truth=truth)
+    check_carried_residuals(system, trace, DyadicVector.zero(2))
+
+
+def test_carried_residual_is_exact_on_random_plain_runs():
+    rng = random.Random(2718)
+    for _ in range(12):
+        n = rng.randint(1, 3)
+        a = [[rng.uniform(-2.0, 2.0) + (3.0 if i == j else 0.0) for j in range(n)] for i in range(n)]
+        b = [rng.uniform(-4.0, 4.0) for _ in range(n)]
+        start = DyadicVector(tuple(rng.randint(-64, 64) for _ in range(n)), -3)
+        k = rng.randint(1, 2)
+        config = RefinementConfig(m_max=4, l_min=-24, bits_per_sign=k, initial_center=start)
+        system = LinearSystem(a=a, b=b)
+        trace = refine(system, config)
+        assert any(any(rec.bits) for rec in trace.records)
+        check_carried_residuals(system, trace, start)

@@ -9,6 +9,8 @@ import pytest
 from helpers import anneal_reference, random_qubo_coeffs
 from qrefine import (
     AnnealConfig,
+    DyadicVector,
+    LinearSystem,
     QuboMatrix,
     TooLarge,
     TooManyQubits,
@@ -16,6 +18,8 @@ from qrefine import (
     sample_anneal,
     sample_exhaustive,
 )
+from qrefine.encoding import EncodingSpec
+from qrefine.linalg import residual
 from qrefine.samplers import SampleEntry, SampleSet
 
 
@@ -142,6 +146,22 @@ def test_anneal_matches_reference_on_integer_qubos(nq):
         q = QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
         config = AnnealConfig(reads=100, sweeps=sweeps, seed=seed)
         assert sample_anneal(q, config).entries == anneal_reference(q, config).entries
+
+
+def test_anneal_windows_of_one_level_share_coupling():
+    # integer A, b and centers at level 0 give integer coefficients, so the
+    # two loops must make the same decisions; every window of the level
+    # uses the level's one coupling matrix, coef + coef^T off the diagonal
+    system = LinearSystem(a=[[2.0, 1.0], [1.0, 3.0]], b=[5.0, -7.0])
+    level = qubo.WindowLevel(system, EncodingSpec(n_vars=2, l_lo=0, l_hi=1))
+    config = AnnealConfig(reads=100, sweeps=8, seed=3)
+    for center in ((0, 0), (3, -4), (-2, 1)):
+        q = qubo.build_window(level, residual(system, DyadicVector(center, 0)))
+        assert q._part is level.part
+        assert sample_anneal(q, config).entries == anneal_reference(q, config).entries
+        symmetric = q.coef + q.coef.T
+        np.fill_diagonal(symmetric, 0.0)
+        assert np.array_equal(level.part.coupling, symmetric)
 
 
 def test_anneal_extreme_scales_raise_no_warning():
