@@ -95,23 +95,14 @@ def residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
     product and sum is integer arithmetic."""
     if len(x) != system.n:
         raise DimensionMismatch("solution length != system size")
-    rows, a_exp, b = system.exact
-    return _minus(b, *exact_matvec(rows, a_exp, x))
+    return moved_residual(system, system.exact[2], x.mantissas, x.exponent)
 
 
 def moved_residual(system: LinearSystem, r: DyadicVector, increments: Sequence[int], scale: int) -> DyadicVector:
     """r - A y 2^scale exactly: the residual b - A(x + y 2^scale) when r is
     b - Ax."""
     rows, a_exp, _ = system.exact
-    return _minus(r, *exact_matvec(rows, a_exp, DyadicVector(tuple(increments), scale)))
-
-
-def _minus(v: DyadicVector, mantissas: list[int], e: int) -> DyadicVector:
-    """v - mantissas * 2^e exactly."""
-    lo = min(v.exponent, e)
-    return DyadicVector(
-        tuple((vm << (v.exponent - lo)) - (m << (e - lo)) for vm, m in zip(v.mantissas, mantissas)), lo
-    )
+    return r.add_increments(*exact_matvec(rows, a_exp, DyadicVector(tuple(-d for d in increments), scale)))
 
 
 def norm_sq(v: DyadicVector) -> Fraction:

@@ -13,7 +13,7 @@ steps: ``WindowLevel(system, spec)`` forms the weights and the quadratic
 terms once per level, and ``build_window(level, r)`` forms the linear
 terms of one solve from the exact residual r. Every window of a level
 shares the level's QuadraticPart: its quadratic terms, checked and sorted
-once, and what is derived from them alone. g = A^T r is computed in
+once, and their dense upper matrix. g = A^T r is computed in
 exact dyadic arithmetic and rounded once per entry; since every w_u is a
 signed power of two, the only other rounding is in A^T A itself. The
 constant ||r||^2 is kept out of the matrix, so all-zero bits cost
@@ -44,9 +44,9 @@ _PICK = 256  # most outer-product entries in a batch scored without numpy (timed
 
 
 class QuadraticPart:
-    """The quadratic terms of nq qubits, checked and sorted once, with the
-    matrices derived from them alone, each built on first use. QUBOs that
-    differ only in their linear terms share one part."""
+    """The quadratic terms of nq qubits, checked and sorted once, and their
+    dense upper matrix, built on first use: the only dense form of a QUBO's
+    coefficients that outlives a call. QUBOs differing in linear terms share it."""
 
     def __init__(self, n_qubits: int, quadratic: dict[tuple[int, int], float]) -> None:
         for (i, j), val in quadratic.items():
@@ -65,14 +65,6 @@ class QuadraticPart:
             upper[u, v] = c
         upper.setflags(write=False)
         return upper
-
-    @functools.cached_property
-    def coupling(self) -> np.ndarray:
-        """Read-only symmetric matrix with each term on both sides of a zero
-        diagonal, exactly: upper + upper^T adds each term to an exact zero."""
-        coupling = self.upper + self.upper.T
-        coupling.setflags(write=False)
-        return coupling
 
 
 @dataclass(frozen=True, eq=True)
@@ -96,17 +88,6 @@ class QuboMatrix:
         for val in self.linear:
             if not math.isfinite(val):
                 raise DimensionMismatch("non-finite linear coefficient")
-
-    @functools.cached_property
-    def coef(self) -> np.ndarray:
-        """Read-only dense upper-triangular matrix with the linear terms on
-        its diagonal, so state x selects exactly the entries of x x^T.
-        ``energy`` uses it. It is built on first use, so a QUBO that is
-        only parsed, dumped or converted never costs nq^2."""
-        coef = self._part.upper.copy()
-        coef.ravel()[:: self.n_qubits + 1] = self.linear  # the diagonal of the copy
-        coef.setflags(write=False)
-        return coef
 
     __hash__ = None  # dict field; value identity is via ==
 
@@ -189,37 +170,38 @@ def energy(q: QuboMatrix, bits: BitVector | np.ndarray) -> float | list[float]:
     or a 2-D 0/1 array with one state per row, which gives a list of
     floats, one per row (an empty batch has shape (0, n_qubits)). Any
     nonzero entry counts as a 1, in a vector and in a batch alike. Each
-    result is the exact sum of the coefficients the state selects, the
-    entries of coef where x x^T is nonzero, rounded once, so it depends
-    neither on the order of the terms nor on the layout of a batch. It
-    is taken by ``math.fsum``, which is correctly rounded, or exactly in
-    rationals when a running fsum passes the float range. Raises
-    TooLarge if an exact sum itself rounds past the float range. A batch
-    whose outer products have at most _PICK entries picks each state's
-    entries of coef in Python; a larger one forms them with numpy, in
-    chunks of _ROWS states.
+    result is the exact sum of the coefficients the state selects, its
+    linear terms and the entries of the part's upper where x x^T is
+    nonzero, rounded once, so it depends neither on the order of the
+    terms nor on the layout of a batch. It is taken by ``math.fsum``,
+    which is correctly rounded, or exactly in rationals when a running
+    fsum passes the float range. Raises TooLarge if an exact sum itself
+    rounds past the float range. A batch whose outer products have at
+    most _PICK entries picks each state's terms in Python; a larger one
+    forms them with numpy from upper + diag(linear), _ROWS at a time.
     """
     x = np.asarray(bits, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != q.n_qubits:
         raise LengthMismatch(f"expected rows of {q.n_qubits} bits, got shape {x.shape}")
-    if x.ndim == 1:
-        return _energies(q.coef, x[None])[0]
-    return _energies(q.coef, x)
+    return _energies(q, x[None])[0] if x.ndim == 1 else _energies(q, x)
 
 
-def _energies(coef: np.ndarray, x: np.ndarray) -> list[float]:
-    if x.size * len(coef) <= _PICK:
-        # a few small states: picking each one's entries of coef in Python
-        # costs less than the fixed cost of the numpy products below
-        table = coef.tolist()
+def _energies(q: QuboMatrix, x: np.ndarray) -> list[float]:
+    upper = q._part.upper
+    if x.size * q.n_qubits <= _PICK:
+        # a few small states: picking each one's terms in Python costs
+        # less than the fixed cost of the numpy products below
+        table = upper.tolist()
         return [
-            _exact_sum(list(chain.from_iterable(compress(t, row) for t in compress(table, row))))
+            _exact_sum([*compress(q.linear, row),
+                        *chain.from_iterable(compress(t, row) for t in compress(table, row))])
             for row in x.tolist()
         ]
+    dense = upper + np.diag(q.linear)  # upper's diagonal is exactly zero
     out: list[float] = []
     for lo in range(0, len(x), _ROWS):
         rows = x[lo:lo + _ROWS] != 0.0
-        terms = (rows[:, :, None] & rows[:, None, :]) * coef
+        terms = (rows[:, :, None] & rows[:, None, :]) * dense
         # drop the exact zeros before they become Python floats: most
         # entries are zero, and fsum ignores them
         nonzero = terms != 0.0

@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -154,7 +155,7 @@ def refine(
     residuals and energies are those of the transformed system the loop
     actually minimizes.
     """
-    work, to_x, basis = system, None, None
+    work, to_x, basis = system, (lambda c: c), None
     if config.use_eigenbasis:
         basis = _eigenbasis_of_normal_matrix(system)  # also bounds m_max below
         work = LinearSystem(a=_fsum_matmul(system.a, basis.vectors), b=system.b)
@@ -175,6 +176,7 @@ def refine(
     records: list[IterationRecord] = []
     # the exact residual b - Ac is carried from move to move
     r, res_now = residual(work, center), residual_norm_sq(work, center)
+    res_float = _dyadic_float(res_now)  # rounded once each time res_now changes
     terminated = None
     l = m_max - k + 1
     while terminated is None and l >= config.l_min:
@@ -193,9 +195,7 @@ def refine(
             solved = sampler(qm)
             best = solved.best()
             increments = decode_increments(best.bits, spec)
-            # floor of the QUBO just solved; res_now is dyadic (its
-            # denominator is a power of two), so dyadic_to_float rounds it
-            target = -dyadic_to_float(res_now.numerator, 1 - res_now.denominator.bit_length())
+            target = -res_float  # floor of the QUBO just solved
             accepted = False
             if best.energy < 0.0 and any(increments):
                 r_next = moved_residual(work, r, increments, l)
@@ -204,11 +204,11 @@ def refine(
             if accepted:
                 moves += 1
                 center = center.add_increments(increments, l)
-                r, res_now = r_next, res_next
+                r, res_now, res_float = r_next, res_next, _dyadic_float(res_next)
                 bits, solve_energy = best.bits, best.energy
             else:
                 bits, solve_energy = canonical_bits((0,) * work.n, spec), 0.0
-            reported = to_x(center) if to_x else center
+            reported = to_x(center)
             record = IterationRecord(
                 ordinal=len(records) + 1,
                 level=l,
@@ -217,7 +217,7 @@ def refine(
                 qubo_energy=solve_energy,
                 target_energy=target,
                 center_after=reported,
-                residual_norm_sq=dyadic_to_float(res_now.numerator, 1 - res_now.denominator.bit_length()),
+                residual_norm_sq=res_float,
                 error_vs_truth=error_vs_truth(reported, truth) if truth is not None else None,
                 ground_occurrences=solved.ground_occurrences(),
             )
@@ -231,10 +231,15 @@ def refine(
         l -= step
     return RefinementTrace(
         records=tuple(records),
-        final_center=to_x(center) if to_x else center,
+        final_center=to_x(center),
         total_qubo_solves=len(records),
         terminated_by=terminated or "level-exhausted",
     )
+
+
+def _dyadic_float(x: Fraction) -> float:
+    """x rounded to a float; x is dyadic, its denominator a power of two."""
+    return dyadic_to_float(x.numerator, 1 - x.denominator.bit_length())
 
 
 def default_m_max(system: LinearSystem, basis: EigenBasis | None = None) -> int:

@@ -23,8 +23,8 @@ costs O(nq - 10) instead of O(nq^2), and memory stays
 O(2^(nq - 10) nq + chunk) up to the 24-qubit cap. It keeps, as bit
 rows, the band of states whose float score lies within a proven rounding
 bound of the float minimum, which holds every state of minimum exact
-energy, and scores only that band exactly. The annealer likewise takes
-its coupling matrix from the part, built once per level.
+energy, and scores only that band exactly. The annealer forms its
+symmetric coupling matrix from the part's upper matrix once per call.
 """
 
 from __future__ import annotations
@@ -299,7 +299,7 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
         # the bound that keeps every field, energy and update finite
         raise TooLarge("QUBO coefficient magnitudes sum past the float range")
     lin = np.array(q.linear, dtype=float)
-    coupling = q._part.coupling  # formed once per level for a level's windows
+    coupling = q._part.upper + q._part.upper.T  # each term on both sides of a zero diagonal
 
     scale = max(float(np.max(np.abs(lin))), max((abs(c) for c in q.quadratic.values()), default=0.0))
     if scale == 0.0:

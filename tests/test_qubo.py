@@ -33,7 +33,7 @@ from qrefine import (
 )
 from qrefine.encoding import EncodingSpec, decode_increments
 from qrefine.linalg import residual, residual_norm_sq
-from qrefine.qubo import WindowLevel, build_window, dump, energy, parse, qubo_to_ising
+from qrefine.qubo import _PICK, WindowLevel, build_window, dump, energy, parse, qubo_to_ising
 
 ONE_D = LinearSystem(a=[[1.0]], b=[0.0])
 
@@ -408,6 +408,32 @@ def test_windows_of_one_level_match_fraction_oracle(k):
                         assert q.linear[qubit_index(spec, i, sign, t)] == expect
             assert q.quadratic == at_zero.quadratic
             assert q == window_qubo(system, center, spec)
+
+
+def test_energy_of_windows_sharing_a_level_matches_fraction_oracle():
+    # the windows of one level share its QuadraticPart but not their linear
+    # terms: each energy, picked in Python (one row) or formed with numpy
+    # (more than _PICK outer-product entries), is the exact sum of this
+    # window's own coefficients, as it is for the window parsed back with
+    # a part of its own; alternating windows shows a leak through the part
+    rng = random.Random(1414)
+    n, k, l = 2, 2, -3
+    a = [[rng.uniform(-2.0, 2.0) for _ in range(n)] for _ in range(n)]
+    system = LinearSystem(a=a, b=[rng.uniform(-4.0, 4.0) for _ in range(n)])
+    spec = window(n, l, k)
+    nq = spec.total_qubits
+    level = WindowLevel(system, spec)
+    centers = [DyadicVector(tuple(rng.randint(-64, 64) for _ in range(n)), l) for _ in range(3)]
+    windows = [build_window(level, residual(system, c)) for c in centers]
+    assert all(q._part is level.part for q in windows)
+    assert len({q.linear for q in windows}) == len(windows)
+    for size in (1, _PICK // nq + 1):
+        for q in windows + windows[::-1]:
+            rows = np.array([random_bits(rng, nq) for _ in range(size)])
+            got = energy(q, rows)
+            assert got == [float(frac_energy(q, bits)) for bits in rows.tolist()]
+            assert got == energy(parse(dump(q)), rows)
+            assert energy(q, rows[0]) == got[0]
 
 
 def test_frac_energy_helper_agrees():
