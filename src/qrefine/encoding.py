@@ -5,15 +5,15 @@ sign, so variable i contributes the increment
 
     sum_{t=l_lo}^{l_hi} 2^t * (qplus_{i,t} - qminus_{i,t})
 
-around its current center. Qubit layout is variable-major, plus block
-before minus block, least significant bit first:
-
-    index = var * 2k + (0 if plus else k) + bit
+around its current center. ``EncodingSpec.qubits`` is the qubit layout,
+the (var, sign, bit) of each qubit in index order: variable-major, plus
+block before minus block, least significant bit first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, LengthMismatch
@@ -120,18 +120,23 @@ class EncodingSpec:
     def total_qubits(self) -> int:
         return 2 * self.bits_per_sign * self.n_vars
 
+    @cached_property
+    def qubits(self) -> tuple[tuple[int, int, int], ...]:
+        """The qubit layout: (var, sign, bit) of each qubit in index order;
+        a set qubit adds sign * 2^(l_lo + bit) to unknown var."""
+        k = self.bits_per_sign
+        return tuple(
+            (var, sign, bit) for var in range(self.n_vars) for sign in (1, -1) for bit in range(k)
+        )
+
 
 def decode_increments(bits: BitVector, spec: EncodingSpec) -> tuple[int, ...]:
     """Integer increment per variable, in units of 2^l_lo."""
     if len(bits) != spec.total_qubits:
         raise LengthMismatch(f"expected {spec.total_qubits} bits, got {len(bits)}")
-    k = spec.bits_per_sign
-    out = []
-    for i in range(spec.n_vars):
-        base = i * 2 * k
-        plus = sum(bits[base + t] << t for t in range(k))
-        minus = sum(bits[base + k + t] << t for t in range(k))
-        out.append(plus - minus)
+    out = [0] * spec.n_vars
+    for b, (var, sign, bit) in zip(bits, spec.qubits):
+        out[var] += sign * (b << bit)
     return tuple(out)
 
 
@@ -140,14 +145,9 @@ def canonical_bits(increments: Sequence[int], spec: EncodingSpec) -> BitVector:
     variable, never both (the redundant (1,1) pairings are avoided)."""
     if len(increments) != spec.n_vars:
         raise LengthMismatch("increment count != n_vars")
-    k = spec.bits_per_sign
-    limit = (1 << k) - 1
-    bits = [0] * spec.total_qubits
-    for i, d in enumerate(increments):
+    limit = (1 << spec.bits_per_sign) - 1
+    for d in increments:
         if abs(d) > limit:
             raise IndexOutOfRange(f"increment {d} exceeds window capacity {limit}")
-        base = i * 2 * k + (0 if d >= 0 else k)
-        for t in range(k):
-            bits[base + t] = (abs(d) >> t) & 1
-    return tuple(bits)
+    return tuple((max(sign * increments[var], 0) >> bit) & 1 for var, sign, bit in spec.qubits)
 

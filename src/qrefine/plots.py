@@ -12,12 +12,29 @@ _W, _H = 800, 600
 _MARGIN = 70
 
 
-def _svg_open() -> list[str]:
-    return [
+def _frame(title: str, x_lo: float, x_hi: float, y_lo: float, y_hi: float):
+    """A chart's opening markup and title, and the maps sx, sy from data
+    in [x_lo, x_hi] x [y_lo, y_hi] to pixels inside the margins."""
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_W} {_H}" '
         f'width="{_W}" height="{_H}">',
         f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W // 2}" y="28" text-anchor="middle" font-size="16" '
+        f'font-family="sans-serif">{title}</text>',
     ]
+
+    def sx(x: float) -> float:
+        return _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_W - 2 * _MARGIN)
+
+    def sy(y: float) -> float:
+        return (_H - _MARGIN) - (y - y_lo) / (y_hi - y_lo) * (_H - 2 * _MARGIN)
+
+    return parts, sx, sy
+
+
+def _polyline(points: Sequence[tuple[float, float]], sx, sy, stroke: str, width: int) -> str:
+    coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in points)
+    return f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="{width}"/>'
 
 
 def decay_svg(trace: RefinementTrace) -> str:
@@ -27,12 +44,9 @@ def decay_svg(trace: RefinementTrace) -> str:
         for r in trace.records
         if r.error_vs_truth is not None and r.error_vs_truth > 0.0
     ]
-    parts = _svg_open()
-    parts.append(
-        f'<text x="{_W // 2}" y="28" text-anchor="middle" font-size="16" '
-        'font-family="sans-serif">error decay (log10 error vs QUBO solve)</text>'
-    )
+    title = "error decay (log10 error vs QUBO solve)"
     if not pts:
+        parts, _, _ = _frame(title, 0, 1, 0, 1)
         parts.append(
             f'<text x="{_W // 2}" y="{_H // 2}" text-anchor="middle" '
             'font-size="14" font-family="sans-serif">no positive errors to plot</text></svg>'
@@ -46,12 +60,7 @@ def decay_svg(trace: RefinementTrace) -> str:
         x_hi += 1
     if y_hi == y_lo:
         y_hi += 1
-
-    def sx(x: float) -> float:
-        return _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_W - 2 * _MARGIN)
-
-    def sy(y: float) -> float:
-        return (_H - _MARGIN) - (y - y_lo) / (y_hi - y_lo) * (_H - 2 * _MARGIN)
+    parts, sx, sy = _frame(title, x_lo, x_hi, y_lo, y_hi)
 
     decade_step = max(1, math.ceil((y_hi - y_lo) / 12))
     for d in range(y_lo, y_hi + 1, decade_step):
@@ -76,14 +85,11 @@ def decay_svg(trace: RefinementTrace) -> str:
         f'<text x="{_W // 2}" y="{_H - 24}" text-anchor="middle" font-size="13" '
         'font-family="sans-serif">QUBO solve ordinal</text>'
     )
-    coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
     if len(pts) == 1:
         x, y = pts[0]
         parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="4" fill="#1f4e9c"/>')
     else:
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="#1f4e9c" stroke-width="2"/>'
-        )
+        parts.append(_polyline(pts, sx, sy, "#1f4e9c", 2))
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -107,25 +113,9 @@ def trajectory_svg(trace: RefinementTrace, truth: Optional[Sequence[float]] = No
     y_lo, y_hi = min(ys), max(ys)
     pad_x = (x_hi - x_lo) * 0.08 or 1.0
     pad_y = (y_hi - y_lo) * 0.08 or 1.0
-    x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
-    y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
-
-    def sx(x: float) -> float:
-        return _MARGIN + (x - x_lo) / (x_hi - x_lo) * (_W - 2 * _MARGIN)
-
-    def sy(y: float) -> float:
-        return (_H - _MARGIN) - (y - y_lo) / (y_hi - y_lo) * (_H - 2 * _MARGIN)
-
-    parts = _svg_open()
-    parts.append(
-        f'<text x="{_W // 2}" y="28" text-anchor="middle" font-size="16" '
-        'font-family="sans-serif">center trajectory</text>'
-    )
+    parts, sx, sy = _frame("center trajectory", x_lo - pad_x, x_hi + pad_x, y_lo - pad_y, y_hi + pad_y)
     if len(centers) > 1:
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in centers)
-        parts.append(
-            f'<polyline points="{coords}" fill="none" stroke="#777777" stroke-width="1"/>'
-        )
+        parts.append(_polyline(centers, sx, sy, "#777777", 1))
     for i, (x, y) in enumerate(centers):
         r = 3.5 if i in level_final else 1.5
         fill = "#1f4e9c" if i in level_final else "#999999"

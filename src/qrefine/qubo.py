@@ -108,8 +108,7 @@ class WindowLevel:
     does not fit the system and TooLarge for a window past the float range."""
 
     def __init__(self, system: LinearSystem, spec: EncodingSpec) -> None:
-        n = system.n
-        if spec.n_vars != n:
+        if spec.n_vars != system.n:
             raise DimensionMismatch("system, center and spec sizes disagree")
         if spec.total_qubits > 10**6:
             raise TooLarge(f"{spec.total_qubits} qubits exceeds the 1e6 bound")
@@ -117,16 +116,9 @@ class WindowLevel:
             raise TooLarge(f"bit weight 2^{spec.l_hi} is past the float range")
         gram = system.gram
 
-        k = spec.bits_per_sign
         nq = spec.total_qubits
-        weight = [0.0] * nq
-        var = [0] * nq
-        for i in range(n):
-            for s, block in ((1.0, 0), (-1.0, k)):
-                for t in range(k):
-                    u = i * 2 * k + block + t
-                    weight[u] = s * 2.0 ** (spec.l_lo + t)
-                    var[u] = i
+        var = [i for i, _, _ in spec.qubits]
+        weight = [s * 2.0 ** (spec.l_lo + t) for _, s, t in spec.qubits]
         quadratic = {}
         for u in range(nq):
             for v in range(u + 1, nq):

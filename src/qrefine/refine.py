@@ -22,13 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .encoding import (
-    BitVector,
-    DyadicVector,
-    EncodingSpec,
-    canonical_bits,
-    decode_increments,
-)
+from .encoding import BitVector, DyadicVector, EncodingSpec, decode_increments
 from .errors import DimensionMismatch, SingularMatrix, TooLarge
 from .linalg import (
     EigenBasis,
@@ -207,7 +201,7 @@ def refine(
                 r, res_now, res_float = r_next, res_next, _dyadic_float(res_next)
                 bits, solve_energy = best.bits, best.energy
             else:
-                bits, solve_energy = canonical_bits((0,) * work.n, spec), 0.0
+                bits, solve_energy = (0,) * spec.total_qubits, 0.0
             reported = to_x(center)
             record = IterationRecord(
                 ordinal=len(records) + 1,

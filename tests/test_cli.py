@@ -275,6 +275,23 @@ def test_qubo_dump_rejects_wrong_center_arity(tmp_path, capsys):
     assert "2 components" in err
 
 
+def test_qubo_dump_rejects_unparsable_center(tmp_path, capsys):
+    path = write_problem(tmp_path, IDENTITY)
+    rc = main(["qubo-dump", path, "--center", "abc,0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "bad center component 'abc'" in err
+
+
+def test_qubo_dump_linear_term_past_float_range_is_solver_error(tmp_path, capsys):
+    # the quadratic term (-8) is finite; only the linear terms overflow
+    path = write_problem(tmp_path, '{"a": [[1.0]], "b": [1e308]}')
+    rc = main(["qubo-dump", path, "--level", "1"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "solver error: window [1, 1] has coefficients past the float range\n"
+
+
 def test_repro_table_runs_clean(capsys):
     rc = main(["repro-table1"])
     captured = capsys.readouterr()
@@ -284,6 +301,18 @@ def test_repro_table_runs_clean(capsys):
     # all twelve checkpoint levels reported
     for m in (15, 10, 5, 0, -5, -10, -15, -20, -25, -30, -35, -40):
         assert f"\n{m:>5}  " in captured.out
+
+
+def test_repro_table_failed_checkpoints_exit_4(capsys):
+    # one read of one sweep cannot follow the descent, so checkpoints fail
+    rc = main(["repro-table1", "--sampler", "sa", "--reads", "1", "--sweeps", "1", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    failures = captured.err.splitlines()
+    assert failures[-1].startswith("FAIL: final per-component error ")
+    assert failures[0].startswith("FAIL: error ")
+    assert all(" after level " in line for line in failures[:-1])
+    assert "final_error = " in captured.out
 
 
 def test_repro_table_bad_reads(capsys):

@@ -45,6 +45,20 @@ def test_qubit_index_bijective():
                 assert decode_increments(tuple(bits), spec) == want
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_qubits_table_matches_documented_layout(n, k):
+    spec = EncodingSpec(n_vars=n, l_lo=-k, l_hi=-1)
+    assert len(spec.qubits) == spec.total_qubits
+    expect = {
+        qubit_index(spec, var, sign, bit): (var, s, bit)
+        for var in range(n)
+        for sign, s in (("plus", 1), ("minus", -1))
+        for bit in range(k)
+    }
+    assert spec.qubits == tuple(expect[u] for u in range(spec.total_qubits))
+
+
 def test_qubit_index_errors():
     spec = EncodingSpec(n_vars=1, l_lo=0, l_hi=0)
     with pytest.raises(IndexOutOfRange):

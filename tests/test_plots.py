@@ -1,5 +1,7 @@
 """SVG chart emission."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,13 @@ def test_emit_both_charts_for_two_unknowns(tmp_path):
     assert ">1e-13<" in decay
     # truth marker present and labeled
     assert "solution" in traj
+    # the bytes `qrefine repro-table1 --plot` writes
+    digests = [hashlib.sha256((tmp_path / f"run_{name}.svg").read_bytes()).hexdigest()
+               for name in ("decay", "trajectory")]
+    assert digests == [
+        "a4425606ecc877507952e8d4530e32411f79ae450fb63a553110065c7e896e86",
+        "cda5247941fb03bc42cf2dcd254c339b8922c1cec22bd68e35770f0028f30cf5",
+    ]
 
 
 def test_no_truth_skips_decay(tmp_path):

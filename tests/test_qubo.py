@@ -164,6 +164,8 @@ def test_sparse_qubo_is_not_densified():
 
 
 def test_quadratic_validation():
+    with pytest.raises(DimensionMismatch, match="linear term count"):
+        QuboMatrix(n_qubits=2, linear=(1.0,))
     with pytest.raises(DimensionMismatch):
         QuboMatrix(n_qubits=2, linear=(0.0, 0.0), quadratic={(1, 0): 1.0})
     with pytest.raises(DimensionMismatch):

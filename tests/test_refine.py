@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import build_illcond, dyadic_fractions, enumerate_grid, irrational_system, frac_residual_sq
 from qrefine import (
     AnnealConfig,
+    DimensionMismatch,
     DyadicVector,
     LinearSystem,
     RefinementConfig,
@@ -250,6 +251,11 @@ def test_error_vs_truth_examples():
     assert error_vs_truth(DyadicVector.zero(2), (1e300, 0.0)) == 1e300
     assert error_vs_truth(DyadicVector((3, 4), 1020), (0.0, 0.0)) == 5.0 * 2.0**1020
     assert error_vs_truth(DyadicVector((1,), 1100), (0.0,)) == math.inf
+
+
+def test_refine_rejects_truth_of_other_length():
+    with pytest.raises(DimensionMismatch, match="truth lengths differ"):
+        refine(ID2, RefinementConfig(m_max=2, l_min=0), truth=(3.0,))
 
 
 @given(
