@@ -131,9 +131,11 @@ class EncodingSpec:
 
 
 def decode_increments(bits: BitVector, spec: EncodingSpec) -> tuple[int, ...]:
-    """Integer increment per variable, in units of 2^l_lo."""
+    """Integer increment per variable, in units of 2^l_lo, of 0/1 bits."""
     if len(bits) != spec.total_qubits:
         raise LengthMismatch(f"expected {spec.total_qubits} bits, got {len(bits)}")
+    if not {0, 1}.issuperset(bits):
+        raise IndexOutOfRange(f"bits must be 0 or 1, got {tuple(bits)}")
     out = [0] * spec.n_vars
     for b, (var, sign, bit) in zip(bits, spec.qubits):
         out[var] += sign * (b << bit)

@@ -1,10 +1,11 @@
 """Dense linear-algebra substrate: exact residuals, symmetric
-eigendecomposition, condition number.
+eigendecomposition (numpy's LAPACK eigh), condition number.
 
 Matrices and vectors are plain float64 numpy arrays; LinearSystem wraps
 read-only copies of the (A, b) pair with shape and finiteness checks,
 and caches its Gram matrix A^T A and the exact dyadic form of A, A^T
-and b.
+and b. A system built from_exact keeps the exact form it is given, and
+its floats are that form rounded once.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 
 from .encoding import DyadicVector
 from .errors import DimensionMismatch, NotSymmetric, SingularMatrix, TooLarge
+from .precision import dyadic_to_float
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -39,6 +41,15 @@ class LinearSystem:
             raise DimensionMismatch("matrix and rhs entries must be finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+
+    @classmethod
+    def from_exact(cls, rows: tuple[tuple[int, ...], ...], e: int, b: DyadicVector) -> "LinearSystem":
+        """The system (rows 2^e) x = b. Its float a is each exact entry
+        rounded once and feeds gram; its exact form is the given one, so
+        residuals are those of the exact system."""
+        system = cls(a=[[dyadic_to_float(m, e) for m in row] for row in rows], b=b.to_floats())
+        system.__dict__["exact"] = (rows, e, b)
+        return system
 
     @property
     def n(self) -> int:
@@ -117,44 +128,21 @@ def residual_norm_sq(system: LinearSystem, x: DyadicVector) -> Fraction:
 
 
 def symmetric_eigen(s: np.ndarray) -> EigenBasis:
-    """Cyclic Jacobi rotations until the off-diagonal mass vanishes."""
+    """LAPACK eigh of S prescaled by the power of two that brings its
+    largest entry into [0.5, 1), so S 2^k gives exactly 2^k times the
+    values and the same vectors. Values descend; each vector column is
+    signed so that its largest entry (the first, on a tie) is positive."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise NotSymmetric(f"matrix must be square, got {s.shape}")
     scale = np.max(np.abs(s)) or 1.0
     if np.max(np.abs(s - s.T)) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric to 1e-12 relative")
-    n = s.shape[0]
-    a = s.copy()
-    v = np.eye(n)
-    for _ in range(60):
-        off = math.hypot(*np.tril(a, -1).ravel().tolist())  # no squares to overflow
-        if off <= 1e-30 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) <= 1e-300 * scale:  # relative, so theta stays finite
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * a[p, q])
-                # hypot keeps this finite for any theta
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                rot = np.eye(n)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = sn
-                rot[q, p] = -sn
-                a = rot.T @ a @ rot
-                v = v @ rot
-    values = np.diag(a).copy()
-    order = np.argsort(values)[::-1]
-    values = values[order]
-    vectors = v[:, order]
-    for j in range(n):
-        anchor = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[anchor, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return EigenBasis(values=values, vectors=vectors)
+    shift = math.frexp(scale)[1]
+    values, vectors = np.linalg.eigh(np.ldexp(s, -shift))
+    values, vectors = np.ldexp(values[::-1], shift), vectors[:, ::-1]
+    anchors = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(s.shape[0])]
+    return EigenBasis(values=values, vectors=np.where(anchors < 0, -vectors, vectors))
 
 
 def condition_number(system: LinearSystem) -> float:

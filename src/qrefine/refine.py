@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -143,17 +144,21 @@ def refine(
 
     With use_eigenbasis the unknowns are u with x = V u, V the
     eigenvectors of A^T A. Level moves then track the residual contours'
-    axes, which kills the zigzag walk on ill-conditioned systems.
-    Recorded centers are mapped back to x-coordinates exactly (V entries
-    are floats, so V u is a dyadic matrix-vector product); recorded
-    residuals and energies are those of the transformed system the loop
-    actually minimizes.
+    axes, which kills the zigzag walk on ill-conditioned systems. The
+    work system is A V formed exactly (V entries are floats, so it is a
+    dyadic matrix product): only its Gram matrix and the QUBO are
+    rounded, and b - (AV)u is b - A(Vu) exactly. So recorded residuals
+    are the original system's, exactly, and recorded centers are V u,
+    mapped back to x-coordinates exactly.
     """
     work, to_x, basis = system, (lambda c: c), None
     if config.use_eigenbasis:
-        basis = _eigenbasis_of_normal_matrix(system)  # also bounds m_max below
-        work = LinearSystem(a=_fsum_matmul(system.a, basis.vectors), b=system.b)
+        basis = symmetric_eigen(np.array(system.gram))  # also bounds m_max below
+        a_rows, a_exp, b = system.exact
         v_rows, v_exp = exact_form(basis.vectors)  # V exactly, once
+        # A V exactly: the work residual b - (AV)u is b - A(Vu)
+        av_rows = tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*v_rows)) for row in a_rows)
+        work = LinearSystem.from_exact(av_rows, a_exp + v_exp, b)
         to_x = lambda u: DyadicVector(*exact_matvec(v_rows, v_exp, u))
     if sampler is None:
         anneal = config.anneal if config.anneal is not None else AnnealConfig()
@@ -239,7 +244,7 @@ def _dyadic_float(x: Fraction) -> float:
 def default_m_max(system: LinearSystem, basis: EigenBasis | None = None) -> int:
     """ceil(log2(||b|| / smallest-singular-value + 1)) + 1, a magnitude bound;
     basis, when given, is the eigenbasis of A^T A, so it is not found again."""
-    basis = basis if basis is not None else _eigenbasis_of_normal_matrix(system)
+    basis = basis if basis is not None else symmetric_eigen(np.array(system.gram))
     lam_min = float(basis.values[-1])
     if lam_min <= 0.0:
         raise SingularMatrix("cannot bound the solution magnitude of a singular system")
@@ -248,15 +253,3 @@ def default_m_max(system: LinearSystem, basis: EigenBasis | None = None) -> int:
     if not math.isfinite(bound):
         raise TooLarge("||b|| / smallest singular value is past the float range")
     return math.ceil(math.log2(bound + 1.0)) + 1
-
-
-def _eigenbasis_of_normal_matrix(system: LinearSystem) -> EigenBasis:
-    return symmetric_eigen(np.array(system.gram))
-
-
-def _fsum_matmul(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    return np.array(
-        [[math.fsum(float(a[r, m]) * float(v[m, j]) for m in range(n)) for j in range(n)] for r in range(n)]
-    )
-

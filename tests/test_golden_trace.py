@@ -26,7 +26,7 @@ ILLCOND = dict(m_max=2, l_min=-40)
         (build_illcond, ILLCOND,
          "9e6507e2f66fdecb349aed6c6f493a0cc1e29559d054bbff0ce86408c3dc4bc9"),
         (build_illcond, dict(ILLCOND, use_eigenbasis=True),
-         "ae283de041b0a4817ec992eb3db9bfa63509a4d8fb44bd589a28020e0f501056"),
+         "8ae97bba65597d5b97f8b9802d915df6223b3d016b09a58f846efad2f909f2c8"),
     ],
     ids=["table1-k1", "table1-k3-step3", "illcond44-plain", "illcond44-eigenbasis"],
 )

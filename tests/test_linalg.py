@@ -229,12 +229,21 @@ def test_eigen_huge_entries_scale_exactly():
     # entries of 2^600 would overflow a sum of squares; a power-of-two
     # scale must scale the values exactly and leave the vectors alone
     s = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.25], [0.5, 0.25, 2.0]])
+    cases = [(s, 600)]
+    # LAPACK rescales an out-of-range matrix by factors that are not
+    # powers of two, so these catch an eigh called without the prescale
+    for seed in range(50):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        m = np.array([[rng.uniform(-5, 5) for _ in range(n)] for _ in range(n)])
+        cases += [(m + m.T, k) for k in (600, -600, 300)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        small = symmetric_eigen(s)
-        large = symmetric_eigen(s * 2.0**600)
-    assert np.array_equal(large.values, small.values * 2.0**600)
-    assert np.array_equal(large.vectors, small.vectors)
+        for mat, k in cases:
+            small = symmetric_eigen(mat)
+            scaled = symmetric_eigen(mat * 2.0**k)
+            assert np.array_equal(scaled.values, small.values * 2.0**k)
+            assert np.array_equal(scaled.vectors, small.vectors)
 
 
 def test_eigen_rejects_asymmetric():

@@ -16,13 +16,18 @@ from qrefine import (
     AnnealConfig,
     DimensionMismatch,
     DyadicVector,
+    IndexOutOfRange,
     LinearSystem,
     RefinementConfig,
+    SampleEntry,
+    SampleSet,
+    condition_number,
     refine,
     sample_anneal,
     sample_exhaustive,
 )
 from qrefine.encoding import EncodingSpec
+from qrefine.qubo import energy
 from qrefine.refine import default_m_max, error_vs_truth
 
 ID2 = LinearSystem(a=[[1.0, 0.0], [0.0, 1.0]], b=[3.0, -2.0])
@@ -291,7 +296,7 @@ def test_default_m_max_covers_solution():
 
 def test_eigenbasis_run_finds_the_eigenbasis_once(monkeypatch):
     # the eigenbasis refine works in also gives the default m_max, so the
-    # Jacobi solve runs once; the count is taken on refine's module
+    # eigen solve runs once; the count is taken on refine's module
     # global, the name perfbench's tracer wraps
     refine_mod = importlib.import_module("qrefine.refine")
     original, calls = refine_mod.symmetric_eigen, []
@@ -424,3 +429,30 @@ def test_carried_residual_is_exact_on_random_plain_runs():
         trace = refine(system, config)
         assert any(any(rec.bits) for rec in trace.records)
         check_carried_residuals(system, trace, start)
+
+
+def test_eigenbasis_run_reaches_the_exact_solution():
+    # the work system is A V exactly, so the eigenbasis walk descends on
+    # the stored system itself and tracks 2^l_min, not a rounded A V
+    system, _ = build_illcond(44.0)
+    trace = refine(system, RefinementConfig(m_max=2, l_min=-100, use_eigenbasis=True))
+    (a00, a01), (a10, a11) = [[Fraction(v) for v in row] for row in system.a.tolist()]
+    b0, b1 = (Fraction(v) for v in system.b.tolist())
+    det = a00 * a11 - a01 * a10
+    exact = [(b0 * a11 - a01 * b1) / det, (a00 * b1 - a10 * b0) / det]
+    dist_sq = sum((c - x) ** 2 for c, x in zip(fracs(trace.final_center), exact))
+    kappa = condition_number(system)
+    assert dist_sq <= (Fraction(kappa) * Fraction(1, 2**100)) ** 2
+    check_carried_residuals(system, trace, DyadicVector.zero(2))
+
+
+def test_sampler_bit_other_than_0_or_1_is_rejected():
+    # energy() reads a bit only as set or not, so a bit of 2 would be
+    # decoded as a move twice the size of the state its energy scored
+    system = LinearSystem(a=[[1.0]], b=[3.0])
+
+    def two(qm):
+        return SampleSet((SampleEntry((2, 0), energy(qm, (2, 0)), 1),))
+
+    with pytest.raises(IndexOutOfRange, match="0 or 1"):
+        refine(system, RefinementConfig(m_max=0, l_min=0), sampler=two)
