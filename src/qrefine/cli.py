@@ -29,7 +29,7 @@ import numpy as np
 
 from .encoding import DyadicVector, EncodingSpec
 from .errors import DimensionMismatch, IndexOutOfRange, LengthMismatch, ParseError, QrefineError
-from .linalg import LinearSystem, residual
+from .linalg import LinearSystem, normal_residual
 from .plots import emit_plots
 from .problems import load_problem
 from .qubo import WindowLevel, build_window, dump
@@ -217,7 +217,7 @@ def cmd_qubo_dump(args: argparse.Namespace) -> int:
     n = system.n
     center = _parse_center(args.center, n) if args.center else DyadicVector.zero(n)
     spec = EncodingSpec(n_vars=n, l_lo=args.level, l_hi=args.level + args.bits_per_sign - 1)
-    text = dump(build_window(WindowLevel(system, spec), residual(system, center)))
+    text = dump(build_window(WindowLevel(system, spec), normal_residual(system, center)))
     if not args.out:
         print(text)
         return 0

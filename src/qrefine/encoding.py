@@ -12,8 +12,9 @@ block before minus block, least significant bit first.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, LengthMismatch
@@ -23,9 +24,10 @@ BitVector = tuple[int, ...]
 
 
 def _normalize(mantissas: tuple[int, ...], exponent: int) -> tuple[tuple[int, ...], int]:
-    if all(m == 0 for m in mantissas):
+    low = reduce(operator.or_, mantissas, 0)  # its lowest set bit is the lowest of any mantissa
+    if not low:
         return mantissas, 0
-    shift = min((m & -m).bit_length() - 1 for m in mantissas if m)
+    shift = (low & -low).bit_length() - 1
     if shift:
         return tuple(m >> shift for m in mantissas), exponent + shift
     return mantissas, exponent

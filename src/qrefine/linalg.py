@@ -1,11 +1,11 @@
-"""Dense linear-algebra substrate: exact residuals, symmetric
-eigendecomposition (numpy's LAPACK eigh), condition number.
+"""Dense linear-algebra substrate: exact residuals and normal residuals,
+symmetric eigendecomposition (numpy's LAPACK eigh), condition number.
 
 Matrices and vectors are plain float64 numpy arrays; LinearSystem wraps
 read-only copies of the (A, b) pair with shape and finiteness checks,
-and caches its Gram matrix A^T A and the exact dyadic form of A, A^T
-and b. A system built from_exact keeps the exact form it is given, and
-its floats are that form rounded once.
+and caches its float Gram matrix A^T A, the exact dyadic form of A, A^T
+and b, and the exact Gram matrix. A system built from_exact keeps the
+exact form it is given, and its floats are that form rounded once.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -79,6 +78,14 @@ class LinearSystem:
         """The integer rows of A^T, under the exponent e of exact."""
         return tuple(zip(*self.exact[0]))
 
+    @cached_property
+    def exact_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, e): A^T A exactly, as integer rows times 2^e, from the
+        exact form of A; gram is the float one that feeds the QUBO."""
+        cols = self.exact_t
+        rows = tuple(tuple(sum(map(operator.mul, ci, cj)) for cj in cols) for ci in cols)
+        return rows, 2 * self.exact[1]
+
 
 def exact_form(a: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(rows, e): the float matrix A exactly, as integer rows times one 2^e."""
@@ -100,31 +107,30 @@ class EigenBasis:
     values: np.ndarray
     vectors: np.ndarray
 
+    def singular(self) -> bool:
+        """lmin <= lmax n^2 2.5e-16: singular within rounding, as when lmax <= 0."""
+        return bool(self.values[-1] <= self.values[0] * len(self.values) ** 2 * 2.5e-16)
+
 
 def residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
     """b - Ax exactly, with x taken exactly: floats are dyadic, so every
     product and sum is integer arithmetic."""
     if len(x) != system.n:
         raise DimensionMismatch("solution length != system size")
-    return moved_residual(system, system.exact[2], x.mantissas, x.exponent)
+    ax, ax_exp = exact_matvec(*system.exact[:2], x)
+    return system.exact[2].add_increments([-m for m in ax], ax_exp)
 
 
-def moved_residual(system: LinearSystem, r: DyadicVector, increments: Sequence[int], scale: int) -> DyadicVector:
-    """r - A y 2^scale exactly: the residual b - A(x + y 2^scale) when r is
-    b - Ax."""
-    rows, a_exp, _ = system.exact
-    return r.add_increments(*exact_matvec(rows, a_exp, DyadicVector(tuple(-d for d in increments), scale)))
-
-
-def norm_sq(v: DyadicVector) -> Fraction:
-    """||v||^2 exactly."""
-    sq, e2 = sum(m * m for m in v.mantissas), 2 * v.exponent
-    return Fraction(sq << e2) if e2 >= 0 else Fraction(sq, 1 << -e2)
+def normal_residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
+    """A^T (b - Ax) exactly."""
+    return DyadicVector(*exact_matvec(system.exact_t, system.exact[1], residual(system, x)))
 
 
 def residual_norm_sq(system: LinearSystem, x: DyadicVector) -> Fraction:
     """||b - Ax||^2 exactly."""
-    return norm_sq(residual(system, x))
+    r = residual(system, x)
+    sq, e2 = sum(m * m for m in r.mantissas), 2 * r.exponent
+    return Fraction(sq << e2) if e2 >= 0 else Fraction(sq, 1 << -e2)
 
 
 def symmetric_eigen(s: np.ndarray) -> EigenBasis:
@@ -149,8 +155,6 @@ def condition_number(system: LinearSystem) -> float:
     """2-norm condition number sqrt(lmax/lmin) of A^T A, from the
     system's cached Gram matrix."""
     basis = symmetric_eigen(np.array(system.gram))
-    lmax = float(basis.values[0])
-    lmin = float(basis.values[-1])
-    if lmax <= 0.0 or lmin <= lmax * (system.n ** 2) * 2.5e-16:
+    if basis.singular():
         raise SingularMatrix("smallest eigenvalue of A^T A is zero within tolerance")
-    return float(np.sqrt(lmax / lmin))
+    return float(np.sqrt(basis.values[0] / basis.values[-1]))

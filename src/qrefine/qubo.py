@@ -8,17 +8,17 @@ scale 2^t of qubit u on variable i(u), the coefficients are
     linear[u]  = w_u^2 (A^T A)_{i(u),i(u)} - 2 w_u (A^T r)_{i(u)}
     quad[u,v]  = 2 w_u w_v (A^T A)_{i(u),i(v)}        (u < v)
 
-Only the linear terms depend on the center, so a window is built in two
-steps: ``WindowLevel(system, spec)`` forms the weights and the quadratic
-terms once per level, and ``build_window(level, r)`` forms the linear
-terms of one solve from the exact residual r. Every window of a level
-shares the level's QuadraticPart: its quadratic terms, checked and sorted
-once, and their dense upper matrix. g = A^T r is computed in
-exact dyadic arithmetic and rounded once per entry; since every w_u is a
-signed power of two, the only other rounding is in A^T A itself. The
-constant ||r||^2 is kept out of the matrix, so all-zero bits cost
-exactly zero and no window energy can go below -||r||^2, which is
--residual_norm_sq(c).
+Only the linear terms depend on the center, and only through
+g = A^T r, so a window is built in two steps: ``WindowLevel(system,
+spec)`` forms the weights and the quadratic terms once per level, and
+``build_window(level, g)`` forms the linear terms of one solve from the
+exact g. Every window of a level shares the level's QuadraticPart: its
+quadratic terms, checked and sorted once, and their dense upper matrix.
+g is given exactly (linalg.normal_residual, or carried by refine) and
+rounded once per entry; since every w_u is a signed power of two, the
+only other rounding is in A^T A itself. The constant ||r||^2 is kept out
+of the matrix, so all-zero bits cost exactly zero and no window energy
+can go below -||r||^2, which is -residual_norm_sq(c).
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import numpy as np
 
 from .encoding import BitVector, DyadicVector, EncodingSpec
 from .errors import DimensionMismatch, LengthMismatch, ParseError, TooLarge
-from .linalg import LinearSystem, exact_matvec
-from .precision import dyadic_to_float
+from .linalg import LinearSystem
 from .problems import _number, strict_json
 
 _PRUNE = 1e-300
@@ -139,15 +138,12 @@ def _past_float_range(spec: EncodingSpec) -> TooLarge:
     return TooLarge(f"window [{spec.l_lo}, {spec.l_hi}] has coefficients past the float range")
 
 
-def build_window(level: WindowLevel, r: DyadicVector) -> QuboMatrix:
-    """The window QUBO of a level around the center whose exact residual
-    b - Ac is r; it shares the level's QuadraticPart."""
-    system = level.system
-    if len(r) != system.n:
+def build_window(level: WindowLevel, g: DyadicVector) -> QuboMatrix:
+    """The window QUBO of a level around the center c whose exact normal
+    residual A^T (b - Ac) is g; it shares the level's QuadraticPart."""
+    if len(g) != level.system.n:
         raise DimensionMismatch("system, center and spec sizes disagree")
-    # g = A^T r exactly, rounded once per entry
-    g_m, g_e = exact_matvec(system.exact_t, system.exact[1], r)
-    g = [dyadic_to_float(m, g_e) for m in g_m]
+    g = g.to_floats()  # rounded once per entry
     linear = tuple(sq - tw * g[i] for sq, tw, i in zip(level.square, level.twice, level.var))
     if not all(map(math.isfinite, linear)):
         raise _past_float_range(level.spec)

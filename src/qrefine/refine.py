@@ -2,8 +2,8 @@
 repeat until the zero increment is optimal, then lower the scale.
 
 A move is accepted only when the sampled energy is strictly negative,
-the decoded increment is nonzero, and the exact residual actually
-drops. The last clause guards against coefficient-rounding dust: a
+the decoded increment is nonzero, and its exact change in the squared
+residual is negative. The last clause guards against rounding dust: a
 state whose true improvement is zero can acquire a tiny negative float
 energy, and accepting it would break the strict-descent invariant that
 proves termination. Rejected solves are recorded as the canonical
@@ -18,7 +18,6 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,9 +29,7 @@ from .linalg import (
     LinearSystem,
     exact_form,
     exact_matvec,
-    moved_residual,
-    norm_sq,
-    residual,
+    normal_residual,
     residual_norm_sq,
     symmetric_eigen,
 )
@@ -98,19 +95,12 @@ class RefinementTrace:
     terminated_by: str  # level-exhausted | residual-tolerance | recenter-cap
 
 
-def error_vs_truth(center: DyadicVector, truth: Sequence[float]) -> float:
-    """2-norm distance from the exact center to a float truth vector: the
-    root of the correctly rounded exact squared distance."""
-    if len(center) != len(truth):
-        raise DimensionMismatch("center and truth lengths differ")
-    if not all(map(math.isfinite, truth)):
-        raise ValueError("truth must be finite")
-    pairs = [dyadic_of_float(t) for t in truth]
-    e = min(center.exponent, *(te for _, te in pairs))
-    sq = sum(
-        ((m << (center.exponent - e)) - (tm << (te - e))) ** 2
-        for m, (tm, te) in zip(center.mantissas, pairs)
-    )
+def error_vs_truth(center: DyadicVector, truth: DyadicVector) -> float:
+    """2-norm distance from the exact center to the exact truth, of the
+    same length: the root of the correctly rounded exact squared distance."""
+    e = min(center.exponent, truth.exponent)
+    ce, te = center.exponent - e, truth.exponent - e
+    sq = sum(((m << ce) - (t << te)) ** 2 for m, t in zip(center.mantissas, truth.mantissas))
     # root of sq * 4^(e - s), times 2^s: s > 0 only where the square
     # would pass 2^1023, so the distance is still found when it fits
     s = max(0, (sq.bit_length() + 2 * e) // 2 - 511)
@@ -137,6 +127,10 @@ def refine(
     residual_tolerance > 0 the run stops early once the exact residual
     reaches it (checked as each level settles).
 
+    The run carries g = A^T (b - Ac), from which each window is built,
+    and ||b - Ac||^2, exactly; a move is accepted by its exact change in
+    the latter (energy_change). `truth` is made exact once per run.
+
     Each window goes to `sampler` when given, else to the one that
     config.sampler names: sample_exhaustive, or sample_anneal with
     config.anneal (AnnealConfig() when None). `observer`, when given,
@@ -151,6 +145,12 @@ def refine(
     are the original system's, exactly, and recorded centers are V u,
     mapped back to x-coordinates exactly.
     """
+    if truth is not None:
+        if len(truth) != system.n:
+            raise DimensionMismatch("center and truth lengths differ")
+        if not all(map(math.isfinite, truth)):
+            raise ValueError("truth must be finite")
+        truth = DyadicVector.from_floats(truth)
     work, to_x, basis = system, (lambda c: c), None
     if config.use_eigenbasis:
         basis = symmetric_eigen(np.array(system.gram))  # also bounds m_max below
@@ -173,9 +173,11 @@ def refine(
         raise DimensionMismatch("initial center length != system size")
 
     records: list[IterationRecord] = []
-    # the exact residual b - Ac is carried from move to move
-    r, res_now = residual(work, center), residual_norm_sq(work, center)
-    res_float = _dyadic_float(res_now)  # rounded once each time res_now changes
+    # g = A^T (b - Ac) and ||b - Ac||^2 = res_m 2^res_e are carried exactly
+    g, res = normal_residual(work, center), residual_norm_sq(work, center)
+    res_m, res_e = res.numerator, 1 - res.denominator.bit_length()
+    res_float = dyadic_to_float(res_m, res_e)  # rounded once each time res_m changes
+    tol_m, tol_e = dyadic_of_float(config.residual_tolerance)
     terminated = None
     l = m_max - k + 1
     while terminated is None and l >= config.l_min:
@@ -190,20 +192,22 @@ def refine(
                 logger.info("level %d: recenter cap %d reached", l, moves)
                 terminated = "recenter-cap"
                 break
-            qm = build_window(level, r)
+            qm = build_window(level, g)
             solved = sampler(qm)
             best = solved.best()
             increments = decode_increments(best.bits, spec)
             target = -res_float  # floor of the QUBO just solved
             accepted = False
             if best.energy < 0.0 and any(increments):
-                r_next = moved_residual(work, r, increments, l)
-                res_next = norm_sq(r_next)
-                accepted = res_next < res_now
+                d_m, d_e, (gy_m, gy_e) = energy_change(work, g, increments, l)
+                accepted = d_m < 0
             if accepted:
                 moves += 1
                 center = center.add_increments(increments, l)
-                r, res_now, res_float = r_next, res_next, _dyadic_float(res_next)
+                g = g.add_increments([-m for m in gy_m], gy_e)
+                e = min(res_e, d_e)
+                res_m, res_e = (res_m << (res_e - e)) + (d_m << (d_e - e)), e
+                res_float = dyadic_to_float(res_m, res_e)
                 bits, solve_energy = best.bits, best.energy
             else:
                 bits, solve_energy = (0,) * spec.total_qubits, 0.0
@@ -225,7 +229,8 @@ def refine(
                 observer(record)
         else:  # the zero increment won: the level settled
             logger.debug("level %d settled after %d moves", l, moves)
-            if config.residual_tolerance > 0.0 and res_now <= config.residual_tolerance:
+            e = min(res_e, tol_e)
+            if config.residual_tolerance > 0.0 and res_m << (res_e - e) <= tol_m << (tol_e - e):
                 terminated = "residual-tolerance"
         l -= step
     return RefinementTrace(
@@ -236,18 +241,27 @@ def refine(
     )
 
 
-def _dyadic_float(x: Fraction) -> float:
-    """x rounded to a float; x is dyadic, its denominator a power of two."""
-    return dyadic_to_float(x.numerator, 1 - x.denominator.bit_length())
+def energy_change(
+    system: LinearSystem, g: DyadicVector, increments: Sequence[int], l: int
+) -> tuple[int, int, tuple[list[int], int]]:
+    """(m, e, gy): the exact change m 2^e in ||b - Ac||^2 when c moves by
+    y 2^l, y the integer increments and g = A^T (b - Ac), which is
+    4^l y^T G y - 2^(l+1) y^T g for G the exact_gram; gy is G y 2^l."""
+    rows, gram_e = system.exact_gram
+    gy_m = [sum(map(operator.mul, row, increments)) for row in rows]  # times 2^(gram_e + l)
+    quad = sum(map(operator.mul, increments, gy_m))  # times 2^(gram_e + 2l)
+    lin = sum(map(operator.mul, increments, g.mantissas))  # times 2^(g.exponent + l)
+    e = min(gram_e + l, g.exponent + 1)
+    return (quad << (gram_e + l - e)) - (lin << (g.exponent + 1 - e)), l + e, (gy_m, gram_e + l)
 
 
 def default_m_max(system: LinearSystem, basis: EigenBasis | None = None) -> int:
     """ceil(log2(||b|| / smallest-singular-value + 1)) + 1, a magnitude bound;
     basis, when given, is the eigenbasis of A^T A, so it is not found again."""
     basis = basis if basis is not None else symmetric_eigen(np.array(system.gram))
-    lam_min = float(basis.values[-1])
-    if lam_min <= 0.0:
+    if basis.singular():
         raise SingularMatrix("cannot bound the solution magnitude of a singular system")
+    lam_min = float(basis.values[-1])
     with np.errstate(over="ignore"):  # an overflowing ||b|| is reported below
         bound = float(np.linalg.norm(system.b)) / math.sqrt(lam_min)
     if not math.isfinite(bound):

@@ -29,7 +29,7 @@ from qrefine import (
     qubo,
 )
 from qrefine.encoding import EncodingSpec, decode_increments
-from qrefine.linalg import residual
+from qrefine.linalg import normal_residual
 from qrefine.samplers import SampleEntry, SampleSet
 from qrefine.traceio import TraceWriter
 
@@ -63,8 +63,9 @@ def frac_normal_rhs(a, b, x: list[Fraction]) -> list[Fraction]:
 
 def window_qubo(system: LinearSystem, center: DyadicVector, spec: EncodingSpec):
     """The window QUBO around center, built in the package's two steps: the
-    level's part, then the solve's linear terms from the exact residual."""
-    return qubo.build_window(qubo.WindowLevel(system, spec), residual(system, center))
+    level's part, then the solve's linear terms from the exact normal
+    residual."""
+    return qubo.build_window(qubo.WindowLevel(system, spec), normal_residual(system, center))
 
 
 def qubit_index(spec: EncodingSpec, var: int, sign: str, bit: int) -> int:

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import build_illcond, dyadic_fractions, irrational_system, frac_residual_sq, solve_direct
+from helpers import (
+    build_illcond,
+    dyadic_fractions,
+    frac_normal_rhs,
+    frac_residual_sq,
+    irrational_system,
+    solve_direct,
+)
 from qrefine import (
     DyadicVector,
     LinearSystem,
@@ -23,7 +30,14 @@ from qrefine import (
     TooLarge,
     condition_number,
 )
-from qrefine.linalg import exact_form, exact_matvec, residual, residual_norm_sq, symmetric_eigen
+from qrefine.linalg import (
+    exact_form,
+    exact_matvec,
+    normal_residual,
+    residual,
+    residual_norm_sq,
+    symmetric_eigen,
+)
 
 
 def test_system_validation():
@@ -142,6 +156,51 @@ def test_residual_matches_fraction_oracle():
             Fraction(b[r]) - sum(Fraction(a[r][i]) * xf[i] for i in range(n)) for r in range(n)
         ]
         assert residual_norm_sq(system, x) == frac_residual_sq(a, b, xf)
+
+
+def test_normal_residual_matches_fraction_oracle():
+    rng = random.Random(6053)
+    for _ in range(20):
+        n = rng.randint(1, 4)
+        a = [[rng.uniform(-3, 3) for _ in range(n)] for _ in range(n)]
+        b = [rng.uniform(-3, 3) for _ in range(n)]
+        x = DyadicVector(tuple(rng.randint(-2**40, 2**40) for _ in range(n)), -45)
+        got = normal_residual(LinearSystem(a=a, b=b), x)
+        assert dyadic_fractions(got) == frac_normal_rhs(a, b, dyadic_fractions(x))
+
+
+def frac_gram(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    cols = list(zip(*a))
+    return [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
+
+
+def check_exact_gram(system: LinearSystem, a: list[list[Fraction]]) -> None:
+    rows, e = system.exact_gram
+    assert system.exact_gram is system.exact_gram
+    assert [[Fraction(m) * Fraction(2) ** e for m in row] for row in rows] == frac_gram(a)
+
+
+def test_exact_gram_matches_fraction_oracle():
+    rng = random.Random(5150)
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        a = [[rng.uniform(-3, 3) * 2.0 ** rng.randint(-60, 60) for _ in range(n)] for _ in range(n)]
+        check_exact_gram(LinearSystem(a=a, b=[0.0] * n), [[Fraction(v) for v in row] for row in a])
+
+
+def test_exact_gram_of_eigenbasis_work_system_is_the_exact_one():
+    # the eigenbasis work system is A V built from_exact; its Gram comes
+    # from that exact product, not from the floats it was rounded to
+    system, _ = irrational_system()
+    v = symmetric_eigen(np.array(system.gram)).vectors
+    a_rows, a_exp, b = system.exact
+    v_rows, v_exp = exact_form(v)
+    av_rows = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*v_rows)) for row in a_rows)
+    work = LinearSystem.from_exact(av_rows, a_exp + v_exp, b)
+    av = [[sum(Fraction(x) * Fraction(y) for x, y in zip(row, col)) for col in zip(*v.tolist())]
+          for row in system.a.tolist()]
+    assert [[Fraction(x) for x in row] for row in work.a.tolist()] != av  # its floats are rounded
+    check_exact_gram(work, av)
 
 
 @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(

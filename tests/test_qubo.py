@@ -32,7 +32,7 @@ from qrefine import (
     TooLarge,
 )
 from qrefine.encoding import EncodingSpec, decode_increments
-from qrefine.linalg import residual, residual_norm_sq
+from qrefine.linalg import normal_residual, residual_norm_sq
 from qrefine.qubo import _PICK, WindowLevel, build_window, dump, energy, parse, qubo_to_ising
 
 ONE_D = LinearSystem(a=[[1.0]], b=[0.0])
@@ -400,7 +400,7 @@ def test_windows_of_one_level_match_fraction_oracle(k):
         centers = [DyadicVector(tuple(rng.randint(-4096, 4096) for _ in range(n)), l - rng.randint(0, 8))
                    for _ in range(4)]
         for center in centers + [DyadicVector.zero(n)]:
-            q = build_window(level, residual(system, center))
+            q = build_window(level, normal_residual(system, center))
             g = frac_normal_rhs(a, b, dyadic_fractions(center))
             for i in range(n):
                 for sign, s in (("plus", 1), ("minus", -1)):
@@ -426,7 +426,7 @@ def test_energy_of_windows_sharing_a_level_matches_fraction_oracle():
     nq = spec.total_qubits
     level = WindowLevel(system, spec)
     centers = [DyadicVector(tuple(rng.randint(-64, 64) for _ in range(n)), l) for _ in range(3)]
-    windows = [build_window(level, residual(system, c)) for c in centers]
+    windows = [build_window(level, normal_residual(system, c)) for c in centers]
     assert all(q._part is level.part for q in windows)
     assert len({q.linear for q in windows}) == len(windows)
     for size in (1, _PICK // nq + 1):

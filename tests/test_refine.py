@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import build_illcond, dyadic_fractions, enumerate_grid, irrational_system, frac_residual_sq
+from helpers import (
+    build_illcond,
+    dyadic_fractions,
+    enumerate_grid,
+    frac_normal_rhs,
+    frac_residual_sq,
+    irrational_system,
+)
 from qrefine import (
     AnnealConfig,
     DimensionMismatch,
@@ -21,14 +28,16 @@ from qrefine import (
     RefinementConfig,
     SampleEntry,
     SampleSet,
+    SingularMatrix,
     condition_number,
     refine,
     sample_anneal,
     sample_exhaustive,
 )
 from qrefine.encoding import EncodingSpec
+from qrefine.linalg import normal_residual
 from qrefine.qubo import energy
-from qrefine.refine import default_m_max, error_vs_truth
+from qrefine.refine import default_m_max, energy_change, error_vs_truth
 
 ID2 = LinearSystem(a=[[1.0, 0.0], [0.0, 1.0]], b=[3.0, -2.0])
 
@@ -246,21 +255,34 @@ def test_refine_rejects_bad_initial_center():
 
 def test_error_vs_truth_examples():
     system, truth = irrational_system()
-    assert error_vs_truth(DyadicVector((0, 0), 0), truth) == pytest.approx(
+    exact = DyadicVector.from_floats
+    assert error_vs_truth(DyadicVector((0, 0), 0), exact(truth)) == pytest.approx(
         math.hypot(truth[0], truth[1]), rel=1e-15
     )
-    assert 3218.0 < error_vs_truth(DyadicVector((0, 0), 0), truth) < 3218.5
-    assert error_vs_truth(DyadicVector((3,), 0), (5.0,)) == 2.0
-    assert error_vs_truth(DyadicVector.from_floats(truth), truth) == 0.0
+    assert 3218.0 < error_vs_truth(DyadicVector((0, 0), 0), exact(truth)) < 3218.5
+    assert error_vs_truth(DyadicVector((3,), 0), exact((5.0,))) == 2.0
+    assert error_vs_truth(exact(truth), exact(truth)) == 0.0
     # the square passes the float range, the distance does not
-    assert error_vs_truth(DyadicVector.zero(2), (1e300, 0.0)) == 1e300
-    assert error_vs_truth(DyadicVector((3, 4), 1020), (0.0, 0.0)) == 5.0 * 2.0**1020
-    assert error_vs_truth(DyadicVector((1,), 1100), (0.0,)) == math.inf
+    assert error_vs_truth(DyadicVector.zero(2), exact((1e300, 0.0))) == 1e300
+    assert error_vs_truth(DyadicVector((3, 4), 1020), exact((0.0, 0.0))) == 5.0 * 2.0**1020
+    assert error_vs_truth(DyadicVector((1,), 1100), exact((0.0,))) == math.inf
 
 
 def test_refine_rejects_truth_of_other_length():
     with pytest.raises(DimensionMismatch, match="truth lengths differ"):
         refine(ID2, RefinementConfig(m_max=2, l_min=0), truth=(3.0,))
+
+
+def test_refine_rejects_non_finite_truth_before_any_solve():
+    solves = []
+
+    def counted(qm):
+        solves.append(qm)
+        return sample_exhaustive(qm)
+
+    with pytest.raises(ValueError, match="truth must be finite"):
+        refine(ID2, RefinementConfig(m_max=2, l_min=0), truth=(3.0, math.nan), sampler=counted)
+    assert solves == []
 
 
 @given(
@@ -276,7 +298,7 @@ def test_error_vs_truth_is_root_of_rounded_exact_square(pairs, exponent):
         expect = math.sqrt(float(square))
     except OverflowError:
         return  # the square is past the float range
-    assert error_vs_truth(center, truth) == expect
+    assert error_vs_truth(center, DyadicVector.from_floats(truth)) == expect
 
 
 def test_observer_sees_every_record():
@@ -340,7 +362,7 @@ def test_eigenbasis_final_center_is_exact_transform():
     trace = refine(system, config, truth=truth)
     # recorded x-space centers are exact dyadics; the final error must
     # land near the plain route's
-    err = error_vs_truth(trace.final_center, truth)
+    err = error_vs_truth(trace.final_center, DyadicVector.from_floats(truth))
     assert err <= 1e-4
     assert trace.records[-1].center_after == trace.final_center
 
@@ -456,3 +478,70 @@ def test_sampler_bit_other_than_0_or_1_is_rejected():
 
     with pytest.raises(IndexOutOfRange, match="0 or 1"):
         refine(system, RefinementConfig(m_max=0, l_min=0), sampler=two)
+
+
+@pytest.mark.parametrize("a", [[[3.0, 1.0], [3.0, 1.0]], [[1.0, 2.0], [2.0, 4.0]]])
+def test_singular_within_rounding_is_refused_alike(a):
+    # the smallest eigenvalue of these A^T A comes out as rounding noise,
+    # positive for the first and zero for the second; one relative test
+    # refuses both, in default_m_max as in condition_number
+    system = LinearSystem(a=a, b=[1.0, 1.0])
+    with pytest.raises(SingularMatrix):
+        default_m_max(system)
+    with pytest.raises(SingularMatrix):
+        condition_number(system)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150),
+                      min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150),
+             min_size=n, max_size=n),
+    st.lists(st.integers(min_value=-(2**40), max_value=2**40), min_size=n, max_size=n),
+    st.integers(min_value=-80, max_value=40),
+    st.lists(st.integers(min_value=-255, max_value=255), min_size=n, max_size=n),
+    st.integers(min_value=-80, max_value=40),
+)))
+def test_energy_change_is_the_exact_residual_change(case):
+    # the carried state of refine: the change 4^l y^T G y - 2^(l+1) y^T g
+    # is ||b - A(c + y 2^l)||^2 - ||b - Ac||^2, and g - G y 2^l is the
+    # normal residual at the moved center
+    a, b, mantissas, exponent, increments, l = case
+    system = LinearSystem(a=a, b=b)
+    center = DyadicVector(tuple(mantissas), exponent)
+    moved = center.add_increments(increments, l)
+    g = normal_residual(system, center)
+    d_m, d_e, (gy_m, gy_e) = energy_change(system, g, increments, l)
+    assert Fraction(d_m) * Fraction(2) ** d_e == (
+        frac_residual_sq(a, b, fracs(moved)) - frac_residual_sq(a, b, fracs(center))
+    )
+    assert fracs(g.add_increments([-m for m in gy_m], gy_e)) == frac_normal_rhs(a, b, fracs(moved))
+
+
+@pytest.mark.parametrize(
+    "case, m_max, max_error",
+    [(irrational_system, 20, 1e-12), (lambda: build_illcond(44.0), 2, 1e-10)],
+    ids=["table1-k1", "illcond-44-plain"],
+)
+def test_carried_residual_is_exact_on_descending_runs(case, m_max, max_error):
+    # the run must reach the truth too: a carried energy change of the
+    # wrong sign refuses every move, and a center that never moves keeps
+    # its residual exact
+    system, truth = case()
+    trace = refine(system, RefinementConfig(m_max=m_max, l_min=-40), truth=truth)
+    assert trace.records[-1].error_vs_truth <= max_error
+    check_carried_residuals(system, trace, DyadicVector.zero(2))
+
+
+def test_residual_tolerance_compares_the_exact_square():
+    # after level -3 the exact ||r||^2 lies above the float f it rounds
+    # to, so a tolerance of f is not met there, and the next float up is
+    system = LinearSystem(a=[[1.0]], b=[math.pi])
+    config = RefinementConfig(m_max=3, l_min=-40)
+    settled = [r for r in refine(system, config).records if r.level == -3][-1]
+    f = settled.residual_norm_sq
+    assert Fraction(f) < frac_residual_sq([[1.0]], [math.pi], fracs(settled.center_after))
+    at_f = refine(system, replace(config, residual_tolerance=f))
+    above_f = refine(system, replace(config, residual_tolerance=math.nextafter(f, math.inf)))
+    assert (at_f.terminated_by, at_f.records[-1].level) == ("residual-tolerance", -5)
+    assert (above_f.terminated_by, above_f.records[-1].level) == ("residual-tolerance", -3)
