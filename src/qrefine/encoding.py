@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, LengthMismatch
 from .precision import dyadic_of_float, dyadic_to_float
 
 BitVector = tuple[int, ...]
+_power_of_five = lru_cache(maxsize=256)((5).__pow__)  # 5^k by k; a run meets few k
 
 
 def _normalize(mantissas: tuple[int, ...], exponent: int) -> tuple[tuple[int, ...], int]:
@@ -74,13 +75,13 @@ class DyadicVector:
         if len(increments) != len(self.mantissas):
             raise LengthMismatch("increment count != component count")
         e = min(self.exponent, scale)
-        return DyadicVector(
-            tuple(
-                (m << (self.exponent - e)) + (d << (scale - e))
-                for m, d in zip(self.mantissas, increments)
-            ),
-            e,
-        )
+        se, de = self.exponent - e, scale - e
+        mants = tuple([(m << se) + (d << de) for m, d in zip(self.mantissas, increments)])
+        mants, e = _normalize(mants, e)
+        out = object.__new__(DyadicVector)  # normalized once, here, not again by __post_init__
+        object.__setattr__(out, "mantissas", mants)
+        object.__setattr__(out, "exponent", e)
+        return out
 
     def to_floats(self) -> tuple[float, ...]:
         return tuple(dyadic_to_float(m, self.exponent) for m in self.mantissas)
@@ -93,7 +94,7 @@ class DyadicVector:
 def _dyadic_decimal(m: int, e: int) -> str:
     if e >= 0:
         return str(m << e)
-    scaled = m * 5 ** (-e)  # m * 2^e = m * 5^-e / 10^-e
+    scaled = m * _power_of_five(-e)  # m * 2^e = m * 5^-e / 10^-e
     sign = "-" if scaled < 0 else ""
     digits = str(abs(scaled)).rjust(-e + 1, "0")
     whole, frac = digits[:e], digits[e:].rstrip("0")

@@ -26,9 +26,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import islice
 
 import numpy as np
 
@@ -84,9 +85,8 @@ class QuboMatrix:
             part = QuadraticPart(self.n_qubits, self.quadratic)
             object.__setattr__(self, "_part", part)
             object.__setattr__(self, "quadratic", part.quadratic)
-        for val in self.linear:
-            if not math.isfinite(val):
-                raise DimensionMismatch("non-finite linear coefficient")
+        if not all(map(math.isfinite, self.linear)):
+            raise DimensionMismatch("non-finite linear coefficient")
 
     __hash__ = None  # dict field; value identity is via ==
 
@@ -165,7 +165,8 @@ def energy(q: QuboMatrix, bits: BitVector | np.ndarray) -> float | list[float]:
     which is correctly rounded, or exactly in rationals when a running
     fsum passes the float range. Raises TooLarge if an exact sum itself
     rounds past the float range. A batch whose outer products have at
-    most _PICK entries picks each state's terms in Python; a larger one
+    most _PICK entries picks each state's terms with a cached itemgetter
+    (_selector), keyed by which of its qubits are set; a larger one
     forms them with numpy from upper + diag(linear), _ROWS at a time.
     """
     x = np.asarray(bits, dtype=np.float64)
@@ -179,12 +180,10 @@ def _energies(q: QuboMatrix, x: np.ndarray) -> list[float]:
     if x.size * q.n_qubits <= _PICK:
         # a few small states: picking each one's terms in Python costs
         # less than the fixed cost of the numpy products below
-        table = upper.tolist()
-        return [
-            _exact_sum([*compress(q.linear, row),
-                        *chain.from_iterable(compress(t, row) for t in compress(table, row))])
-            for row in x.tolist()
-        ]
+        nq = q.n_qubits
+        terms = [*q.linear, *upper.ravel().tolist(), 0.0]
+        keys = x.astype(bool).tobytes()  # a byte per entry: whether it is nonzero
+        return [_exact_sum(_selector(keys[i * nq:i * nq + nq])(terms)) for i in range(len(x))]
     dense = upper + np.diag(q.linear)  # upper's diagonal is exactly zero
     out: list[float] = []
     for lo in range(0, len(x), _ROWS):
@@ -201,7 +200,19 @@ def _energies(q: QuboMatrix, x: np.ndarray) -> list[float]:
     return out
 
 
-def _exact_sum(terms: list[float]) -> float:
+@functools.lru_cache(maxsize=256)
+def _selector(key: bytes) -> operator.itemgetter:
+    """Picks from [*linear, *upper.ravel(), 0.0] the terms of the state whose
+    set qubits are key's nonzero bytes, then the 0.0 twice (so it gives a tuple
+    even for no set qubit). All 2^8 states of an 8-qubit window fit the cache."""
+    nq = len(key)
+    on = [u for u in range(nq) if key[u]]
+    pad = nq + nq * nq
+    pairs = [nq + u * nq + v for i, u in enumerate(on) for v in on[i + 1:]]
+    return operator.itemgetter(*on, *pairs, pad, pad)
+
+
+def _exact_sum(terms: tuple[float, ...] | list[float]) -> float:
     """Correctly rounded sum of finite terms, whatever their order. fsum
     raises OverflowError when a running sum passes the float range, which
     depends on the order; the exact rational sum does not."""

@@ -65,6 +65,8 @@ class RefinementConfig:
             raise ValueError("max_recenters_per_level must be >= 1")
         if self.residual_tolerance < 0 or not math.isfinite(self.residual_tolerance):
             raise ValueError("residual_tolerance must be finite and >= 0")
+        if self.use_eigenbasis and self.initial_center is not None:
+            raise ValueError("initial_center cannot be combined with use_eigenbasis")
         if self.sampler not in ("exhaustive", "sa"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.m_max is not None and self.m_max - self.bits_per_sign + 1 < self.l_min:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -71,7 +72,7 @@ class SampleSet:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("a SampleSet needs at least one entry")
-        ordered = sorted(self.entries, key=lambda e: (e.energy, e.bits))
+        ordered = sorted(self.entries, key=operator.itemgetter(1, 0))  # (energy, bits)
         object.__setattr__(self, "entries", tuple(ordered))
 
     def best(self) -> SampleEntry:
@@ -196,7 +197,8 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     if nq <= _LOW_BITS:
         (f_q,) = _quadratic_scores(q._part)
         x = _low_states(nq)
-        f = f_q + x @ linear
+        f = x @ linear
+        f += f_q
         return x[f <= math.nextafter(float(f.min()) + width, math.inf)]
 
     b = _LOW_BITS

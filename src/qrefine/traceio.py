@@ -5,7 +5,8 @@ layout order), qubo_energy, target_energy, residual_norm_sq,
 error_vs_truth (empty when no truth was supplied), then one exact
 decimal column per center component. Centers are dyadic, so their
 decimal expansions are finite and the file is lossless. A record's
-ground_occurrences is not written.
+ground_occurrences is not written. No field needs CSV quoting, so a row
+is its fields joined by commas, written at once.
 
 TraceWriter is the one writer: pass it to refine as the observer to
 stream rows as they are made.
@@ -13,7 +14,6 @@ stream rows as they are made.
 
 from __future__ import annotations
 
-import csv
 from typing import TextIO
 
 from .refine import IterationRecord
@@ -37,7 +37,7 @@ def format_record(record: IterationRecord) -> list[str]:
         str(record.ordinal),
         str(record.level),
         str(record.recenter_index),
-        "".join(str(b) for b in record.bits),
+        "".join(map(str, record.bits)),
         repr(record.qubo_energy),
         repr(record.target_energy),
         repr(record.residual_norm_sq),
@@ -50,12 +50,12 @@ class TraceWriter:
     """Streams rows as the refinement produces them (observer-compatible)."""
 
     def __init__(self, stream: TextIO):
-        self._writer = csv.writer(stream, lineterminator="\n")
+        self._stream = stream
         self._wrote_header = False
 
     def __call__(self, record: IterationRecord) -> None:
         if not self._wrote_header:
-            self._writer.writerow(header(len(record.center_after)))
+            self._stream.write(",".join(header(len(record.center_after))) + "\n")
             self._wrote_header = True
-        self._writer.writerow(format_record(record))
+        self._stream.write(",".join(format_record(record)) + "\n")
 

@@ -227,7 +227,8 @@ def test_decimal_strings_exact():
 
 
 @given(st.lists(st.integers(min_value=-(2**64), max_value=2**64), min_size=1, max_size=4),
-       st.integers(min_value=-64, max_value=16))
+       st.integers(min_value=-1100, max_value=50))
 def test_decimal_strings_roundtrip(mants, e):
+    # exponents past 256 distinct ones cycle the bounded cache of powers of five
     vec = DyadicVector(tuple(mants), e)
     assert [Fraction(s) for s in vec.to_decimal_strings()] == list(dyadic_fractions(vec))

@@ -435,6 +435,10 @@ def check_carried_residuals(system, trace, start):
 def test_carried_residual_is_exact_on_table1(k):
     system, truth = irrational_system()
     trace = refine(system, RefinementConfig(m_max=20, l_min=-40, bits_per_sign=k, level_step=k), truth=truth)
+    # a run that never moves keeps its residual exact too, so it must move
+    # and reach criterion 1's bound
+    assert any(any(rec.bits) for rec in trace.records)
+    assert all(abs(c - t) <= 5e-12 for c, t in zip(trace.final_center.to_floats(), truth))
     check_carried_residuals(system, trace, DyadicVector.zero(2))
 
 
@@ -466,6 +470,14 @@ def test_eigenbasis_run_reaches_the_exact_solution():
     kappa = condition_number(system)
     assert dist_sq <= (Fraction(kappa) * Fraction(1, 2**100)) ** 2
     check_carried_residuals(system, trace, DyadicVector.zero(2))
+
+
+def test_initial_center_is_refused_with_eigenbasis():
+    # the eigenbasis run's center is u in x = V u, so an initial x would be misread
+    with pytest.raises(ValueError, match="use_eigenbasis"):
+        RefinementConfig(use_eigenbasis=True, initial_center=DyadicVector.zero(2))
+    RefinementConfig(use_eigenbasis=True)
+    RefinementConfig(initial_center=DyadicVector.zero(2))
 
 
 def test_sampler_bit_other_than_0_or_1_is_rejected():

@@ -4,6 +4,9 @@ import csv
 import io
 from fractions import Fraction
 
+import pytest
+
+from qrefine import LinearSystem
 from qrefine.encoding import DyadicVector
 from qrefine.refine import IterationRecord, RefinementConfig, RefinementTrace, refine
 from qrefine.traceio import (
@@ -123,3 +126,34 @@ def test_streaming_writer_matches_batch():
     for record in trace.records:
         writer(record)
     assert out.getvalue() == trace_to_csv(trace)
+
+
+def csv_oracle(trace) -> str:
+    """The trace CSV as the stdlib csv writer forms it, header first."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header(len(trace.final_center)))
+    writer.writerows(format_record(record) for record in trace.records)
+    return out.getvalue()
+
+
+TABLE1, TABLE1_TRUTH = irrational_system()
+THREE = LinearSystem(a=[[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]], b=[1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize(
+    "system,truth,config",
+    [
+        (TABLE1, TABLE1_TRUTH, RefinementConfig(m_max=12, l_min=-12)),
+        (TABLE1, None, RefinementConfig(m_max=12, l_min=-12)),
+        (LinearSystem(a=[[3.0]], b=[1.0]), [1.0 / 3.0], RefinementConfig(m_max=2, l_min=-30)),
+        (THREE, None, RefinementConfig(m_max=2, l_min=-20)),
+    ],
+    ids=["with-truth", "without-truth", "one-unknown", "three-unknowns"],
+)
+def test_writer_bytes_match_the_csv_module(system, truth, config):
+    # TraceWriter joins the fields itself, so no field may need csv quoting
+    trace = refine(system, config, truth=truth)
+    assert any(any(rec.bits) for rec in trace.records)
+    assert all((rec.error_vs_truth is None) == (truth is None) for rec in trace.records)
+    assert trace_to_csv(trace) == csv_oracle(trace)
