@@ -8,33 +8,45 @@ sign, so variable i contributes the increment
 around its current center. ``EncodingSpec.qubits`` is the qubit layout,
 the (var, sign, bit) of each qubit in index order: variable-major, plus
 block before minus block, least significant bit first.
+
+Exact dyadic scalars, (m, e) pairs, and DyadicVectors hold reals m * 2^e
+with m an arbitrary precision integer. Floats embed exactly, and sums and
+products stay exact, so residuals and distances are computed without
+rounding and rounded once, when they are reported as floats.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
 
 from .errors import IndexOutOfRange, LengthMismatch
-from .precision import dyadic_of_float, dyadic_to_float
 
 BitVector = tuple[int, ...]
 _power_of_five = lru_cache(maxsize=256)((5).__pow__)  # 5^k by k; a run meets few k
 
 
-def _normalize(mantissas: tuple[int, ...], exponent: int) -> tuple[tuple[int, ...], int]:
-    low = reduce(operator.or_, mantissas, 0)  # its lowest set bit is the lowest of any mantissa
-    if not low:
-        return mantissas, 0
-    shift = (low & -low).bit_length() - 1
-    if shift:
-        return tuple(m >> shift for m in mantissas), exponent + shift
-    return mantissas, exponent
+def dyadic_of_float(x: float) -> tuple[int, int]:
+    """(m, e) with m * 2^e == x exactly, for a finite float x."""
+    if not math.isfinite(x):
+        raise ValueError("non-finite value has no dyadic form")
+    m, den = x.as_integer_ratio()  # den is a power of two
+    return m, 1 - den.bit_length()
 
 
-@dataclass(frozen=True)
+def dyadic_to_float(m: int, e: int) -> float:
+    """Correctly rounded float value of m * 2^e (exact int/int division);
+    past the float range it is +-inf, as round-to-nearest gives."""
+    try:
+        return float(m << e) if e >= 0 else m / (1 << -e)
+    except OverflowError:
+        return math.inf if m > 0 else -math.inf  # m itself may not fit a float
+
+
+@dataclass(frozen=True, init=False)
 class DyadicVector:
     """Vector with components mantissa_i * 2^exponent, stored exactly.
 
@@ -46,10 +58,14 @@ class DyadicVector:
     mantissas: tuple[int, ...]
     exponent: int
 
-    def __post_init__(self) -> None:
-        mants, ex = _normalize(tuple(self.mantissas), self.exponent)
-        object.__setattr__(self, "mantissas", mants)
-        object.__setattr__(self, "exponent", ex)
+    def __init__(self, mantissas: Iterable[int], exponent: int) -> None:
+        mantissas = tuple(mantissas)
+        low = reduce(operator.or_, mantissas, 0)  # its lowest set bit is the lowest of any mantissa
+        shift = (low & -low).bit_length() - 1  # -1 when every mantissa is 0
+        if shift > 0:
+            mantissas = tuple([m >> shift for m in mantissas])
+        object.__setattr__(self, "mantissas", mantissas)
+        object.__setattr__(self, "exponent", exponent + shift if low else 0)
 
     @staticmethod
     def zero(n: int) -> "DyadicVector":
@@ -60,7 +76,7 @@ class DyadicVector:
         """Vector with components m * 2^e, one per (m, e) pair, exactly."""
         pairs = list(pairs)
         e = min((ex for _, ex in pairs), default=0)
-        return DyadicVector(tuple(m << (ex - e) for m, ex in pairs), e)
+        return DyadicVector([m << (ex - e) for m, ex in pairs], e)
 
     @staticmethod
     def from_floats(values: Sequence[float]) -> "DyadicVector":
@@ -76,12 +92,7 @@ class DyadicVector:
             raise LengthMismatch("increment count != component count")
         e = min(self.exponent, scale)
         se, de = self.exponent - e, scale - e
-        mants = tuple([(m << se) + (d << de) for m, d in zip(self.mantissas, increments)])
-        mants, e = _normalize(mants, e)
-        out = object.__new__(DyadicVector)  # normalized once, here, not again by __post_init__
-        object.__setattr__(out, "mantissas", mants)
-        object.__setattr__(out, "exponent", e)
-        return out
+        return DyadicVector([(m << se) + (d << de) for m, d in zip(self.mantissas, increments)], e)
 
     def to_floats(self) -> tuple[float, ...]:
         return tuple(dyadic_to_float(m, self.exponent) for m in self.mantissas)

@@ -3,8 +3,8 @@ symmetric eigendecomposition (numpy's LAPACK eigh), condition number.
 
 Matrices and vectors are plain float64 numpy arrays; LinearSystem wraps
 read-only copies of the (A, b) pair with shape and finiteness checks,
-and caches its float Gram matrix A^T A, the exact dyadic form of A, A^T
-and b, and the exact Gram matrix. A system built from_exact keeps the
+and caches its float Gram matrix A^T A, the exact dyadic form of A and
+b, and the exact Gram matrix. A system built from_exact keeps the
 exact form it is given, and its floats are that form rounded once.
 """
 
@@ -18,9 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import DyadicVector
+from .encoding import DyadicVector, dyadic_to_float
 from .errors import DimensionMismatch, NotSymmetric, SingularMatrix, TooLarge
-from .precision import dyadic_to_float
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -74,15 +73,10 @@ class LinearSystem:
         return (*exact_form(self.a), DyadicVector.from_floats(self.b.tolist()))
 
     @cached_property
-    def exact_t(self) -> tuple[tuple[int, ...], ...]:
-        """The integer rows of A^T, under the exponent e of exact."""
-        return tuple(zip(*self.exact[0]))
-
-    @cached_property
     def exact_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """(rows, e): A^T A exactly, as integer rows times 2^e, from the
         exact form of A; gram is the float one that feeds the QUBO."""
-        cols = self.exact_t
+        cols = tuple(zip(*self.exact[0]))
         rows = tuple(tuple(sum(map(operator.mul, ci, cj)) for cj in cols) for ci in cols)
         return rows, 2 * self.exact[1]
 
@@ -123,7 +117,8 @@ def residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
 
 def normal_residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
     """A^T (b - Ax) exactly."""
-    return DyadicVector(*exact_matvec(system.exact_t, system.exact[1], residual(system, x)))
+    rows, e, _ = system.exact
+    return DyadicVector(*exact_matvec(tuple(zip(*rows)), e, residual(system, x)))
 
 
 def residual_norm_sq(system: LinearSystem, x: DyadicVector) -> Fraction:

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .encoding import BitVector, DyadicVector, EncodingSpec, decode_increments
+from .encoding import BitVector, DyadicVector, EncodingSpec, decode_increments, dyadic_of_float, dyadic_to_float
 from .errors import DimensionMismatch, SingularMatrix, TooLarge
 from .linalg import (
     EigenBasis,
@@ -33,7 +33,6 @@ from .linalg import (
     residual_norm_sq,
     symmetric_eigen,
 )
-from .precision import dyadic_of_float, dyadic_to_float
 from .qubo import QuboMatrix, WindowLevel, build_window
 from .samplers import AnnealConfig, SampleSet, sample_anneal, sample_exhaustive
 

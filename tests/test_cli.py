@@ -191,6 +191,17 @@ def test_solve_writes_plots(tmp_path, capsys):
         assert body.startswith("<svg")
 
 
+def test_solve_plot_of_three_unknowns_skips_trajectory(tmp_path, capsys):
+    text = '{"a": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [1, 2, 3], "x_true": [1, 2, 3]}'
+    path = write_problem(tmp_path, text)
+    prefix = str(tmp_path / "run")
+    assert main(["solve", path, *FAST_FLAGS, "--plot", prefix]) == 0
+    out = capsys.readouterr().out
+    assert f"wrote {prefix}_decay.svg" in out
+    assert "trajectory plot skipped: needs exactly 2 unknowns" in out
+    assert sorted(p.name for p in tmp_path.glob("run*")) == ["run_decay.svg"]
+
+
 def test_solve_sa_deterministic(tmp_path, capsys):
     path = write_problem(tmp_path, IDENTITY)
     flags = ["solve", path, *FAST_FLAGS, "--sampler", "sa",
@@ -237,6 +248,24 @@ def test_qubo_dump_wide3_golden_bytes(tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "a18ab1588d5f59c23396e83ce18b60761d31003a15522038d2114fae0289d3ce"
     )
+
+
+@pytest.mark.parametrize(
+    "flags,stdout_digest",
+    [
+        (["--bits-per-sign", "3", "--level-step", "3", "--l-min", "-30"],
+         "ac8c17a1ce8cbcd1aa1029bd5a3459d628b303def31e6159e89c959add7d87cf"),
+        (["--tol", "1e-20"], "f59e4ab92b8fde08f86f0641d56b4417ffc2d6bfdca1aa11e432059c9f3a0b14"),
+    ],
+    ids=["k3-step3", "tol"],
+)
+def test_solve_wide3_stdout_is_pinned(tmp_path, capsys, flags, stdout_digest):
+    # the bytes CI checks for `qrefine solve wide3.json` with these flags:
+    # each printed x[i] and residual is one rounding of an exact value
+    path = write_problem(tmp_path, WIDE3, name="wide3.json")
+    assert main(["solve", path, *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
 
 
 def test_qubo_dump_to_file_ends_with_newline(tmp_path, capsys):

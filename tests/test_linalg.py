@@ -308,6 +308,8 @@ def test_eigen_huge_entries_scale_exactly():
 def test_eigen_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         symmetric_eigen(np.array([[0.0, 1.0], [2.0, 0.0]]))
+    with pytest.raises(NotSymmetric, match="square"):
+        symmetric_eigen(np.ones((2, 3)))
 
 
 @settings(max_examples=40)

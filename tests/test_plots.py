@@ -53,6 +53,18 @@ def test_three_unknowns_skip_trajectory(tmp_path):
     assert paths == [str(tmp_path / "run_decay.svg")]
 
 
+def test_decay_of_one_record_at_error_one():
+    # one solve whose error is exactly 1: a single point at log10 = 0, so
+    # both axes need widening to a nonempty range
+    system = LinearSystem(a=[[1.0]], b=[0.0])
+    trace = refine(system, RefinementConfig(m_max=0, l_min=0), truth=[1.0])
+    assert [r.error_vs_truth for r in trace.records] == [1.0]
+    svg = decay_svg(trace)
+    assert svg.startswith("<svg")
+    assert ">1e0<" in svg
+    assert ">1e1<" in svg
+
+
 def test_trajectory_rejects_wrong_dimension():
     system = LinearSystem(a=np.eye(3), b=np.array([1.0, 2.0, 3.0]))
     trace = refine(system, RefinementConfig(m_max=2, l_min=0))

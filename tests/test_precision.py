@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qrefine.precision import dyadic_of_float, dyadic_to_float
+from qrefine.encoding import dyadic_of_float, dyadic_to_float
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)
 

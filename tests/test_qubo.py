@@ -72,6 +72,10 @@ def test_build_dimension_checks():
         build_window(WindowLevel(ONE_D, window(1, 0, 1)), DyadicVector.zero(2))
     with pytest.raises(DimensionMismatch, match="sizes disagree"):
         WindowLevel(ONE_D, window(2, 0, 1))
+    # 1,002,050 qubits; l_hi is past 1023 too, so without the qubit bound
+    # the next check raises at once instead of laying out the window
+    with pytest.raises(TooLarge, match="1e6"):
+        WindowLevel(ONE_D, EncodingSpec(1, -500000, 1024))
 
 
 def test_energy_trivials():
@@ -172,6 +176,8 @@ def test_quadratic_validation():
         QuboMatrix(n_qubits=2, linear=(0.0, 0.0), quadratic={(0, 0): 1.0})
     with pytest.raises(DimensionMismatch):
         QuboMatrix(n_qubits=2, linear=(0.0, math.inf), quadratic={})
+    with pytest.raises(DimensionMismatch, match="non-finite coefficient"):
+        QuboMatrix(n_qubits=2, linear=(0.0, 0.0), quadratic={(0, 1): math.inf})
 
 
 def test_energy_identity_random_windows():

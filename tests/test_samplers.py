@@ -9,6 +9,7 @@ import pytest
 from helpers import anneal_reference, random_qubo_coeffs
 from qrefine import (
     AnnealConfig,
+    DimensionMismatch,
     DyadicVector,
     LinearSystem,
     QuboMatrix,
@@ -86,6 +87,11 @@ def test_anneal_config_validation():
         AnnealConfig(reads=0)
     with pytest.raises(ValueError):
         AnnealConfig(sweeps=0)
+
+
+def test_anneal_needs_a_qubit():
+    with pytest.raises(DimensionMismatch, match="at least one qubit"):
+        sample_anneal(QuboMatrix(n_qubits=0, linear=(), quadratic={}), AnnealConfig())
 
 
 def test_anneal_deterministic():
