@@ -74,8 +74,8 @@ class QuboMatrix:
     n_qubits: int
     linear: tuple[float, ...]
     quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
-    # the QuadraticPart of quadratic, shared by a level's windows, whose linear
-    # terms build_window checks; any other QUBO makes its own and checks them
+    # the QuadraticPart of quadratic, shared by the windows of one level;
+    # a QUBO built without it, or with other quadratic terms, makes its own
     _part: QuadraticPart | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -85,8 +85,8 @@ class QuboMatrix:
             part = QuadraticPart(self.n_qubits, self.quadratic)
             object.__setattr__(self, "_part", part)
             object.__setattr__(self, "quadratic", part.quadratic)
-            if not all(map(math.isfinite, self.linear)):
-                raise DimensionMismatch("non-finite linear coefficient")
+        if not all(map(math.isfinite, self.linear)):
+            raise DimensionMismatch("non-finite linear coefficient")
 
     __hash__ = None  # dict field; value identity is via ==
 

@@ -1,5 +1,6 @@
 """Window QUBO construction against the exact residual-difference oracle."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -178,6 +179,13 @@ def test_quadratic_validation():
         QuboMatrix(n_qubits=2, linear=(0.0, math.inf), quadratic={})
     with pytest.raises(DimensionMismatch, match="non-finite coefficient"):
         QuboMatrix(n_qubits=2, linear=(0.0, 0.0), quadratic={(0, 1): math.inf})
+    # a copy of a built window keeps the window's QuadraticPart and is
+    # still checked
+    built = build_window(
+        WindowLevel(ONE_D, window(1, 0, 1)), normal_residual(ONE_D, DyadicVector.zero(1))
+    )
+    with pytest.raises(DimensionMismatch, match="non-finite linear"):
+        dataclasses.replace(built, linear=(math.inf, 0.0))
 
 
 def test_energy_identity_random_windows():
