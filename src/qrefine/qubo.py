@@ -38,7 +38,7 @@ from .errors import DimensionMismatch, LengthMismatch, ParseError, TooLarge
 from .linalg import LinearSystem
 from .problems import _number, strict_json
 
-_PRUNE = 1e-300
+_MAX_QUBITS = 10**6  # most qubits of a window or a parsed QUBO
 _ROWS = 1 << 10  # rows per chunk of an energy batch, bounding its rows x nq x nq products
 _PICK = 256  # most outer-product entries in a batch scored without numpy (timed crossover: 100-300)
 
@@ -109,7 +109,7 @@ class WindowLevel:
     def __init__(self, system: LinearSystem, spec: EncodingSpec) -> None:
         if spec.n_vars != system.n:
             raise DimensionMismatch("system, center and spec sizes disagree")
-        if spec.total_qubits > 10**6:
+        if spec.total_qubits > _MAX_QUBITS:
             raise TooLarge(f"{spec.total_qubits} qubits exceeds the 1e6 bound")
         if spec.l_hi > 1023:
             raise TooLarge(f"bit weight 2^{spec.l_hi} is past the float range")
@@ -122,7 +122,7 @@ class WindowLevel:
         for u in range(nq):
             for v in range(u + 1, nq):
                 q = 2.0 * weight[u] * weight[v] * gram[var[u]][var[v]]
-                if abs(q) >= _PRUNE:
+                if q != 0.0:  # an exactly zero coupling stays out, as off a diagonal A^T A
                     quadratic[(u, v)] = q
         if not all(map(math.isfinite, quadratic.values())):
             raise _past_float_range(spec)
@@ -255,8 +255,8 @@ def parse(text: str) -> QuboMatrix:
     if not isinstance(doc, dict) or set(doc) != {"num_qubits", "linear", "quadratic"}:
         raise ParseError("QUBO document must have exactly num_qubits, linear, quadratic")
     nq = doc["num_qubits"]
-    if isinstance(nq, bool) or not isinstance(nq, int) or nq < 0:
-        raise ParseError("num_qubits must be a non-negative integer")
+    if isinstance(nq, bool) or not isinstance(nq, int) or not 0 <= nq <= _MAX_QUBITS:
+        raise ParseError(f"num_qubits must be an integer from 0 to {_MAX_QUBITS}")
     if not isinstance(doc["linear"], dict) or not isinstance(doc["quadratic"], dict):
         raise ParseError("linear and quadratic must be JSON objects")
     linear = [0.0] * nq

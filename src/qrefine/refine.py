@@ -1,15 +1,15 @@
 """Level-descent refinement: solve a small QUBO window, move the center,
 repeat until the zero increment is optimal, then lower the scale.
 
-A move is accepted only when the sampled energy is strictly negative,
-the decoded increment is nonzero, and its exact change in the squared
-residual is negative. The last clause guards against rounding dust: a
-state whose true improvement is zero can acquire a tiny negative float
-energy, and accepting it would break the strict-descent invariant that
-proves termination. Rejected solves are recorded as the canonical
-all-zero state with energy exactly 0. Every record carries the solve's
-ground-state count, SampleSet.ground_occurrences(), whether or not the
-move was accepted.
+A move is accepted by one rule: its decoded increment is nonzero and
+its exact change in the squared residual is negative. The sampler's
+energies only rank its states (and fill the record's qubo_energy), so
+rounding dust, a state whose true improvement is zero but whose float
+energy came out slightly negative, is rejected by the exact change,
+which keeps the strict descent that proves termination. Rejected solves
+are recorded as the canonical all-zero state with energy exactly 0.
+Every record carries the solve's ground-state count,
+SampleSet.ground_occurrences(), whether or not the move was accepted.
 """
 
 from __future__ import annotations
@@ -129,8 +129,10 @@ def refine(
     reaches it (checked as each level settles).
 
     The run carries g = A^T (b - Ac), from which each window is built,
-    and ||b - Ac||^2, exactly; a move is accepted by its exact change in
-    the latter (energy_change). `truth` is made exact once per run.
+    and ||b - Ac||^2, exactly. The sampler's best state is accepted when
+    its increment is nonzero and its exact change in the latter
+    (energy_change) is negative, whatever energy the sampler reported, so
+    rounding dust is rejected. `truth` is made exact once per run.
 
     Each window goes to `sampler` when given, else to the one that
     config.sampler names: sample_exhaustive, or sample_anneal with
@@ -199,7 +201,7 @@ def refine(
             increments = decode_increments(best.bits, spec)
             target = -res_float  # floor of the QUBO just solved
             accepted = False
-            if best.energy < 0.0 and any(increments):
+            if any(increments):
                 d_m, d_e, (gy_m, gy_e) = energy_change(work, g, increments, l)
                 accepted = d_m < 0
             if accepted:

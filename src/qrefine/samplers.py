@@ -13,14 +13,14 @@ The exhaustive sampler scores every state in float, as the score of the
 quadratic terms plus that of the linear terms. The quadratic scores
 depend on the QUBO's QuadraticPart alone, so they are formed once per
 part: once per level for the windows of a level, which differ only in
-their linear terms. Up to 10 qubits one chain of matrix products scores
-all states at once. A wider state is split into its low and high bits,
-as in Horowitz and Sahni's meet-in-the-middle (JACM 21(2), 1974): the
-low part's quadratic energies and cross terms and the high part's
-quadratic energies are formed once per part, and each chunk of high
-states adds its own energies to one product with them. A state then
-costs O(nq - 10) instead of O(nq^2), and memory stays
-O(2^(nq - 10) nq + chunk) up to the 24-qubit cap. It keeps, as bit
+their linear terms. A state is split into its low min(nq, 10) bits and
+the rest, as in Horowitz and Sahni's meet-in-the-middle (JACM 21(2),
+1974): the low part's quadratic energies and cross terms and the high
+part's quadratic energies are formed once per part, and each chunk of
+high states adds its own energies to one product with them. A state then
+costs O(nq - 10) instead of O(nq^2), memory stays O(2^(nq - 10) nq +
+chunk) up to the 24-qubit cap, and a window of at most 10 qubits, with no
+high bits, is scored by one chain of matrix products. It keeps, as bit
 rows, the band of states whose float score lies within a proven rounding
 bound of the float minimum, which holds every state of minimum exact
 energy, and scores only that band exactly. The annealer forms its
@@ -45,8 +45,8 @@ from .errors import DimensionMismatch, TooLarge, TooManyQubits
 
 _EXHAUSTIVE_LIMIT = 24
 _BLOCK = 1 << 14  # float scores per block or chunk, and rows per exact block; a power of two
-# low bits of a split state, and the most qubits scored unsplit, in one
-# block; timed, the split is no faster up to 10 qubits and faster from 11
+# most low bits of a split state, all scored in one block; timed, a split
+# with high bits is no faster up to 10 qubits and faster from 11
 _LOW_BITS = 10
 _U = 2.0**-53  # unit roundoff of binary64
 _TINY = 2.0**-1074  # smallest subnormal
@@ -135,17 +135,16 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     Every float score is the quadratic part's score plus the linear part's,
     and the quadratic scores are formed once per QuadraticPart, so once per
     level for the windows of a level (_quadratic_scores). With U the
-    strictly upper quadratic matrix and c the linear terms, up to _LOW_BITS
-    qubits f = F + X @ c over all states X at once, with the cached
-    F = ((X @ U) * X) @ ones. A wider state splits into its low b =
-    _LOW_BITS bits and its high h = nq - b bits, x = (lo, hi) with state
-    index lo + (hi << b), and U into the blocks U_ll, U_lh and U_hh; c into
-    c_lo and c_hi. Cached are F_lo = ((X_lo @ U_ll) * X_lo) @ ones over the
-    2^b low states, M = U_lh^T @ X_lo^T and F_hi = ((X_high @ U_hh) *
-    X_high) @ ones over all 2^h high states. Once per solve E_lo = F_lo +
-    X_lo @ c_lo; then each chunk X_hi of max(1, _BLOCK >> b) high states, a
-    slice of the cached rows X_high and at most _BLOCK scores under the
-    default, gets
+    strictly upper quadratic matrix and c the linear terms, a state splits
+    into its low b = min(nq, _LOW_BITS) bits and its high h = nq - b bits,
+    x = (lo, hi) with state index lo + (hi << b), and U into the blocks
+    U_ll, U_lh and U_hh; c into c_lo and c_hi. Cached are F_lo = ((X_lo @
+    U_ll) * X_lo) @ ones over the 2^b low states and, when h > 0, M = U_lh^T
+    @ X_lo^T and F_hi = ((X_high @ U_hh) * X_high) @ ones over all 2^h high
+    states. Once per solve E_lo = X_lo @ c_lo + F_lo, which for h = 0 (U_ll
+    = U) is f over all states; else each chunk X_hi of max(1, _BLOCK >> b)
+    high states, a slice of the cached rows X_high and at most _BLOCK scores
+    under the default, gets
 
         f = (X_hi @ M + E_lo) + E_hi[:, None],  E_hi = F_hi[chunk] + X_hi @ c_hi,
 
@@ -159,15 +158,15 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
       with a 0/1 factor is an exact product and one rounded addition. A
       column zeroed by "* x", and an entry M[v, lo] met by hi_v = 0, becomes
       an exact zero, never NaN: 4 S is finite and bounds every partial sum.
-      Every other partial sum is a sum of coefficients x selects: F and
-      X @ c of those in U and c, F_lo[lo] and E_lo[lo] of those in U_ll and
-      c_lo, M[v, lo] with hi_v = 1 of those in U_lh, and F_hi[hi] and
-      E_hi[hi] of those in U_hh and c_hi. So in any BLAS order, split or
-      not, f(x) is a summation tree over the N <= nq + #quadratic nonzero
-      selected coefficients: adding the linear score to the quadratic one
-      is one more node of the tree. An addition with an exact-zero operand
-      does not round, and one whose result is subnormal is exact, so each
-      leaf meets at most N - 1 additions with relative error <= u:
+      Every other partial sum is a sum of coefficients x selects: F_lo[lo]
+      and E_lo[lo] of those in U_ll and c_lo, M[v, lo] with hi_v = 1 of
+      those in U_lh, and F_hi[hi] and E_hi[hi] of those in U_hh and c_hi.
+      So in any BLAS order, with high bits or not, f(x) is a summation
+      tree over the N <= nq + #quadratic nonzero selected coefficients:
+      adding the linear score to the quadratic one is one more node of the
+      tree. An addition with an exact-zero operand does not round, and one
+      whose result is subnormal is exact, so each leaf meets at most N - 1
+      additions with relative error <= u:
       |f(x) - E(x)| <= gamma_{N-1} S(x) (Higham, Accuracy and Stability of
       Numerical Algorithms, 2nd ed., lemma 3.1 and eq. 4.4). The split and
       the cached quadratic scores only regroup the tree, so delta below
@@ -193,19 +192,15 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
         return _exact_minimum_rows(q)
     width = 2.0 * (2.0 * m * _U * total + m * _TINY)
 
-    linear = np.array(q.linear)
-    if nq <= _LOW_BITS:
-        (f_q,) = _quadratic_scores(q._part)
-        x = _low_states(nq)
-        f = x @ linear
-        f += f_q
-        return x[f <= math.nextafter(float(f.min()) + width, math.inf)]
-
-    b = _LOW_BITS
-    f_lo, cross, f_hi = _quadratic_scores(q._part)
+    b = min(nq, _LOW_BITS)
+    quad = _quadratic_scores(q._part)
     x_lo = _low_states(b)
-    e_lo = f_lo + x_lo @ linear[:b]
-    c_hi = linear[b:]
+    e_lo = x_lo @ np.array(q.linear[:b])
+    e_lo += quad[0]
+    if b == nq:  # no high bits: the low states are all the states
+        return x_lo[e_lo <= math.nextafter(float(e_lo.min()) + width, math.inf)]
+    _, cross, f_hi = quad
+    c_hi = np.array(q.linear[b:])
     x_high = _low_states(nq - b)
     rows = max(1, _BLOCK >> b)
     f_min = math.inf
@@ -229,27 +224,20 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
 
 def _quadratic_scores(part: qubo.QuadraticPart) -> tuple[np.ndarray, ...]:
     """The float pass's scores of a QuadraticPart's terms alone, read-only:
-    (F,) up to _LOW_BITS qubits, else (F_lo, M, F_hi) of the split pass
+    (F_lo,) with no high bits, else (F_lo, M, F_hi) of the split pass
     (_near_minimum_rows). They are formed on the first solve of a part and
     kept while the part lives, so the windows of a level share them."""
     scores = _SCORES.get(part)
     if scores is not None:
         return scores
     nq = part.n_qubits
+    b = min(nq, _LOW_BITS)
     upper = part.upper
-    if nq <= _LOW_BITS:
-        x = _low_states(nq)
-        scores = (((x @ upper) * x) @ _ONES[:nq],)
-    else:
-        b = _LOW_BITS
-        x_lo = _low_states(b)
+    x_lo = _low_states(b)
+    scores = (((x_lo @ upper[:b, :b]) * x_lo) @ _ONES[:b],)
+    if b < nq:
         x_high = _low_states(nq - b)
-        u_hh = upper[b:, b:]
-        scores = (
-            ((x_lo @ upper[:b, :b]) * x_lo) @ _ONES[:b],
-            upper[:b, b:].T @ x_lo.T,
-            ((x_high @ u_hh) * x_high) @ _ONES[:nq - b],
-        )
+        scores += (upper[:b, b:].T @ x_lo.T, ((x_high @ upper[b:, b:]) * x_high) @ _ONES[:nq - b])
     for a in scores:
         a.flags.writeable = False
     _SCORES[part] = scores

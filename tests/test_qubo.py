@@ -361,11 +361,14 @@ def test_parse_rejects_malformed():
         '{"num_qubits":2,"linear":{},"quadratic":{"0,1":1.0,"0,01":2.0}}',
         '{"num_qubits":2,"linear":{},"quadratic":{" 0 , 1 ":1.0}}',
         '{"num_qubits":2,"linear":{"0_1":1.0},"quadratic":{}}',
+        # past WindowLevel's 10^6 bound, refused before a list of that length is made
+        '{"num_qubits":1000001,"linear":{},"quadratic":{}}',
     ]
     for text in bad:
         with pytest.raises(ParseError) as excinfo:
             parse(text)
         assert excinfo.type is ParseError
+    assert parse('{"num_qubits":1000000,"linear":{},"quadratic":{}}').n_qubits == 10**6
 
 
 def test_build_matches_fraction_coefficients():
@@ -391,6 +394,26 @@ def test_build_matches_fraction_coefficients():
     assert len(q.quadratic) == 6
     for (u, v), coeff in q.quadratic.items():
         assert coeff == 2.0 * weights[u] * weights[v] * gram[owner[u]][owner[v]]
+
+
+@pytest.mark.parametrize("l", [-510, -530])
+def test_tiny_couplings_are_kept(l):
+    # near 1.8e-307 at level -510 and subnormal at -530: every coupling is
+    # 2 w_u w_v G rounded once, and only an exact zero would stay out
+    system = LinearSystem(a=[[1.0, 1.0], [0.0, 1.0]], b=[1.0, 1.0])
+    gram = [[1, 1], [1, 2]]  # A^T A, exactly
+    spec = window(2, l, 1)
+    weight = [s * Fraction(2) ** (l + t) for _, s, t in spec.qubits]
+    var = [i for i, _, _ in spec.qubits]
+    expect = {(u, v): float(2 * weight[u] * weight[v] * gram[var[u]][var[v]])
+              for u in range(4) for v in range(u + 1, 4)}
+    assert len(expect) == 6 and all(expect.values())
+    assert WindowLevel(system, spec).part.quadratic == expect
+
+
+def test_diagonal_system_couples_only_the_signs_of_one_variable():
+    system = LinearSystem(a=[[1.0, 0.0], [0.0, 2.0]], b=[1.0, 1.0])
+    assert list(WindowLevel(system, window(2, 0, 1)).part.quadratic) == [(0, 1), (2, 3)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

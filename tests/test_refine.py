@@ -492,6 +492,44 @@ def test_sampler_bit_other_than_0_or_1_is_rejected():
         refine(system, RefinementConfig(m_max=0, l_min=0), sampler=two)
 
 
+def test_move_is_accepted_by_its_exact_change_whatever_energy_is_reported():
+    # a sampler's energies only rank its states: a move reported at +7
+    # is still taken while the exact residual drops, and refused after
+    system = LinearSystem(a=[[1.0]], b=[3.0])
+
+    def uphill(qm):
+        return SampleSet((SampleEntry((1, 0), 7.0, 1),))
+
+    trace = refine(system, RefinementConfig(m_max=0, l_min=0), sampler=uphill)
+    assert [r.bits for r in trace.records] == [(1, 0)] * 3 + [(0, 0)]
+    assert [r.qubo_energy for r in trace.records] == [7.0] * 3 + [0.0]
+    assert [fracs(r.center_after) for r in trace.records] == [[1], [2], [3], [3]]
+    assert [r.residual_norm_sq for r in trace.records] == [4.0, 1.0, 0.0, 0.0]
+    assert trace.final_center == DyadicVector((3,), 0)
+
+
+def test_reported_energy_convention_does_not_change_the_walk():
+    # the exhaustive best state reported at |energy| + 1, as a sampler with
+    # another energy offset might, makes the same moves as the plain run
+    system, truth = irrational_system()
+    config = RefinementConfig(m_max=20, l_min=-40)
+
+    def positive(qm):
+        best = sample_exhaustive(qm).best()
+        return SampleSet((best._replace(energy=abs(best.energy) + 1.0),))
+
+    plain = refine(system, config, truth=truth)
+    shifted = refine(system, config, truth=truth, sampler=positive)
+
+    def walk(trace):
+        return [(r.level, r.recenter_index, r.bits, r.center_after, r.residual_norm_sq, r.error_vs_truth)
+                for r in trace.records]
+
+    assert len(plain.records) == 100
+    assert walk(shifted) == walk(plain)
+    assert shifted.final_center == plain.final_center
+
+
 @pytest.mark.parametrize("a", [[[3.0, 1.0], [3.0, 1.0]], [[1.0, 2.0], [2.0, 4.0]]])
 def test_singular_within_rounding_is_refused_alike(a):
     # the smallest eigenvalue of these A^T A comes out as rounding noise,
