@@ -13,7 +13,7 @@ g = A^T r, so a window is built in two steps: ``WindowLevel(system,
 spec)`` forms the weights and the quadratic terms once per level, and
 ``build_window(level, g)`` forms the linear terms of one solve from the
 exact g. Every window of a level shares the level's QuadraticPart: its
-quadratic terms, checked and sorted once, and their dense upper matrix.
+quadratic terms, built once in order, and their dense upper matrix.
 g is given exactly (linalg.normal_residual, or carried by refine) and
 rounded once per entry; since every w_u is a signed power of two, the
 only other rounding is in A^T A itself. The constant ||r||^2 is kept out
@@ -44,18 +44,13 @@ _PICK = 256  # most outer-product entries in a batch scored without numpy (timed
 
 
 class QuadraticPart:
-    """The quadratic terms of nq qubits, checked and sorted once, and their
-    dense upper matrix, built on first use: the only dense form of a QUBO's
-    coefficients that outlives a call. QUBOs differing in linear terms share it."""
+    """The quadratic terms of nq qubits, which its maker checked and put in (u, v)
+    order, and their dense upper matrix, built on first use: the only dense form of
+    a QUBO's coefficients that outlives a call. QUBOs differing in linear terms share it."""
 
     def __init__(self, n_qubits: int, quadratic: dict[tuple[int, int], float]) -> None:
-        for (i, j), val in quadratic.items():
-            if not (0 <= i < j < n_qubits):
-                raise DimensionMismatch(f"quadratic index pair {(i, j)} not upper-triangular")
-            if not math.isfinite(val):
-                raise DimensionMismatch(f"non-finite coefficient at {(i, j)}")
         self.n_qubits = n_qubits
-        self.quadratic = dict(sorted(quadratic.items()))
+        self.quadratic = quadratic
 
     @functools.cached_property
     def upper(self) -> np.ndarray:
@@ -69,22 +64,27 @@ class QuadraticPart:
 
 @dataclass(frozen=True, eq=True)
 class QuboMatrix:
-    """Linear and upper-triangular quadratic coefficients of nq qubits."""
+    """Linear and upper-triangular quadratic coefficients of nq qubits. Terms given
+    without their own QuadraticPart are checked and sorted here, into a new one."""
 
     n_qubits: int
     linear: tuple[float, ...]
     quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
-    # the QuadraticPart of quadratic, shared by the windows of one level;
-    # a QUBO built without it, or with other quadratic terms, makes its own
+    # the QuadraticPart of quadratic, shared by the windows of one level
     _part: QuadraticPart | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.linear) != self.n_qubits:
             raise DimensionMismatch("linear term count != n_qubits")
         if self._part is None or self._part.quadratic is not self.quadratic:
-            part = QuadraticPart(self.n_qubits, self.quadratic)
-            object.__setattr__(self, "_part", part)
-            object.__setattr__(self, "quadratic", part.quadratic)
+            for (i, j), val in self.quadratic.items():
+                if not (0 <= i < j < self.n_qubits):
+                    raise DimensionMismatch(f"quadratic index pair {(i, j)} not upper-triangular")
+                if not math.isfinite(val):
+                    raise DimensionMismatch(f"non-finite coefficient at {(i, j)}")
+            quadratic = dict(sorted(self.quadratic.items()))
+            object.__setattr__(self, "quadratic", quadratic)
+            object.__setattr__(self, "_part", QuadraticPart(self.n_qubits, quadratic))
         if not all(map(math.isfinite, self.linear)):
             raise DimensionMismatch("non-finite linear coefficient")
 
@@ -102,9 +102,9 @@ class IsingModel:
 
 class WindowLevel:
     """The part of a window that its level fixes: the qubit weights w_u and
-    variables i(u), the w_u^2 (A^T A)_{i(u),i(u)} term of each linear
-    coefficient, and the shared QuadraticPart. Raises DimensionMismatch when the spec
-    does not fit the system and TooLarge for a window past the float range."""
+    variables i(u), the w_u^2 (A^T A)_{i(u),i(u)} term of each linear coefficient,
+    and the shared QuadraticPart, its terms built in (u, v) order. Raises DimensionMismatch
+    when the spec does not fit the system and TooLarge for a window past the float range."""
 
     def __init__(self, system: LinearSystem, spec: EncodingSpec) -> None:
         if spec.n_vars != system.n:

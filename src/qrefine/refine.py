@@ -7,9 +7,9 @@ energies only rank its states (and fill the record's qubo_energy), so
 rounding dust, a state whose true improvement is zero but whose float
 energy came out slightly negative, is rejected by the exact change,
 which keeps the strict descent that proves termination. Rejected solves
-are recorded as the canonical all-zero state with energy exactly 0.
-Every record carries the solve's ground-state count,
-SampleSet.ground_occurrences(), whether or not the move was accepted.
+are recorded as the canonical all-zero state with energy exactly 0, with the
+last move's (or the start's) center and error_vs_truth. Every record carries
+the solve's ground-state count, SampleSet.ground_occurrences(), accepted or not.
 """
 
 from __future__ import annotations
@@ -181,13 +181,14 @@ def refine(
     res_m, res_e = res.numerator, 1 - res.denominator.bit_length()
     res_float = dyadic_to_float(res_m, res_e)  # rounded once each time res_m changes
     tol_m, tol_e = dyadic_of_float(config.residual_tolerance)
+    reported = to_x(center)
+    error = error_vs_truth(reported, truth) if truth is not None else None
     terminated = None
     l = m_max - k + 1
     while terminated is None and l >= config.l_min:
         logger.info("descending to level %d (window [%d, %d])", l, l, l + k - 1)
         spec = EncodingSpec(n_vars=work.n, l_lo=l, l_hi=l + k - 1)
         level = WindowLevel(work, spec)
-        level_start = len(records)
         moves = 0
         accepted = True
         while accepted:
@@ -200,36 +201,36 @@ def refine(
             best = solved.best()
             increments = decode_increments(best.bits, spec)
             target = -res_float  # floor of the QUBO just solved
+            bits, solve_energy = (0,) * spec.total_qubits, 0.0
             accepted = False
             if any(increments):
                 d_m, d_e, (gy_m, gy_e) = energy_change(work, g, increments, l)
                 accepted = d_m < 0
             if accepted:
-                moves += 1
                 center = center.add_increments(increments, l)
                 g = g.add_increments([-m for m in gy_m], gy_e)
                 e = min(res_e, d_e)
                 res_m, res_e = (res_m << (res_e - e)) + (d_m << (d_e - e)), e
                 res_float = dyadic_to_float(res_m, res_e)
                 bits, solve_energy = best.bits, best.energy
-            else:
-                bits, solve_energy = (0,) * spec.total_qubits, 0.0
-            reported = to_x(center)
+                reported = to_x(center)
+                error = error_vs_truth(reported, truth) if truth is not None else None
             record = IterationRecord(
                 ordinal=len(records) + 1,
                 level=l,
-                recenter_index=len(records) - level_start,
+                recenter_index=moves,  # every solve of a level but its last is a move
                 bits=bits,
                 qubo_energy=solve_energy,
                 target_energy=target,
                 center_after=reported,
                 residual_norm_sq=res_float,
-                error_vs_truth=error_vs_truth(reported, truth) if truth is not None else None,
+                error_vs_truth=error,
                 ground_occurrences=solved.ground_occurrences(),
             )
             records.append(record)
             if observer is not None:
                 observer(record)
+            moves += accepted
         else:  # the zero increment won: the level settled
             logger.debug("level %d settled after %d moves", l, moves)
             e = min(res_e, tol_e)
@@ -238,7 +239,7 @@ def refine(
         l -= step
     return RefinementTrace(
         records=tuple(records),
-        final_center=to_x(center),
+        final_center=reported,
         total_qubo_solves=len(records),
         terminated_by=terminated or "level-exhausted",
     )

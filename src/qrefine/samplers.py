@@ -180,10 +180,11 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     delta is evaluated as 2 m u S + m 2^-1074 with S from fsum. Under the
     24-qubit cap m u <= 302 u, so gamma_m <= m u (1 + 1e-13) and the factor
     2 covers the roundings of S and of the product; an underflowing product
-    is covered by the absolute term. The cut f(y) + 2 delta is rounded up
-    by one ulp. If 4 S overflows, the float pass could overflow too, and
-    the band is instead exactly the states tied at the minimum s, found
-    block by block.
+    is covered by the absolute term. The cut f(y) + 2 delta is rounded up by one
+    ulp. Each chunk keeps its states under the running cut, which only falls, so
+    one cut of the joined list by the final cut gives the band in ascending state
+    order. If 4 S overflows, the float pass could overflow too, and the band is
+    instead exactly the states tied at the minimum s, found block by block.
     """
     nq = q.n_qubits
     m = nq + len(q.quadratic) + 2
@@ -203,7 +204,7 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     c_hi = np.array(q.linear[b:])
     x_high = _low_states(nq - b)
     rows = max(1, _BLOCK >> b)
-    f_min = math.inf
+    f_min, states, scores = math.inf, [], []
     for start in range(0, len(x_high), rows):
         x_hi = x_high[start:start + rows]
         f = x_hi @ cross
@@ -211,15 +212,11 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
         f += (f_hi[start:start + rows] + x_hi @ c_hi)[:, None]
         f = f.ravel()  # entry (j << b) + lo is state lo + ((start + j) << b)
         f_min = min(f_min, float(f.min()))
-        cut = math.nextafter(f_min + width, math.inf)
-        mine = np.flatnonzero(f <= cut)
-        if start == 0:
-            states, scores = mine, f[mine]
-        else:
-            old = scores <= cut
-            states = np.concatenate((states[old], mine + (start << b)))
-            scores = np.concatenate((scores[old], f[mine]))
-    return _state_rows(nq, states)
+        mine = np.flatnonzero(f <= math.nextafter(f_min + width, math.inf))
+        states.append(mine + (start << b))
+        scores.append(f[mine])
+    band = np.concatenate(scores) <= math.nextafter(f_min + width, math.inf)
+    return _state_rows(nq, np.concatenate(states)[band])
 
 
 def _quadratic_scores(part: qubo.QuadraticPart) -> tuple[np.ndarray, ...]:

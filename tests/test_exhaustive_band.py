@@ -9,6 +9,7 @@ promises since fsum is correctly rounded.
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -301,6 +302,26 @@ def test_split_chunk_edges_keep_band_states(monkeypatch):
     for q, before in zip(cases[2:], plain_bands):
         assert band_states(q) == before
     assert plain[2].ground_occurrences() > 1
+
+
+def test_split_band_upper_edge_across_chunks():
+    # 16 qubits score in 4 chunks of 16 high states, and the minimum lies
+    # in the last one: every state an earlier chunk kept under its own,
+    # higher cut must leave the band by the final cut
+    nq = 16
+    assert (1 << (nq - samplers._LOW_BITS)) // (samplers._BLOCK >> samplers._LOW_BITS) == 4
+    linear, quadratic = random_qubo_coeffs(random.Random(1612), nq)
+    q = QuboMatrix(n_qubits=nq, linear=linear[:14] + (-1000.0, -1000.0), quadratic=quadratic)
+    exact = frac_energies(q)
+    e0 = min(exact)
+    assert all(s >> 14 == 3 for s, e in enumerate(exact) if e == e0)
+    # delta as _near_minimum_rows defines it: gamma_m S + m 2^-1074
+    m = nq + len(q.quadratic) + 2
+    mu = Fraction(m, 2**53)
+    delta = mu / (1 - mu) * sum(abs(Fraction(c)) for c in (*q.linear, *q.quadratic.values()))
+    delta += Fraction(m, 2**1074)
+    band = band_states(q)
+    assert band and all(exact[s] - e0 <= 5 * delta for s in band)
 
 
 def test_overflowing_scale_keeps_running_minimum_per_block(monkeypatch):

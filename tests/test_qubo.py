@@ -186,6 +186,12 @@ def test_quadratic_validation():
     )
     with pytest.raises(DimensionMismatch, match="non-finite linear"):
         dataclasses.replace(built, linear=(math.inf, 0.0))
+    # outside quadratic terms are checked, and sorted, where they come in
+    with pytest.raises(DimensionMismatch, match="not upper-triangular"):
+        dataclasses.replace(built, quadratic={(1, 0): 1.0})
+    unordered = QuboMatrix(n_qubits=3, linear=(0.0,) * 3, quadratic={(1, 2): 1.0, (0, 1): 2.0})
+    assert list(unordered.quadratic) == [(0, 1), (1, 2)]
+    assert dump(unordered).endswith('"quadratic":{"0,1":2.0,"1,2":1.0}}')
 
 
 def test_energy_identity_random_windows():

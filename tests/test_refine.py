@@ -334,6 +334,37 @@ def test_eigenbasis_run_finds_the_eigenbasis_once(monkeypatch):
     assert trace.records[0].level == default_m_max(system)
 
 
+@pytest.mark.parametrize(
+    "case, config",
+    [(irrational_system, RefinementConfig(m_max=20, l_min=-40)),
+     (lambda: build_illcond(44.0), RefinementConfig(m_max=2, l_min=-40, use_eigenbasis=True))],
+    ids=["table1-k1", "illcond-44-eigenbasis"],
+)
+def test_records_change_only_with_a_move(monkeypatch, case, config):
+    # the reported center and its error are formed at the start and after
+    # each accepted move; a rejected solve's record reuses the last ones
+    refine_mod = importlib.import_module("qrefine.refine")
+    original, calls = refine_mod.error_vs_truth, []
+
+    def counted(center, truth):
+        calls.append(center)
+        return original(center, truth)
+
+    monkeypatch.setattr(refine_mod, "error_vs_truth", counted)
+    system, truth = case()
+    trace = refine(system, config, truth=truth)
+    moved = [any(rec.bits) for rec in trace.records]
+    assert len(calls) == 1 + sum(moved)
+    assert not all(moved)
+    start = DyadicVector.zero(2)
+    last = (start, original(start, DyadicVector.from_floats(truth)))
+    for rec, move in zip(trace.records, moved):
+        if not move:
+            assert (rec.center_after, rec.error_vs_truth) == last
+        last = (rec.center_after, rec.error_vs_truth)
+    assert trace.final_center == last[0]
+
+
 def test_eigenbasis_diagonal_matches_plain():
     system = LinearSystem(a=[[4.0, 0.0], [0.0, 1.0]], b=[5.0, -3.0])
     config = RefinementConfig(m_max=2, l_min=-6)
