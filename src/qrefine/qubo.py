@@ -65,7 +65,8 @@ class QuadraticPart:
 @dataclass(frozen=True, eq=True)
 class QuboMatrix:
     """Linear and upper-triangular quadratic coefficients of nq qubits. Terms given
-    without their own QuadraticPart are checked and sorted here, into a new one."""
+    without their own QuadraticPart of nq qubits are checked and sorted here, into a
+    new one."""
 
     n_qubits: int
     linear: tuple[float, ...]
@@ -76,7 +77,8 @@ class QuboMatrix:
     def __post_init__(self) -> None:
         if len(self.linear) != self.n_qubits:
             raise DimensionMismatch("linear term count != n_qubits")
-        if self._part is None or self._part.quadratic is not self.quadratic:
+        part = self._part
+        if part is None or part.quadratic is not self.quadratic or part.n_qubits != self.n_qubits:
             for (i, j), val in self.quadratic.items():
                 if not (0 <= i < j < self.n_qubits):
                     raise DimensionMismatch(f"quadratic index pair {(i, j)} not upper-triangular")

@@ -24,6 +24,7 @@ from helpers import (
     window_qubo,
 )
 from qrefine import (
+    AnnealConfig,
     DimensionMismatch,
     DyadicVector,
     LengthMismatch,
@@ -31,6 +32,8 @@ from qrefine import (
     ParseError,
     QuboMatrix,
     TooLarge,
+    sample_anneal,
+    sample_exhaustive,
 )
 from qrefine.encoding import EncodingSpec, decode_increments
 from qrefine.linalg import normal_residual, residual_norm_sq
@@ -192,6 +195,33 @@ def test_quadratic_validation():
     unordered = QuboMatrix(n_qubits=3, linear=(0.0,) * 3, quadratic={(1, 2): 1.0, (0, 1): 2.0})
     assert list(unordered.quadratic) == [(0, 1), (1, 2)]
     assert dump(unordered).endswith('"quadratic":{"0,1":2.0,"1,2":1.0}}')
+
+
+def _one_d_window():
+    return build_window(WindowLevel(ONE_D, window(1, 0, 1)), normal_residual(ONE_D, DyadicVector.zero(1)))
+
+
+def test_copy_with_more_qubits_gets_its_own_part():
+    # a copy that widens a built window may not keep the window's 2x2 part:
+    # its terms are checked and put into a new part of 3 qubits, so the copy
+    # solves as the same QUBO built anew does
+    built = _one_d_window()
+    wide = dataclasses.replace(built, n_qubits=3, linear=(0.0, 0.0, -1.0))
+    fresh = QuboMatrix(n_qubits=3, linear=(0.0, 0.0, -1.0), quadratic=dict(built.quadratic))
+    assert wide._part is not built._part and wide._part.upper.shape == (3, 3)
+    rows = np.array([[(s >> u) & 1 for u in range(3)] for s in range(8)], dtype=float)
+    assert energy(wide, rows) == energy(fresh, rows)
+    assert energy(wide, (1, 1, 1)) == -3.0
+    assert sample_exhaustive(wide) == sample_exhaustive(fresh)
+    for reads in (8, 7):  # the annealer's table loop, then its per-flip loop
+        config = AnnealConfig(reads=reads, sweeps=20, seed=0)
+        assert sample_anneal(wide, config) == sample_anneal(fresh, config)
+
+
+def test_copy_with_fewer_qubits_is_checked():
+    # a copy that narrows a built window to 1 qubit keeps a pair it cannot hold
+    with pytest.raises(DimensionMismatch, match=r"pair \(0, 1\)"):
+        dataclasses.replace(_one_d_window(), n_qubits=1, linear=(0.0,))
 
 
 def test_energy_identity_random_windows():

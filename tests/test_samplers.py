@@ -6,19 +6,22 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import anneal_reference, random_qubo_coeffs
+from helpers import anneal_reference, irrational_system, random_qubo_coeffs
 from qrefine import (
     AnnealConfig,
     DimensionMismatch,
     DyadicVector,
     LinearSystem,
     QuboMatrix,
+    RefinementConfig,
     TooLarge,
     TooManyQubits,
     qubo,
+    refine,
     sample_anneal,
     sample_exhaustive,
 )
+from qrefine import samplers
 from qrefine.encoding import EncodingSpec
 from qrefine.linalg import normal_residual
 from qrefine.samplers import SampleEntry, SampleSet
@@ -166,7 +169,8 @@ def test_anneal_windows_of_one_level_match_reference():
         assert sample_anneal(q, config).entries == anneal_reference(q, config).entries
 
 
-def test_anneal_extreme_scales_raise_no_warning():
+@pytest.mark.parametrize("reads", [100, 32])  # 2^6 states: the table loop, then the per-flip loop
+def test_anneal_extreme_scales_raise_no_warning(reads):
     # coefficients from 2^-500 to 2^500: the schedule scaled by the largest
     # one keeps every Metropolis exponent finite, and no step warns
     rng = random.Random(2500)
@@ -177,12 +181,67 @@ def test_anneal_extreme_scales_raise_no_warning():
         for u in range(nq) for v in range(u + 1, nq)
     }
     q = QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
-    config = AnnealConfig(reads=100, sweeps=30, seed=3)
+    config = AnnealConfig(reads=reads, sweeps=30, seed=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         result = sample_anneal(q, config)
-    assert sum(e.occurrences for e in result.entries) == 100
+    assert sum(e.occurrences for e in result.entries) == reads
     assert result.entries == anneal_reference(q, config).entries
+
+
+def _gaussian_qubo(nq, seed):
+    rng = random.Random(seed)
+    return QuboMatrix(
+        n_qubits=nq,
+        linear=tuple(rng.gauss(0.0, 1.0) for _ in range(nq)),
+        quadratic={(u, v): rng.gauss(0.0, 1.0) for u in range(nq) for v in range(u + 1, nq)},
+    )
+
+
+def _table1_windows():
+    """The 100 window QUBOs of the table1 run at one bit per sign."""
+    windows = []
+
+    def capture(q):
+        windows.append(q)
+        return sample_exhaustive(q)
+
+    refine(irrational_system()[0], RefinementConfig(m_max=20, l_min=-40), sampler=capture)
+    return windows
+
+
+def test_delta_table_has_the_per_flip_bits():
+    # every entry delta[u, s] is bitwise the change the per-flip loop forms
+    # for a read in state s: all 2^nq states sit at shuffled places among
+    # 1000 reads, as the annealer runs on the table1 windows. (A BLAS
+    # matrix-vector product may sum the last reads mod 4 columns in another
+    # order, so a read there can differ from the table in its last bits.)
+    rng = np.random.default_rng(5)
+    qubos = [_gaussian_qubo(nq, 300 + nq) for nq in range(1, 10)] + _table1_windows()
+    assert len(qubos) == 109
+    for q in qubos:
+        nq, reads = q.n_qubits, 1000
+        lin, coupling = samplers._start(q, AnnealConfig(reads=1, sweeps=1))[:2]
+        table = samplers._delta_table(lin, coupling)
+        codes = np.concatenate([rng.permutation(1 << nq), rng.integers(0, 1 << nq, reads - (1 << nq))])
+        x = np.ascontiguousarray(samplers._state_rows(nq, codes).T)
+        field, sign, delta = (np.empty(reads) for _ in range(3))
+        for u in range(nq):
+            samplers._flip_deltas(coupling[u], lin[u], x, x[u], field, sign, delta)
+            assert np.array_equal(delta.view(np.int64), table[u][codes].view(np.int64))
+
+
+@pytest.mark.parametrize("nq", range(1, 10))
+def test_table_and_per_flip_loops_agree(nq):
+    # non-integer coefficients, whose sums depend on their order, at reads
+    # on both sides of the rule 2^nq <= reads
+    q = _gaussian_qubo(nq, 400 + nq)
+    for reads in (1 << nq, (1 << nq) - 1):
+        for seed in (0, 7):
+            config = AnnealConfig(reads=reads, sweeps=20, seed=seed)
+            table = samplers._table_sweeps(q, config)
+            assert table == samplers._flip_sweeps(q, config)
+            assert sum(e.occurrences for e in table.entries) == reads
 
 
 def test_anneal_clamp_keeps_downhill_exponents_finite():
