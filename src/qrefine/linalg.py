@@ -102,8 +102,9 @@ class EigenBasis:
     vectors: np.ndarray
 
     def singular(self) -> bool:
-        """lmin <= lmax n^2 2.5e-16: singular within rounding, as when lmax <= 0."""
-        return bool(self.values[-1] <= self.values[0] * len(self.values) ** 2 * 2.5e-16)
+        """lmin <= lmax (n^2 2.5e-16), grouped so that lmax n^2 cannot overflow:
+        singular within rounding, as when lmax <= 0."""
+        return bool(self.values[-1] <= self.values[0] * (len(self.values) ** 2 * 2.5e-16))
 
 
 def residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:

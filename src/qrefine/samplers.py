@@ -23,7 +23,9 @@ chunk) up to the 24-qubit cap, and a window of at most 10 qubits, with no
 high bits, is scored by one chain of matrix products. It keeps, as bit
 rows, the band of states whose float score lies within a proven rounding
 bound of the float minimum, which holds every state of minimum exact
-energy, and scores only that band exactly.
+energy, and scores only that band exactly. If 4 S, S the sum of all |coef|,
+is past the float range, both samplers do their float work on the QUBO scaled
+by a power of two that brings it in, and score their candidates on the original.
 
 The annealer forms its symmetric coupling matrix from the part's upper
 matrix once per call. When every state fits in the reads (2^nq <= reads),
@@ -50,10 +52,10 @@ import numpy as np
 
 from . import qubo
 from .encoding import BitVector
-from .errors import DimensionMismatch, TooLarge, TooManyQubits
+from .errors import DimensionMismatch, TooManyQubits
 
 _EXHAUSTIVE_LIMIT = 24
-_BLOCK = 1 << 14  # float scores per block or chunk, and rows per exact block; a power of two
+_BLOCK = 1 << 14  # float scores per block or chunk; a power of two
 # most low bits of a split state, all scored in one block; timed, a split
 # with high bits is no faster up to 10 qubits and faster from 11
 _LOW_BITS = 10
@@ -128,12 +130,20 @@ def sample_exhaustive(q: qubo.QuboMatrix) -> SampleSet:
     return SampleSet([SampleEntry(bits, e0, 1) for e, bits in zip(scores, rows) if e == e0])
 
 
-def _abs_total(q: qubo.QuboMatrix) -> float:
-    """Sum of all |coef| by fsum, inf if it overflows."""
+def _float_range(q: qubo.QuboMatrix) -> tuple[qubo.QuboMatrix, float]:
+    """q and S, the fsum of all |coef|, when 4 S is finite; else q scaled by
+    2^-k, each coefficient by math.ldexp, and its S. With max |coef| < 2^e
+    and n coefficients, k = e + bit_length(n) + 3 - 1023 gives 4 S < 2^1022."""
+    coefs = (*q.linear, *q.quadratic.values())
     try:
-        return math.fsum(map(abs, (*q.linear, *q.quadratic.values())))
+        total = math.fsum(map(abs, coefs))
     except OverflowError:
-        return math.inf
+        total = math.inf
+    if math.isfinite(4.0 * total):
+        return q, total
+    k = math.frexp(max(map(abs, coefs)))[1] + len(coefs).bit_length() + 3 - 1023
+    return _float_range(qubo.QuboMatrix(q.n_qubits, tuple(math.ldexp(c, -k) for c in q.linear),
+                                        {key: math.ldexp(c, -k) for key, c in q.quadratic.items()}))
 
 
 def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
@@ -182,25 +192,28 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
       does not change.
     - fsum is correctly rounded: |s(x) - E(x)| <= u S(x) + 2^-1075.
     - With m = nq + #quadratic + 2, gamma_{N-1} + u <= gamma_m, so
-      |f(x) - s(x)| <= gamma_m S + 2^-1075 <= delta := gamma_m S + m 2^-1074.
+      |f(x) - s(x)| <= gamma_m S + 2^-1075.
+    - If 4 S overflows, the pass runs on q scaled by 2^-k (_float_range), so f,
+      E, S(x) and S are the scaled q's, against s(x) 2^-k. Scaling by a power of
+      two is exact but for a subnormal result, off by at most 2^-1075 (Higham,
+      ch. 2), so over at most m terms E(x) and S(x) move by at most m 2^-1075 and
+      the bound by under m 2^-1074: |f(x) - s(x) 2^-k| <= delta := gamma_m S +
+      2 m 2^-1074, with k = 0 when 4 S is finite.
     - Let x* be any state of minimum s and y the state of minimum f. Then
-      f(x*) <= s(x*) + delta <= s(y) + delta <= f(y) + 2 delta.
+      f(x*) <= s(x*) 2^-k + delta <= s(y) 2^-k + delta <= f(y) + 2 delta.
 
-    delta is evaluated as 2 m u S + m 2^-1074 with S from fsum. Under the
+    delta is evaluated as 2 m u S + 2 m 2^-1074 with S from fsum. Under the
     24-qubit cap m u <= 302 u, so gamma_m <= m u (1 + 1e-13) and the factor
     2 covers the roundings of S and of the product; an underflowing product
     is covered by the absolute term. The cut f(y) + 2 delta is rounded up by one
     ulp. Each chunk keeps its states under the running cut, which only falls, so
     one cut of the joined list by the final cut gives the band in ascending state
-    order. If 4 S overflows, the float pass could overflow too, and the band is
-    instead exactly the states tied at the minimum s, found block by block.
+    order.
     """
+    q, total = _float_range(q)
     nq = q.n_qubits
     m = nq + len(q.quadratic) + 2
-    total = _abs_total(q)
-    if not math.isfinite(4.0 * total):
-        return _exact_minimum_rows(q)
-    width = 2.0 * (2.0 * m * _U * total + m * _TINY)
+    width = 2.0 * (2.0 * m * _U * total + 2 * m * _TINY)
 
     b = min(nq, _LOW_BITS)
     quad = _quadratic_scores(q._part)
@@ -250,22 +263,6 @@ def _quadratic_scores(part: qubo.QuadraticPart) -> tuple[np.ndarray, ...]:
     return scores
 
 
-def _exact_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
-    """Bit rows of the states tied at the minimum qubo.energy, in ascending
-    state order, scored one block at a time against a running minimum."""
-    nq = q.n_qubits
-    e0, parts = math.inf, []
-    for start in range(0, 1 << nq, _BLOCK):
-        x = _state_rows(nq, np.arange(start, min(start + _BLOCK, 1 << nq)))
-        scores = np.array(qubo.energy(q, x))
-        lo = float(scores.min())
-        if lo < e0:
-            e0, parts = lo, []
-        if lo == e0:
-            parts.append(x[scores == lo])
-    return np.concatenate(parts)
-
-
 def _state_rows(nq: int, states: np.ndarray) -> np.ndarray:
     """Rows bits[u] = (state >> u) & 1 of the given states, as floats."""
     return ((states[:, None] >> np.arange(nq)) & 1).astype(np.float64)
@@ -287,7 +284,8 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
     up its change by state code in tables (_table_sweeps); past that, the
     tables, formed again each sweep, soon cost more than they save, and
     each flip forms its changes from the reads' bits (_flip_sweeps). Both
-    loops draw the same uniforms and make the same decisions.
+    loops draw the same uniforms; they make the same decisions when the
+    reads are a multiple of 4, and else could in principle differ (_flip_deltas).
     """
     if 1 << q.n_qubits <= config.reads:
         return _table_sweeps(q, config)
@@ -295,14 +293,13 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
 
 
 def _start(q: qubo.QuboMatrix, config: AnnealConfig):
-    """Both loops' checks, coefficients, schedule and start: the generator
-    after drawing the reads' (reads, nq) bits, the bits, and their energies."""
+    """Both loops' checks, coefficients (of q brought into the float range),
+    schedule and start: the generator after drawing the reads' (reads, nq)
+    bits, the bits, and their energies."""
     nq = q.n_qubits
     if nq < 1:
         raise DimensionMismatch("annealer needs at least one qubit")
-    if not math.isfinite(4.0 * _abs_total(q)):
-        # the bound that keeps every field, energy and update finite
-        raise TooLarge("QUBO coefficient magnitudes sum past the float range")
+    q, _ = _float_range(q)  # 4 S finite keeps every field, energy and update finite
     lin = np.array(q.linear, dtype=float)
     coupling = q._part.upper + q._part.upper.T  # each term on both sides of a zero diagonal
 

@@ -34,13 +34,27 @@ from qrefine import (
 )
 from qrefine.encoding import EncodingSpec
 from qrefine import qubo, samplers
-from qrefine.samplers import SampleEntry, _exact_minimum_rows, _near_minimum_rows
+from qrefine.errors import TooLarge
+from qrefine.samplers import SampleEntry, _near_minimum_rows
+
+
+def rounded(e: Fraction) -> float:
+    """e rounded once to a float, with +-inf past the float range."""
+    try:
+        return float(e)
+    except OverflowError:
+        return math.inf if e > 0 else -math.inf
+
+
+def four_s_overflows(q) -> bool:
+    """Whether 4 S, S the sum of all |coef| rounded once, is past the float range."""
+    return math.isinf(4.0 * rounded(sum(abs(Fraction(c)) for c in (*q.linear, *q.quadratic.values()))))
 
 
 def expected(q) -> tuple[list[float], set[int]]:
     """The exact energy of every state, rounded once, and the states tied
     with the exact minimum."""
-    exact = [float(e) for e in frac_energies(q)]
+    exact = [rounded(e) for e in frac_energies(q)]
     e0 = min(exact)
     return exact, {s for s, e in enumerate(exact) if e == e0}
 
@@ -191,8 +205,9 @@ def test_all_subnormal_coefficients():
 
 
 def test_overflowing_scale_scores_every_state_exactly():
-    # sum |coef| overflows, no single state's sum does: every state is
-    # scored exactly and the band is exactly the minimum state
+    # sum |coef| overflows, no single state's sum does: the float pass on
+    # the prescaled QUBO gives what scoring every state exactly gives, and
+    # the band is exactly the minimum state
     q = QuboMatrix(n_qubits=2, linear=(1e308, -1e308), quadratic={(0, 1): 5e307})
     assert band_states(q) == [2]
     assert check_exact(q).best() == SampleEntry((0, 1), -1e308, 1)
@@ -325,12 +340,14 @@ def test_split_band_upper_edge_across_chunks():
 
 
 def test_overflowing_scale_keeps_running_minimum_per_block(monkeypatch):
-    # 4 * sum |coef| overflows: every state is scored exactly, one block of
-    # at most _BLOCK rows at a time, and only the tied rows are kept
-    q = chain_qubo(10, 1e307)
-    assert not math.isfinite(4.0 * samplers._abs_total(q))
+    # 4 * sum |coef| overflows: the split float pass runs on the prescaled
+    # QUBO, two high states per chunk against a running minimum, and the
+    # band, exactly the tied states, is scored in one batch
+    nq = samplers._LOW_BITS + 2
+    q = chain_qubo(nq, 1e307)
+    assert four_s_overflows(q)
     exact, grounds = expected(q)
-    monkeypatch.setattr(samplers, "_BLOCK", 2**4)
+    monkeypatch.setattr(samplers, "_BLOCK", 1 << (samplers._LOW_BITS + 1))
     batches = []
     energy = samplers.qubo.energy
 
@@ -340,37 +357,23 @@ def test_overflowing_scale_keeps_running_minimum_per_block(monkeypatch):
 
     monkeypatch.setattr(samplers.qubo, "energy", counted)
     got = sample_exhaustive(q)
-    assert got.best() == SampleEntry(min(state_bits(s, 10) for s in grounds), min(exact), 1)
+    assert got.best() == SampleEntry(min(state_bits(s, nq) for s in grounds), min(exact), 1)
     assert got.ground_occurrences() == len(grounds) > 1
-    assert sum(batches) == (1 << 10) + len(grounds)
-    assert max(batches) <= samplers._BLOCK
+    assert batches == [len(grounds)]
     assert band_states(q) == sorted(grounds)
 
 
 def test_block_edges_keep_band_states(monkeypatch):
-    rng = random.Random(1010)
-    linear, quadratic = random_qubo_coeffs(rng, 10)
+    # 2^4 scores per block are fewer than the 2^_LOW_BITS low states, so each
+    # chunk of the split pass holds one high state, the floor of its chunk size
+    nq = samplers._LOW_BITS + 2
+    linear, quadratic = random_qubo_coeffs(random.Random(1010), nq)
     cases = [
-        QuboMatrix(n_qubits=10, linear=linear, quadratic=quadratic),
-        # many ties spread over the whole state range
-        QuboMatrix(n_qubits=10, linear=(-1.0,) * 10,
-                   quadratic={(u, u + 1): 1.0 for u in range(9)}),
+        QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic),
+        chain_qubo(nq),  # many ties spread over the whole state range
     ]
     plain = [sample_exhaustive(q) for q in cases]
     monkeypatch.setattr(samplers, "_BLOCK", 2**4)
-    blocks = []
-    energy = samplers.qubo.energy
-
-    def counted(q, rows):
-        blocks.append(rows.copy())
-        return energy(q, rows)
-
-    with monkeypatch.context() as patched:
-        patched.setattr(samplers.qubo, "energy", counted)
-        _exact_minimum_rows(cases[0])
-    assert len(blocks) == 64
-    for start, x in zip(range(0, 1024, 16), blocks):
-        assert x.tolist() == [list(state_bits(start + r, 10)) for r in range(16)]
     for q, before in zip(cases, plain):
         after = sample_exhaustive(q)
         assert after.best() == before.best()
@@ -382,10 +385,16 @@ def test_block_edges_keep_band_states(monkeypatch):
 
 @pytest.mark.parametrize("nq", [0, 3])
 def test_solve_scores_band_in_one_batch(nq, monkeypatch):
-    # each solve scores its band rows in one batch and no other state
+    # each solve scores its band rows in one batch and no other state, also
+    # when 4 * sum |coef| overflows and the float pass runs prescaled
     rng = random.Random(nq)
     linear, quadratic = random_qubo_coeffs(rng, nq)
     q = QuboMatrix(n_qubits=nq, linear=linear, quadratic=quadratic)
+    cases = [q]
+    if nq:
+        big = scaled(q, 1020)
+        assert four_s_overflows(big)
+        cases.append(big)
     scored = []
     energy = samplers.qubo.energy
 
@@ -395,9 +404,71 @@ def test_solve_scores_band_in_one_batch(nq, monkeypatch):
         return energy(q, rows)
 
     monkeypatch.setattr(samplers.qubo, "energy", counted)
-    sample_exhaustive(q)
-    band = len(_near_minimum_rows(q))
-    assert scored == [band] and band <= 1 << nq
+    for q in cases:
+        scored.clear()
+        sample_exhaustive(q)
+        band = len(_near_minimum_rows(q))
+        assert scored == [band] and band <= 1 << nq
+
+
+def scaled(q, s):
+    """q with every coefficient times 2^s, exactly while no product
+    overflows or goes subnormal."""
+    return QuboMatrix(n_qubits=q.n_qubits, linear=tuple(math.ldexp(c, s) for c in q.linear),
+                      quadratic={key: math.ldexp(c, s) for key, c in q.quadratic.items()})
+
+
+def check_exact_or_too_large(q):
+    """check_exact when the exact minimum is in the float range, else
+    TooLarge; returns whether it solved."""
+    e0 = min(frac_energies(q))
+    if math.isinf(rounded(e0)):
+        with pytest.raises(TooLarge):
+            sample_exhaustive(q)
+        return False
+    check_exact(q)
+    return True
+
+
+def test_prescaled_band_holds_exact_minimum():
+    # random QUBOs scaled by 2^s, s drawn so that 4 S overflows while every
+    # coefficient stays finite: the exact minimum set, or TooLarge when the
+    # minimum itself is past the float range; some of the sizes split
+    rng = random.Random(1023)
+    solved = 0
+    for trial in range(40):
+        nq = rng.randint(1, samplers._LOW_BITS + 2) if trial % 4 else rng.randint(1, 6)
+        base = (QuboMatrix(n_qubits=nq, **dict(zip(("linear", "quadratic"), random_qubo_coeffs(rng, nq))))
+                if trial % 2 else large_cancellation_qubo(rng, nq))
+        coefs = [abs(Fraction(c)) for c in (*base.linear, *base.quadratic.values())]
+        if not any(coefs):
+            continue
+        total, top = sum(coefs), max(coefs)
+        # S 2^s >= 2^1022, and every |coef| 2^s < 2^1023
+        lo = 1022 - math.floor(math.log2(total))
+        hi = 1023 - math.frexp(float(top))[1]
+        q = scaled(base, rng.randint(lo, max(lo, hi)))
+        assert four_s_overflows(q)
+        solved += check_exact_or_too_large(q)
+    assert solved >= 20
+
+
+def test_prescaled_subnormal_terms_keep_exact_minimum():
+    # the prescale brings the +-2^1020 terms to about 2^1015 and makes the
+    # terms near 2^-1070 subnormal or 0; the samples are still the states
+    # tied at the exact minimum of the original terms
+    rng = random.Random(1070)
+    pool = (2.0**1020, -(2.0**1020), 5 * 2.0**-1068, -3 * 2.0**-1068, 2.0**-1070, -(2.0**-1072))
+    solved = 0
+    for _ in range(40):
+        nq = rng.randint(2, 8)
+        q = QuboMatrix(n_qubits=nq, linear=tuple(rng.choice(pool) for _ in range(nq)),
+                       quadratic={(u, v): rng.choice(pool)
+                                  for u in range(nq) for v in range(u + 1, nq) if rng.random() < 0.6})
+        if not four_s_overflows(q):
+            continue
+        solved += check_exact_or_too_large(q)
+    assert solved >= 10
 
 
 @pytest.mark.parametrize("nq", [4, 8, samplers._LOW_BITS + 1, samplers._LOW_BITS + 2])

@@ -26,9 +26,11 @@ from qrefine import (
     DyadicVector,
     LinearSystem,
     NotSymmetric,
+    RefinementConfig,
     SingularMatrix,
     TooLarge,
     condition_number,
+    refine,
 )
 from qrefine.linalg import (
     exact_form,
@@ -352,6 +354,20 @@ def test_condition_rotated_diagonal():
 def test_condition_singular():
     with pytest.raises(SingularMatrix):
         condition_number(LinearSystem(a=[[1.0, 1.0], [1.0, 1.0]], b=[0.0, 0.0]))
+
+
+def test_condition_near_float_range():
+    # lmax = 2^1022 here, so lmax n^2 would overflow: the singularity test
+    # scales lmax by n^2 2.5e-16 as one factor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        system = LinearSystem(a=[[2.0**510, 0.0], [0.0, 2.0**511]], b=[1.0, 1.0])
+        assert condition_number(system) == 2.0
+        # well conditioned, so its windows, not singularity, stop a refine
+        with pytest.raises(TooLarge, match="window"):
+            refine(system, RefinementConfig())
+        with pytest.raises(SingularMatrix):
+            condition_number(LinearSystem(a=[[2.0**510] * 2] * 2, b=[1.0, 1.0]))
 
 
 def test_solve_then_residual_well_conditioned():

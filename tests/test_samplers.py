@@ -259,28 +259,51 @@ def test_anneal_clamp_keeps_downhill_exponents_finite():
     assert result.entries == anneal_reference(q, config).entries
 
 
-def test_anneal_coefficient_sum_past_float_range_is_too_large():
+@pytest.mark.parametrize("reads", [20, 3])
+def test_anneal_coefficient_sum_past_float_range_solves(reads):
     # each coefficient is finite, but fields and energies could reach
-    # 2e308: without the guard they overflow to inf, then NaN, and some
-    # reads report (1, 1) at +1e308 although (0, 0) at 0 is lower
+    # 2e308: the annealer works on the QUBO scaled by a power of two that
+    # keeps them finite, so no read overflows to inf or NaN, and the
+    # states it reports are scored on the original QUBO; 20 reads run the
+    # table loop, 3 the per-flip loop
     q = QuboMatrix(n_qubits=2, linear=(1e308, -1e308), quadratic={(0, 1): 1e308})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(TooLarge):
-            sample_anneal(q, AnnealConfig(reads=20, sweeps=10, seed=0))
+        result = sample_anneal(q, AnnealConfig(reads=reads, sweeps=10, seed=0))
+    assert result.best() == SampleEntry((0, 1), -1e308, result.best().occurrences)
+    assert all(e.energy == qubo.energy(q, e.bits) for e in result.entries)
 
 
 def test_exhaustive_running_sum_past_float_range():
-    # 4 S overflows, so every state is scored exactly; a running sum of the
-    # terms of (1, 1) can pass the float range, but their exact sum is 1e308
+    # 4 S overflows, so the float pass runs on the QUBO scaled by a power
+    # of two; a running sum of the terms of (1, 1) can pass the float
+    # range, but their exact sum is 1e308
     q = QuboMatrix(n_qubits=2, linear=(1e308, -1e308), quadratic={(0, 1): 1e308})
     result = sample_exhaustive(q)
     assert result.entries == (SampleEntry(bits=(0, 1), energy=-1e308, occurrences=1),)
     states = np.array([(0, 1), (0, 0), (1, 0), (1, 1)], dtype=float)
     assert qubo.energy(q, states) == [-1e308, 0.0, 1e308, 1e308]
-    # a state whose exact energy is past the float range is a typed error
+    # states past the float range do not stop a solve whose minimum is in it
+    result = sample_exhaustive(QuboMatrix(n_qubits=3, linear=(1e308, 1e308, -1e308)))
+    assert result.entries == (SampleEntry(bits=(0, 0, 1), energy=-1e308, occurrences=1),)
+    # a minimum past the float range is a typed error
     with pytest.raises(TooLarge):
-        sample_exhaustive(QuboMatrix(n_qubits=3, linear=(1e308, 1e308, -1e308)))
+        sample_exhaustive(QuboMatrix(n_qubits=2, linear=(-1e308, -1e308)))
+
+
+@pytest.mark.parametrize("power", range(506, 510))
+def test_systems_near_float_range_solve_exactly(power):
+    # a x = a with a = 2^power: four times the sum of the windows' coefficient
+    # magnitudes is past the float range from 2^508, and both samplers still
+    # reach x = 1 exactly
+    v = 2.0**power
+    system = LinearSystem(a=[[v]], b=[v])
+    for config in (RefinementConfig(l_min=-30),
+                   RefinementConfig(l_min=-30, sampler="sa", anneal=AnnealConfig(reads=200, seed=7))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = refine(system, config)
+        assert trace.final_center == DyadicVector((1,), 0)
 
 
 def test_exhaustive_cap_before_dense_coefficients():
