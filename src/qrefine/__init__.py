@@ -15,7 +15,6 @@ from .encoding import DyadicVector
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    LengthMismatch,
     NotSymmetric,
     ParseError,
     QrefineError,
@@ -37,7 +36,6 @@ __all__ = [
     "DyadicVector",
     "IndexOutOfRange",
     "IterationRecord",
-    "LengthMismatch",
     "LinearSystem",
     "NotSymmetric",
     "ParseError",

@@ -6,12 +6,12 @@ Subcommands:
                  optionally writing trace CSV and SVG plots
   qubo-dump      emit the interchange JSON for one window around a given center
 
-Exit codes: 0 success; 2 input error (OSError, ValueError, ParseError,
-DimensionMismatch, LengthMismatch, IndexOutOfRange); 3 solver error (any
+Exit codes: 0 success; 2 input error (OSError or ValueError, as are
+ParseError, DimensionMismatch and IndexOutOfRange); 3 solver error (any
 other QrefineError: SingularMatrix, NotSymmetric, TooLarge,
 TooManyQubits); 4 checkpoint assertion failure. `main` alone maps an
-error to its code and its "input error:" or "solver error:" line. Set
-QREFINE_LOG=error|info|debug for diagnostics on standard error.
+error, by its type, to its code and its "input error:" or "solver error:"
+line. Set QREFINE_LOG=error|info|debug for diagnostics on standard error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .encoding import DyadicVector, EncodingSpec
-from .errors import DimensionMismatch, IndexOutOfRange, LengthMismatch, ParseError, QrefineError
+from .errors import ParseError, QrefineError
 from .linalg import LinearSystem, normal_residual
 from .plots import emit_plots
 from .problems import load_problem
@@ -37,8 +37,8 @@ from .refine import RefinementConfig, RefinementTrace, refine
 from .samplers import AnnealConfig
 from .traceio import TraceWriter
 
-# exit 2; every other QrefineError is a solver error, exit 3
-_INPUT_ERRORS = (OSError, ValueError, ParseError, DimensionMismatch, LengthMismatch, IndexOutOfRange)
+# exit 2, the input errors of errors.py among them; every other QrefineError exits 3
+_INPUT_ERRORS = (OSError, ValueError)
 _CHECKPOINTS = [15, 10, 5, 0, -5, -10, -15, -20, -25, -30, -35, -40]
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
 
-from .errors import IndexOutOfRange, LengthMismatch
+from .errors import DimensionMismatch, IndexOutOfRange
 
 BitVector = tuple[int, ...]
 _power_of_five = lru_cache(maxsize=256)((5).__pow__)  # 5^k by k; a run meets few k
@@ -89,7 +89,7 @@ class DyadicVector:
     def add_increments(self, increments: Sequence[int], scale: int) -> "DyadicVector":
         """New vector equal to self + increments * 2^scale, exactly."""
         if len(increments) != len(self.mantissas):
-            raise LengthMismatch("increment count != component count")
+            raise DimensionMismatch("increment count != component count")
         e = min(self.exponent, scale)
         se, de = self.exponent - e, scale - e
         return DyadicVector([(m << se) + (d << de) for m, d in zip(self.mantissas, increments)], e)
@@ -147,7 +147,7 @@ class EncodingSpec:
 def decode_increments(bits: BitVector, spec: EncodingSpec) -> tuple[int, ...]:
     """Integer increment per variable, in units of 2^l_lo, of 0/1 bits."""
     if len(bits) != spec.total_qubits:
-        raise LengthMismatch(f"expected {spec.total_qubits} bits, got {len(bits)}")
+        raise DimensionMismatch(f"expected {spec.total_qubits} bits, got {len(bits)}")
     if not {0, 1}.issuperset(bits):
         raise IndexOutOfRange(f"bits must be 0 or 1, got {tuple(bits)}")
     out = [0] * spec.n_vars
@@ -160,7 +160,7 @@ def canonical_bits(increments: Sequence[int], spec: EncodingSpec) -> BitVector:
     """Representative bits for integer increments: one sign block active per
     variable, never both (the redundant (1,1) pairings are avoided)."""
     if len(increments) != spec.n_vars:
-        raise LengthMismatch("increment count != n_vars")
+        raise DimensionMismatch("increment count != n_vars")
     limit = (1 << spec.bits_per_sign) - 1
     for d in increments:
         if abs(d) > limit:

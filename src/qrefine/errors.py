@@ -1,19 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+ParseError, DimensionMismatch and IndexOutOfRange are input errors and
+ValueErrors; the other QrefineErrors are solver errors.
+"""
 
 
 class QrefineError(Exception):
     """Base class for all qrefine errors."""
 
 
-class DimensionMismatch(QrefineError):
+class DimensionMismatch(QrefineError, ValueError):
     pass
 
 
-class LengthMismatch(QrefineError):
-    pass
-
-
-class IndexOutOfRange(QrefineError):
+class IndexOutOfRange(QrefineError, ValueError):
     pass
 
 
@@ -33,5 +33,5 @@ class TooManyQubits(QrefineError):
     pass
 
 
-class ParseError(QrefineError):
+class ParseError(QrefineError, ValueError):
     pass

@@ -101,10 +101,13 @@ class EigenBasis:
     values: np.ndarray
     vectors: np.ndarray
 
-    def singular(self) -> bool:
-        """lmin <= lmax (n^2 2.5e-16), grouped so that lmax n^2 cannot overflow:
-        singular within rounding, as when lmax <= 0."""
-        return bool(self.values[-1] <= self.values[0] * (len(self.values) ** 2 * 2.5e-16))
+    def min_value(self) -> float:
+        """lmin, the smallest value; raises SingularMatrix when lmin <= lmax
+        (n^2 2.5e-16), grouped so that lmax n^2 cannot overflow: singular
+        within rounding, as when lmax <= 0."""
+        if self.values[-1] <= self.values[0] * (len(self.values) ** 2 * 2.5e-16):
+            raise SingularMatrix("A^T A is singular: its smallest eigenvalue is zero within rounding")
+        return float(self.values[-1])
 
 
 def residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
@@ -136,7 +139,7 @@ def symmetric_eigen(s: np.ndarray) -> EigenBasis:
     signed so that its largest entry (the first, on a tie) is positive."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise NotSymmetric(f"matrix must be square, got {s.shape}")
+        raise DimensionMismatch(f"matrix must be square, got {s.shape}")
     scale = np.max(np.abs(s)) or 1.0
     if np.max(np.abs(s - s.T)) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric to 1e-12 relative")
@@ -151,6 +154,4 @@ def condition_number(system: LinearSystem) -> float:
     """2-norm condition number sqrt(lmax/lmin) of A^T A, from the
     system's cached Gram matrix."""
     basis = symmetric_eigen(np.array(system.gram))
-    if basis.singular():
-        raise SingularMatrix("smallest eigenvalue of A^T A is zero within tolerance")
-    return float(np.sqrt(basis.values[0] / basis.values[-1]))
+    return float(np.sqrt(basis.values[0] / basis.min_value()))

@@ -34,7 +34,7 @@ from itertools import islice
 import numpy as np
 
 from .encoding import BitVector, DyadicVector, EncodingSpec
-from .errors import DimensionMismatch, LengthMismatch, ParseError, TooLarge
+from .errors import DimensionMismatch, ParseError, TooLarge, TooManyQubits
 from .linalg import LinearSystem
 from .problems import _number, strict_json
 
@@ -106,13 +106,14 @@ class WindowLevel:
     """The part of a window that its level fixes: the qubit weights w_u and
     variables i(u), the w_u^2 (A^T A)_{i(u),i(u)} term of each linear coefficient,
     and the shared QuadraticPart, its terms built in (u, v) order. Raises DimensionMismatch
-    when the spec does not fit the system and TooLarge for a window past the float range."""
+    when the spec does not fit the system, TooManyQubits past _MAX_QUBITS and TooLarge
+    for a window past the float range."""
 
     def __init__(self, system: LinearSystem, spec: EncodingSpec) -> None:
         if spec.n_vars != system.n:
             raise DimensionMismatch("system, center and spec sizes disagree")
         if spec.total_qubits > _MAX_QUBITS:
-            raise TooLarge(f"{spec.total_qubits} qubits exceeds the 1e6 bound")
+            raise TooManyQubits(f"{spec.total_qubits} qubits exceeds the 1e6 bound")
         if spec.l_hi > 1023:
             raise TooLarge(f"bit weight 2^{spec.l_hi} is past the float range")
         gram = system.gram
@@ -173,7 +174,7 @@ def energy(q: QuboMatrix, bits: BitVector | np.ndarray) -> float | list[float]:
     """
     x = np.asarray(bits, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != q.n_qubits:
-        raise LengthMismatch(f"expected rows of {q.n_qubits} bits, got shape {x.shape}")
+        raise DimensionMismatch(f"expected rows of {q.n_qubits} bits, got shape {x.shape}")
     return _energies(q, x[None])[0] if x.ndim == 1 else _energies(q, x)
 
 

@@ -52,7 +52,7 @@ import numpy as np
 
 from . import qubo
 from .encoding import BitVector
-from .errors import DimensionMismatch, TooManyQubits
+from .errors import TooManyQubits
 
 _EXHAUSTIVE_LIMIT = 24
 _BLOCK = 1 << 14  # float scores per block or chunk; a power of two
@@ -287,18 +287,18 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
     loops draw the same uniforms; they make the same decisions when the
     reads are a multiple of 4, and else could in principle differ (_flip_deltas).
     """
+    if q.n_qubits == 0:  # the one state, empty, in every read
+        return SampleSet([SampleEntry((), 0.0, config.reads)])
     if 1 << q.n_qubits <= config.reads:
         return _table_sweeps(q, config)
     return _flip_sweeps(q, config)
 
 
 def _start(q: qubo.QuboMatrix, config: AnnealConfig):
-    """Both loops' checks, coefficients (of q brought into the float range),
-    schedule and start: the generator after drawing the reads' (reads, nq)
-    bits, the bits, and their energies."""
+    """Both loops' coefficients (of q brought into the float range), schedule
+    and start: the generator after drawing the reads' (reads, nq) bits, the
+    bits, and their energies."""
     nq = q.n_qubits
-    if nq < 1:
-        raise DimensionMismatch("annealer needs at least one qubit")
     q, _ = _float_range(q)  # 4 S finite keeps every field, energy and update finite
     lin = np.array(q.linear, dtype=float)
     coupling = q._part.upper + q._part.upper.T  # each term on both sides of a zero diagonal

@@ -20,7 +20,6 @@ import numpy as np
 
 from qrefine import (
     AnnealConfig,
-    DimensionMismatch,
     DyadicVector,
     IndexOutOfRange,
     LinearSystem,
@@ -254,8 +253,6 @@ def anneal_reference(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
     read-major state, with fresh arrays and one uniform draw per flip;
     sample_anneal must make the same decisions."""
     nq = q.n_qubits
-    if nq < 1:
-        raise DimensionMismatch("annealer needs at least one qubit")
     lin = np.array(q.linear, dtype=float)
     coupling = np.zeros((nq, nq))
     for (u, v), c in q.quadratic.items():

@@ -2,9 +2,9 @@
 
 import qrefine
 
-# the 23 names, as the README's "Library" section groups them
+# the 22 names, as the README's "Library" section groups them
 README_NAMES = [
-    "QrefineError", "ParseError", "DimensionMismatch", "LengthMismatch", "IndexOutOfRange",
+    "QrefineError", "ParseError", "DimensionMismatch", "IndexOutOfRange",
     "NotSymmetric", "SingularMatrix", "TooLarge", "TooManyQubits",
     "LinearSystem", "RefinementConfig", "RefinementTrace", "IterationRecord", "refine",
     "AnnealConfig", "QuboMatrix", "SampleEntry", "SampleSet", "sample_anneal", "sample_exhaustive",

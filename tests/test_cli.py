@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
-from qrefine import cli, errors
+from qrefine import LinearSystem, SingularMatrix, cli, condition_number, errors
 from qrefine.cli import main
+from qrefine.qubo import parse
 
 
 IDENTITY = '{"a": [[1.0, 0.0], [0.0, 1.0]], "b": [3.0, -2.0]}'
@@ -71,11 +73,16 @@ def test_solve_malformed_problem_names_field(tmp_path, capsys):
 
 
 def test_solve_singular_system(tmp_path, capsys):
-    path = write_problem(tmp_path, '{"a": [[1.0, 1.0], [1.0, 1.0]], "b": [1.0, 1.0]}')
-    rc = main(["solve", path])
-    err = capsys.readouterr().err
-    assert rc == 3
-    assert "solver error" in err
+    # one message, from solve as from condition_number; the float lambda_min
+    # of [[3, 1], [3, 1]]'s A^T A is rounding noise above 0
+    message = "A^T A is singular: its smallest eigenvalue is zero within rounding"
+    for a in ([[1, 1], [1, 1]], [[3, 1], [3, 1]]):
+        path = write_problem(tmp_path, json.dumps({"a": a, "b": [1, 1]}))
+        assert main(["solve", path]) == 3
+        assert capsys.readouterr().err == f"solver error: {message}\n"
+        with pytest.raises(SingularMatrix) as info:
+            condition_number(LinearSystem(a=a, b=[1, 1]))
+        assert str(info.value) == message
 
 
 def test_solve_failed_run_removes_trace(tmp_path, capsys):
@@ -250,22 +257,53 @@ def test_qubo_dump_wide3_golden_bytes(tmp_path, capsys):
     )
 
 
+# a x = a with a = 2^508: 4 times its windows' coefficient magnitudes sum
+# past the float range, so both samplers work on each window scaled by a
+# power of two
+BIG508 = '{"a": [[8.379879956214123e+152]], "b": [8.379879956214123e+152]}'
+K3 = ["--bits-per-sign", "3", "--level-step", "3", "--l-min", "-30"]
+SA7 = ["--sampler", "sa", "--seed", "7", "--reads"]
+
+
 @pytest.mark.parametrize(
-    "flags,stdout_digest",
+    "problem,flags,stdout_digest",
     [
-        (["--bits-per-sign", "3", "--level-step", "3", "--l-min", "-30"],
-         "ac8c17a1ce8cbcd1aa1029bd5a3459d628b303def31e6159e89c959add7d87cf"),
-        (["--tol", "1e-20"], "f59e4ab92b8fde08f86f0641d56b4417ffc2d6bfdca1aa11e432059c9f3a0b14"),
+        (WIDE3, K3, "ac8c17a1ce8cbcd1aa1029bd5a3459d628b303def31e6159e89c959add7d87cf"),
+        (WIDE3, ["--tol", "1e-20"], "f59e4ab92b8fde08f86f0641d56b4417ffc2d6bfdca1aa11e432059c9f3a0b14"),
+        # the annealer finds every 18-qubit window's ground state: the exhaustive run's bytes
+        (WIDE3, [*K3, *SA7, "200"], "ac8c17a1ce8cbcd1aa1029bd5a3459d628b303def31e6159e89c959add7d87cf"),
+        # 2^6 states fit in 1000 reads, so every flip is looked up by state code
+        (WIDE3, ["--l-min", "-30", *SA7, "1000"],
+         "7ec26b6421fa511565a76bbd188f97aeb0ab4c78a0738c6be70d6fa98defb5d9"),
+        # 24-qubit windows, the exhaustive sampler's cap
+        (WIDE3, ["--bits-per-sign", "4", "--level-step", "4", "--l-min", "-30"],
+         "81773c25c8d0e950df14f30395da187538b0f2958c8111e6e0feb54812808158"),
+        (BIG508, ["--l-min", "-30"], "169c9aa20300ffc09cf9dede6c484e6c7ca7a53fbd1c455d30dc3a5ad21c8d4e"),
+        (BIG508, ["--l-min", "-30", *SA7, "200"],
+         "169c9aa20300ffc09cf9dede6c484e6c7ca7a53fbd1c455d30dc3a5ad21c8d4e"),
     ],
-    ids=["k3-step3", "tol"],
+    ids=["k3-step3", "tol", "k3-sa200", "k1-sa-table", "k4", "big508", "big508-sa"],
 )
-def test_solve_wide3_stdout_is_pinned(tmp_path, capsys, flags, stdout_digest):
-    # the bytes CI checks for `qrefine solve wide3.json` with these flags:
+def test_solve_wide3_stdout_is_pinned(tmp_path, capsys, problem, flags, stdout_digest):
+    # the bytes CI checks for `qrefine solve` with these flags:
     # each printed x[i] and residual is one rounding of an exact value
-    path = write_problem(tmp_path, WIDE3, name="wide3.json")
+    path = write_problem(tmp_path, problem)
     assert main(["solve", path, *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
+
+
+def test_qubo_dump_deep_window_keeps_subnormal_couplings(tmp_path, capsys):
+    # a 6-qubit window at 2^-520: all 15 couplings are subnormal and nonzero
+    path = write_problem(tmp_path, WIDE3)
+    assert main(["qubo-dump", path, "--level", "-520"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "2de593516bbb5b15500088b0d29f5fce6f2397019b019c32c0288ecd44d97d2d"
+    )
+    q = parse(out)
+    assert q.n_qubits == 6 and len(q.quadratic) == 15
+    assert all(0.0 < abs(c) < sys.float_info.min for c in q.quadratic.values())
 
 
 def test_qubo_dump_to_file_ends_with_newline(tmp_path, capsys):
@@ -310,6 +348,12 @@ def test_qubo_dump_rejects_unparsable_center(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "bad center component 'abc'" in err
+
+
+def test_qubo_dump_without_bits_is_input_error(tmp_path, capsys):
+    path = write_problem(tmp_path, WIDE3)
+    assert main(["qubo-dump", path, "--bits-per-sign", "0"]) == 2
+    assert capsys.readouterr().err == "input error: l_lo must not exceed l_hi\n"
 
 
 def test_qubo_dump_linear_term_past_float_range_is_solver_error(tmp_path, capsys):
@@ -414,9 +458,13 @@ def test_repro_table_writes_plots(tmp_path, capsys):
         assert (tmp_path / f"table1{suffix}").read_text(encoding="utf-8").startswith("<svg")
 
 
-INPUT_ERRORS = {OSError, ValueError, errors.ParseError, errors.DimensionMismatch,
-                errors.LengthMismatch, errors.IndexOutOfRange}
+INPUT_ERRORS = {OSError, ValueError, errors.ParseError, errors.DimensionMismatch, errors.IndexOutOfRange}
 RAISED = sorted(errors.QrefineError.__subclasses__(), key=lambda t: t.__name__) + [OSError, ValueError]
+
+
+def test_input_errors_are_the_value_errors():
+    # errors.py holds the split: the CLI names no qrefine type of its own
+    assert cli._INPUT_ERRORS == (OSError, ValueError)
 
 
 @pytest.mark.parametrize("exc_type", RAISED, ids=lambda t: t.__name__)

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from helpers import decode, dyadic_fractions, enumerate_grid, qubit_index
 from qrefine import (
+    DimensionMismatch,
     DyadicVector,
     IndexOutOfRange,
-    LengthMismatch,
     TooLarge,
 )
 from qrefine.encoding import (
@@ -111,9 +111,9 @@ def test_decode_redundant_pair():
 
 def test_decode_length_check():
     spec = EncodingSpec(n_vars=1, l_lo=0, l_hi=0)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         decode((0,), spec, DyadicVector.zero(1))
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         decode((0, 0), spec, DyadicVector.zero(2))
 
 
@@ -167,7 +167,7 @@ def test_canonical_bits_capacity():
     spec = EncodingSpec(n_vars=1, l_lo=0, l_hi=2)
     with pytest.raises(IndexOutOfRange):
         canonical_bits((8,), spec)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         canonical_bits((1, 1), spec)
 
 

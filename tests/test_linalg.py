@@ -23,6 +23,7 @@ from helpers import (
     solve_direct,
 )
 from qrefine import (
+    DimensionMismatch,
     DyadicVector,
     LinearSystem,
     NotSymmetric,
@@ -310,7 +311,7 @@ def test_eigen_huge_entries_scale_exactly():
 def test_eigen_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         symmetric_eigen(np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(NotSymmetric, match="square"):
+    with pytest.raises(DimensionMismatch, match="square"):
         symmetric_eigen(np.ones((2, 3)))
 
 

@@ -64,11 +64,13 @@ def test_config_validation():
         RefinementConfig(residual_tolerance=-1.0)
     with pytest.raises(ValueError):
         RefinementConfig(sampler="quantum")
-    with pytest.raises(ValueError):
-        RefinementConfig(m_max=-5, l_min=0)
-    with pytest.raises(ValueError):
-        RefinementConfig(m_max=-40, l_min=-40, bits_per_sign=3)  # no window fits
-    assert RefinementConfig(m_max=-38, l_min=-40, bits_per_sign=3).m_max == -38
+    # a window that cannot fit is refused by refine, once m_max is known
+    at_zero = LinearSystem(a=[[1.0]], b=[0.0])
+    with pytest.raises(ValueError, match="no 1-bit window fits"):
+        refine(at_zero, RefinementConfig(m_max=-5, l_min=0))
+    with pytest.raises(ValueError, match="no 3-bit window fits"):
+        refine(at_zero, RefinementConfig(m_max=-40, l_min=-40, bits_per_sign=3))
+    assert refine(at_zero, RefinementConfig(m_max=-38, l_min=-40, bits_per_sign=3)).total_qubo_solves == 1
 
 
 def test_recenter_at_solution_is_noop():
@@ -280,7 +282,7 @@ def test_refine_rejects_non_finite_truth_before_any_solve():
         solves.append(qm)
         return sample_exhaustive(qm)
 
-    with pytest.raises(ValueError, match="truth must be finite"):
+    with pytest.raises(ValueError, match="non-finite value"):
         refine(ID2, RefinementConfig(m_max=2, l_min=0), truth=(3.0, math.nan), sampler=counted)
     assert solves == []
 

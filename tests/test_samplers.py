@@ -9,7 +9,6 @@ import pytest
 from helpers import anneal_reference, irrational_system, random_qubo_coeffs
 from qrefine import (
     AnnealConfig,
-    DimensionMismatch,
     DyadicVector,
     LinearSystem,
     QuboMatrix,
@@ -92,9 +91,14 @@ def test_anneal_config_validation():
         AnnealConfig(sweeps=0)
 
 
-def test_anneal_needs_a_qubit():
-    with pytest.raises(DimensionMismatch, match="at least one qubit"):
-        sample_anneal(QuboMatrix(n_qubits=0, linear=(), quadratic={}), AnnealConfig())
+def test_zero_qubit_qubo_solves_with_both_samplers():
+    # the one state of no qubits, empty, with energy 0: once from the
+    # exhaustive sampler, in every read from the annealer and its reference
+    config = AnnealConfig(reads=7, sweeps=3, seed=1)
+    for q in (QuboMatrix(0, ()), qubo.parse('{"num_qubits":0,"linear":{},"quadratic":{}}')):
+        assert sample_exhaustive(q).entries == (SampleEntry((), 0.0, 1),)
+        assert sample_anneal(q, config).entries == (SampleEntry((), 0.0, 7),)
+        assert anneal_reference(q, config) == sample_anneal(q, config)
 
 
 def test_anneal_deterministic():
