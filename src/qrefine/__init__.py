@@ -15,7 +15,6 @@ from .encoding import DyadicVector
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
-    NotSymmetric,
     ParseError,
     QrefineError,
     SingularMatrix,
@@ -37,7 +36,6 @@ __all__ = [
     "IndexOutOfRange",
     "IterationRecord",
     "LinearSystem",
-    "NotSymmetric",
     "ParseError",
     "QrefineError",
     "QuboMatrix",

@@ -8,10 +8,10 @@ Subcommands:
 
 Exit codes: 0 success; 2 input error (OSError or ValueError, as are
 ParseError, DimensionMismatch and IndexOutOfRange); 3 solver error (any
-other QrefineError: SingularMatrix, NotSymmetric, TooLarge,
-TooManyQubits); 4 checkpoint assertion failure. `main` alone maps an
-error, by its type, to its code and its "input error:" or "solver error:"
-line. Set QREFINE_LOG=error|info|debug for diagnostics on standard error.
+other QrefineError: SingularMatrix, TooLarge, TooManyQubits); 4
+checkpoint assertion failure. `main` alone maps an error, by its type,
+to its code and its "input error:" or "solver error:" line. Set
+QREFINE_LOG=error|info|debug for diagnostics on standard error.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import contextlib
 import logging
 import math
 import os
-import stat
 import sys
 from fractions import Fraction
 
@@ -29,11 +28,11 @@ import numpy as np
 
 from .encoding import DyadicVector, EncodingSpec
 from .errors import ParseError, QrefineError
-from .linalg import LinearSystem, normal_residual
+from .linalg import LinearSystem, normal_residual, residual
 from .plots import emit_plots
 from .problems import load_problem
 from .qubo import WindowLevel, build_window, dump
-from .refine import RefinementConfig, RefinementTrace, refine
+from .refine import IterationRecord, RefinementConfig, RefinementTrace, refine
 from .samplers import AnnealConfig
 from .traceio import TraceWriter
 
@@ -110,21 +109,21 @@ def _run(
     config: RefinementConfig,
     truth: tuple[float, ...] | None,
 ) -> RefinementTrace:
-    """Refine, streaming rows to the --trace file; when refine raises,
-    remove that file if it is a regular file (not a link or a device)
-    and re-raise."""
+    """Refine, streaming rows to the --trace file, which the first row
+    opens: a run refused before its first solve never touches the path,
+    and one that fails later keeps the rows it wrote."""
     if not args.trace:
         return refine(system, config, truth=truth)
-    with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-        try:
-            return refine(system, config, truth=truth, observer=TraceWriter(fh))
-        except Exception:  # not KeyboardInterrupt: an interrupted run keeps its rows
-            fh.close()
-            # only a regular file: never a link, a device or /dev/null
-            with contextlib.suppress(OSError):
-                if stat.S_ISREG(os.lstat(args.trace).st_mode):
-                    os.remove(args.trace)
-            raise
+    with contextlib.ExitStack() as stack:
+        writer = None
+
+        def observe(record: IterationRecord) -> None:
+            nonlocal writer
+            if writer is None:
+                writer = TraceWriter(stack.enter_context(open(args.trace, "w", encoding="utf-8", newline="")))
+            writer(record)
+
+        return refine(system, config, truth=truth, observer=observe)
 
 
 def _plot(args: argparse.Namespace, trace: RefinementTrace, truth: tuple[float, ...] | None) -> None:
@@ -217,7 +216,7 @@ def cmd_qubo_dump(args: argparse.Namespace) -> int:
     n = system.n
     center = _parse_center(args.center, n) if args.center else DyadicVector.zero(n)
     spec = EncodingSpec(n_vars=n, l_lo=args.level, l_hi=args.level + args.bits_per_sign - 1)
-    text = dump(build_window(WindowLevel(system, spec), normal_residual(system, center)))
+    text = dump(build_window(WindowLevel(system, spec), normal_residual(system, residual(system, center))))
     if not args.out:
         print(text)
         return 0

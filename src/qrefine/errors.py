@@ -21,10 +21,6 @@ class SingularMatrix(QrefineError):
     pass
 
 
-class NotSymmetric(QrefineError):
-    pass
-
-
 class TooLarge(QrefineError):
     pass
 

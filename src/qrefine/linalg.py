@@ -1,5 +1,6 @@
-"""Dense linear-algebra substrate: exact residuals and normal residuals,
-symmetric eigendecomposition (numpy's LAPACK eigh), condition number.
+"""Dense linear-algebra substrate: the exact residual r = b - Ax, and
+from it A^T r and ||r||^2; symmetric eigendecomposition (numpy's LAPACK
+eigh), condition number.
 
 Matrices and vectors are plain float64 numpy arrays; LinearSystem wraps
 read-only copies of the (A, b) pair with shape and finiteness checks,
@@ -13,13 +14,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .encoding import DyadicVector, dyadic_to_float
-from .errors import DimensionMismatch, NotSymmetric, SingularMatrix, TooLarge
+from .errors import DimensionMismatch, SingularMatrix, TooLarge
 
 @dataclass(frozen=True)
 class LinearSystem:
@@ -119,17 +119,15 @@ def residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
     return system.exact[2].add_increments([-m for m in ax], ax_exp)
 
 
-def normal_residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
-    """A^T (b - Ax) exactly."""
+def normal_residual(system: LinearSystem, r: DyadicVector) -> DyadicVector:
+    """A^T r exactly, for r the residual b - Ax."""
     rows, e, _ = system.exact
-    return DyadicVector(*exact_matvec(tuple(zip(*rows)), e, residual(system, x)))
+    return DyadicVector(*exact_matvec(tuple(zip(*rows)), e, r))
 
 
-def residual_norm_sq(system: LinearSystem, x: DyadicVector) -> Fraction:
-    """||b - Ax||^2 exactly."""
-    r = residual(system, x)
-    sq, e2 = sum(m * m for m in r.mantissas), 2 * r.exponent
-    return Fraction(sq << e2) if e2 >= 0 else Fraction(sq, 1 << -e2)
+def residual_norm_sq(r: DyadicVector) -> tuple[int, int]:
+    """(m, e): ||r||^2 = m 2^e exactly, for r the residual b - Ax."""
+    return sum(m * m for m in r.mantissas), 2 * r.exponent
 
 
 def symmetric_eigen(s: np.ndarray) -> EigenBasis:
@@ -142,7 +140,7 @@ def symmetric_eigen(s: np.ndarray) -> EigenBasis:
         raise DimensionMismatch(f"matrix must be square, got {s.shape}")
     scale = np.max(np.abs(s)) or 1.0
     if np.max(np.abs(s - s.T)) > 1e-12 * scale:
-        raise NotSymmetric("matrix is not symmetric to 1e-12 relative")
+        raise ValueError("matrix is not symmetric to 1e-12 relative")
     shift = math.frexp(scale)[1]
     values, vectors = np.linalg.eigh(np.ldexp(s, -shift))
     values, vectors = np.ldexp(values[::-1], shift), vectors[:, ::-1]

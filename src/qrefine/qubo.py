@@ -14,11 +14,11 @@ spec)`` forms the weights and the quadratic terms once per level, and
 ``build_window(level, g)`` forms the linear terms of one solve from the
 exact g. Every window of a level shares the level's QuadraticPart: its
 quadratic terms, built once in order, and their dense upper matrix.
-g is given exactly (linalg.normal_residual, or carried by refine) and
+g is given exactly (linalg.normal_residual of r, or carried by refine) and
 rounded once per entry; since every w_u is a signed power of two, the
 only other rounding is in A^T A itself. The constant ||r||^2 is kept out
 of the matrix, so all-zero bits cost exactly zero and no window energy
-can go below -||r||^2, which is -residual_norm_sq(c).
+can go below -||r||^2, the (m, e) pair residual_norm_sq(r) negated.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from .linalg import (
     exact_form,
     exact_matvec,
     normal_residual,
+    residual,
     residual_norm_sq,
     symmetric_eigen,
 )
@@ -124,9 +125,10 @@ def refine(
     residual_tolerance > 0 the run stops early once the exact residual
     reaches it (checked as each level settles).
 
-    The run carries g = A^T (b - Ac), from which each window is built,
-    and ||b - Ac||^2, exactly. The sampler's best state is accepted when
-    its increment is nonzero and its exact change in the latter
+    The run forms r = b - Ac once, and from it carries g = A^T r, from
+    which each window is built, and ||r||^2, exactly; a center of the
+    wrong length is refused there. The sampler's best state is accepted
+    when its increment is nonzero and its exact change in ||r||^2
     (energy_change) is negative, whatever energy the sampler reported, so
     rounding dust is rejected. `truth` is made exact once per run.
 
@@ -166,13 +168,11 @@ def refine(
     if m_max - k + 1 < config.l_min:
         raise ValueError(f"no {k}-bit window fits between m_max {m_max} and l_min {config.l_min}")
     center = config.initial_center if config.initial_center is not None else DyadicVector.zero(work.n)
-    if len(center) != work.n:
-        raise DimensionMismatch("initial center length != system size")
 
     records: list[IterationRecord] = []
     # g = A^T (b - Ac) and ||b - Ac||^2 = res_m 2^res_e are carried exactly
-    g, res = normal_residual(work, center), residual_norm_sq(work, center)
-    res_m, res_e = res.numerator, 1 - res.denominator.bit_length()
+    r = residual(work, center)  # DimensionMismatch on a center of the wrong length
+    g, (res_m, res_e) = normal_residual(work, r), residual_norm_sq(r)
     res_float = dyadic_to_float(res_m, res_e)  # rounded once each time res_m changes
     tol_m, tol_e = dyadic_of_float(config.residual_tolerance)
     reported = to_x(center)

@@ -28,7 +28,7 @@ from qrefine import (
     qubo,
 )
 from qrefine.encoding import EncodingSpec, decode_increments
-from qrefine.linalg import normal_residual
+from qrefine.linalg import normal_residual, residual, residual_norm_sq
 from qrefine.samplers import SampleEntry, SampleSet
 from qrefine.traceio import TraceWriter
 
@@ -64,7 +64,14 @@ def window_qubo(system: LinearSystem, center: DyadicVector, spec: EncodingSpec):
     """The window QUBO around center, built in the package's two steps: the
     level's part, then the solve's linear terms from the exact normal
     residual."""
-    return qubo.build_window(qubo.WindowLevel(system, spec), normal_residual(system, center))
+    return qubo.build_window(qubo.WindowLevel(system, spec), normal_residual(system, residual(system, center)))
+
+
+def exact_residual_sq(system: LinearSystem, x: DyadicVector) -> Fraction:
+    """||b - Ax||^2 as a Fraction, by the package's own two steps: the
+    residual, then its exact (m, e) squared norm."""
+    m, e = residual_norm_sq(residual(system, x))
+    return Fraction(m) * Fraction(2) ** e
 
 
 def qubit_index(spec: EncodingSpec, var: int, sign: str, bit: int) -> int:

@@ -2,10 +2,10 @@
 
 import qrefine
 
-# the 22 names, as the README's "Library" section groups them
+# the 21 names, as the README's "Library" section groups them
 README_NAMES = [
     "QrefineError", "ParseError", "DimensionMismatch", "IndexOutOfRange",
-    "NotSymmetric", "SingularMatrix", "TooLarge", "TooManyQubits",
+    "SingularMatrix", "TooLarge", "TooManyQubits",
     "LinearSystem", "RefinementConfig", "RefinementTrace", "IterationRecord", "refine",
     "AnnealConfig", "QuboMatrix", "SampleEntry", "SampleSet", "sample_anneal", "sample_exhaustive",
     "DyadicVector", "parse_problem", "condition_number",

@@ -6,9 +6,10 @@ import sys
 
 import pytest
 
-from qrefine import LinearSystem, SingularMatrix, cli, condition_number, errors
+from qrefine import LinearSystem, SingularMatrix, TooLarge, cli, condition_number, errors
 from qrefine.cli import main
 from qrefine.qubo import parse
+from qrefine.traceio import format_record, header
 
 
 IDENTITY = '{"a": [[1.0, 0.0], [0.0, 1.0]], "b": [3.0, -2.0]}'
@@ -85,13 +86,42 @@ def test_solve_singular_system(tmp_path, capsys):
         assert str(info.value) == message
 
 
-def test_solve_failed_run_removes_trace(tmp_path, capsys):
+def test_solve_refused_run_creates_no_trace(tmp_path, capsys):
     path = write_problem(tmp_path, '{"a": [[1.0, 1.0], [1.0, 1.0]], "b": [1.0, 1.0]}')
     trace = tmp_path / "sing.csv"
     rc = main(["solve", path, "--trace", str(trace)])
     assert rc == 3
     assert "solver error" in capsys.readouterr().err
     assert not trace.exists()
+
+
+def test_solve_refused_run_keeps_existing_trace_bytes(tmp_path, capsys):
+    # no 3-bit window fits above l_min 5: refused before the first solve,
+    # so the file the first row would open is never touched
+    path = write_problem(tmp_path, '{"a": [[1.0]], "b": [3.0]}')
+    trace = tmp_path / "old.csv"
+    trace.write_bytes(b"ordinal,level\n1,0\n")
+    rc = main(["solve", path, "--l-min", "5", "--bits-per-sign", "3", "--trace", str(trace)])
+    assert rc == 2
+    assert "input error" in capsys.readouterr().err
+    assert trace.read_bytes() == b"ordinal,level\n1,0\n"
+
+
+def test_solve_run_failing_after_its_first_row_keeps_it(tmp_path, capsys, monkeypatch):
+    real_refine, seen = cli.refine, []
+
+    def fail_after_one_row(system, config, truth=None, observer=None):
+        seen.append(real_refine(system, config, truth=truth).records[0])
+        observer(seen[0])
+        raise TooLarge("boom")
+
+    monkeypatch.setattr(cli, "refine", fail_after_one_row)
+    path = write_problem(tmp_path, IDENTITY)
+    trace = tmp_path / "t.csv"
+    assert main(["solve", path, *FAST_FLAGS, "--trace", str(trace)]) == 3
+    assert capsys.readouterr().err == "solver error: boom\n"
+    rows = [header(2), format_record(seen[0])]
+    assert trace.read_text(encoding="utf-8") == "".join(",".join(row) + "\n" for row in rows)
 
 
 def test_solve_failed_run_keeps_trace_symlink(tmp_path, capsys):
@@ -246,8 +276,8 @@ WIDE3 = '{"a": [[4, 1, 0], [1, 3, 1], [0, 1, 2]], "b": [1, 2, 3]}'
 
 
 def test_qubo_dump_wide3_golden_bytes(tmp_path, capsys):
-    # an 18-qubit window off the zero center, pinned byte for byte: the
-    # same command runs in CI and its output parses back
+    # an 18-qubit window off the zero center, pinned byte for byte, and
+    # its output parses back
     path = write_problem(tmp_path, WIDE3)
     argv = ["qubo-dump", path, "--bits-per-sign", "3", "--level", "-3", "--center", "0.5,-0.25,0.375"]
     assert main(argv) == 0
@@ -255,6 +285,7 @@ def test_qubo_dump_wide3_golden_bytes(tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "a18ab1588d5f59c23396e83ce18b60761d31003a15522038d2114fae0289d3ce"
     )
+    assert parse(out).n_qubits == 18
 
 
 # a x = a with a = 2^508: 4 times its windows' coefficient magnitudes sum
@@ -285,12 +316,19 @@ SA7 = ["--sampler", "sa", "--seed", "7", "--reads"]
     ids=["k3-step3", "tol", "k3-sa200", "k1-sa-table", "k4", "big508", "big508-sa"],
 )
 def test_solve_wide3_stdout_is_pinned(tmp_path, capsys, problem, flags, stdout_digest):
-    # the bytes CI checks for `qrefine solve` with these flags:
     # each printed x[i] and residual is one rounding of an exact value
     path = write_problem(tmp_path, problem)
     assert main(["solve", path, *flags]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
+
+
+def test_solve_wide3_eigenbasis_reaches_the_residual_floor(tmp_path, capsys):
+    # not pinned: the bits of an eigenbasis run depend on the LAPACK build
+    path = write_problem(tmp_path, WIDE3)
+    assert main(["solve", path, "--eigenbasis", "--l-min", "-40"]) == 0
+    printed = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    assert float(printed["residual_norm_sq"]) < 1e-12
 
 
 def test_qubo_dump_deep_window_keeps_subnormal_couplings(tmp_path, capsys):
@@ -447,6 +485,15 @@ def test_repro_table_trace_matches_golden_hash(tmp_path, capsys, flags, digest, 
     out = capsys.readouterr().out
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
+
+
+def test_repro_table_k3_has_a_row_with_ground_count_above_1(capsys):
+    # a 12-qubit window can have degenerate ground states; the table shows
+    # each level's first-solve count
+    assert main(["repro-table1", "--bits-per-sign", "3", "--level-step", "3"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    counts = [int(f[2]) for f in rows if len(f) == 4 and set(f[1]) <= {"0", "1"}]
+    assert counts and max(counts) > 1
 
 
 def test_repro_table_writes_plots(tmp_path, capsys):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import (
     build_illcond,
     dyadic_fractions,
+    exact_residual_sq,
     frac_normal_rhs,
     frac_residual_sq,
     irrational_system,
@@ -26,7 +27,6 @@ from qrefine import (
     DimensionMismatch,
     DyadicVector,
     LinearSystem,
-    NotSymmetric,
     RefinementConfig,
     SingularMatrix,
     TooLarge,
@@ -107,20 +107,20 @@ def test_solve_singular():
 
 def test_residual_trivial():
     one = LinearSystem(a=[[1.0]], b=[0.0])
-    assert residual_norm_sq(one, DyadicVector((0,), 0)) == 0
+    assert exact_residual_sq(one, DyadicVector((0,), 0)) == 0
     two = LinearSystem(a=[[1.0]], b=[1.0])
-    assert residual_norm_sq(two, DyadicVector((0,), 0)) == 1
+    assert exact_residual_sq(two, DyadicVector((0,), 0)) == 1
 
 
 def test_residual_exact_zero_at_solution():
     system = LinearSystem(a=[[1.0, 0.0], [0.0, 1.0]], b=[3.0, -2.0])
-    assert residual_norm_sq(system, DyadicVector((3, -2), 0)) == 0
+    assert exact_residual_sq(system, DyadicVector((3, -2), 0)) == 0
 
 
 def test_residual_direct_solve_small():
     system, _ = irrational_system()
     x = solve_direct(system)
-    assert 0 <= residual_norm_sq(system, DyadicVector.from_floats(tuple(x))) <= 1e-20
+    assert 0 <= exact_residual_sq(system, DyadicVector.from_floats(tuple(x))) <= 1e-20
 
 
 def test_residual_sees_past_float_rounding():
@@ -131,7 +131,15 @@ def test_residual_sees_past_float_rounding():
     x = DyadicVector(((2**54) + 1,), -27)
     naive = (system.b[0] - system.a[0, 0] * x.to_floats()[0]) ** 2
     assert naive == 0.0
-    assert residual_norm_sq(system, x) == Fraction(2) ** -54
+    assert exact_residual_sq(system, x) == Fraction(2) ** -54
+
+
+def test_residual_norm_sq_is_the_exact_pair():
+    # r = -2^-27, so ||r||^2 = 1 * 2^-54 as (m, e), with no rounding
+    system = LinearSystem(a=[[1.0]], b=[float(2**27)])
+    r = residual(system, DyadicVector(((2**54) + 1,), -27))
+    assert residual_norm_sq(r) == (1, -54)
+    assert residual_norm_sq(residual(system, DyadicVector((2**27,), 0))) == (0, 0)
 
 
 def test_residual_sees_drop_far_below_float_precision():
@@ -142,8 +150,8 @@ def test_residual_sees_drop_far_below_float_precision():
     x, moved = DyadicVector.zero(3), DyadicVector((0, 0, 1), -101)
     exact = [frac_residual_sq(system.a, system.b, dyadic_fractions(v)) for v in (x, moved)]
     assert exact[1] < exact[0]
-    assert [residual_norm_sq(system, v) for v in (x, moved)] == exact
-    assert residual_norm_sq(system, moved) < residual_norm_sq(system, x)
+    assert [exact_residual_sq(system, v) for v in (x, moved)] == exact
+    assert exact_residual_sq(system, moved) < exact_residual_sq(system, x)
 
 
 def test_residual_matches_fraction_oracle():
@@ -158,7 +166,7 @@ def test_residual_matches_fraction_oracle():
         assert dyadic_fractions(residual(system, x)) == [
             Fraction(b[r]) - sum(Fraction(a[r][i]) * xf[i] for i in range(n)) for r in range(n)
         ]
-        assert residual_norm_sq(system, x) == frac_residual_sq(a, b, xf)
+        assert exact_residual_sq(system, x) == frac_residual_sq(a, b, xf)
 
 
 def test_normal_residual_matches_fraction_oracle():
@@ -168,7 +176,8 @@ def test_normal_residual_matches_fraction_oracle():
         a = [[rng.uniform(-3, 3) for _ in range(n)] for _ in range(n)]
         b = [rng.uniform(-3, 3) for _ in range(n)]
         x = DyadicVector(tuple(rng.randint(-2**40, 2**40) for _ in range(n)), -45)
-        got = normal_residual(LinearSystem(a=a, b=b), x)
+        system = LinearSystem(a=a, b=b)
+        got = normal_residual(system, residual(system, x))
         assert dyadic_fractions(got) == frac_normal_rhs(a, b, dyadic_fractions(x))
 
 
@@ -231,14 +240,14 @@ def test_residual_agrees_with_naive_when_well_scaled():
         xs = [rng.uniform(-2, 2) for _ in range(n)]
         x = DyadicVector.from_floats(xs)
         naive = sum((sum(a[r][i] * xs[i] for i in range(n)) - b[r]) ** 2 for r in range(n))
-        got = float(residual_norm_sq(LinearSystem(a=a, b=b), x))
+        got = float(exact_residual_sq(LinearSystem(a=a, b=b), x))
         assert abs(got - naive) <= 1e-12 * max(1.0, abs(naive))
 
 
 def test_residual_dimension_check():
     system = LinearSystem(a=[[1.0]], b=[1.0])
     with pytest.raises(Exception):
-        residual_norm_sq(system, DyadicVector((1, 2), 0))
+        exact_residual_sq(system, DyadicVector((1, 2), 0))
 
 
 def test_eigen_diagonal():
@@ -309,7 +318,7 @@ def test_eigen_huge_entries_scale_exactly():
 
 
 def test_eigen_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(ValueError, match="not symmetric"):
         symmetric_eigen(np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(DimensionMismatch, match="square"):
         symmetric_eigen(np.ones((2, 3)))
@@ -386,6 +395,6 @@ def test_solve_then_residual_well_conditioned():
         system = LinearSystem(a=a, b=b)
         x = solve_direct(system)
         bound = 1e-10 * (float(np.linalg.norm(a)) * float(np.linalg.norm(x)) + float(np.linalg.norm(b)))
-        res = math.sqrt(residual_norm_sq(system, DyadicVector.from_floats(tuple(x))))
+        res = math.sqrt(exact_residual_sq(system, DyadicVector.from_floats(tuple(x))))
         assert res <= bound
         checked += 1

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     dyadic_fractions,
+    exact_residual_sq,
     irrational_system,
     frac_energy,
     frac_normal_rhs,
@@ -36,7 +37,7 @@ from qrefine import (
     sample_exhaustive,
 )
 from qrefine.encoding import EncodingSpec, decode_increments
-from qrefine.linalg import normal_residual, residual_norm_sq
+from qrefine.linalg import normal_residual, residual
 from qrefine.qubo import _PICK, WindowLevel, build_window, dump, energy, parse, qubo_to_ising
 
 ONE_D = LinearSystem(a=[[1.0]], b=[0.0])
@@ -184,9 +185,7 @@ def test_quadratic_validation():
         QuboMatrix(n_qubits=2, linear=(0.0, 0.0), quadratic={(0, 1): math.inf})
     # a copy of a built window keeps the window's QuadraticPart and is
     # still checked
-    built = build_window(
-        WindowLevel(ONE_D, window(1, 0, 1)), normal_residual(ONE_D, DyadicVector.zero(1))
-    )
+    built = window_qubo(ONE_D, DyadicVector.zero(1), window(1, 0, 1))
     with pytest.raises(DimensionMismatch, match="non-finite linear"):
         dataclasses.replace(built, linear=(math.inf, 0.0))
     # outside quadratic terms are checked, and sorted, where they come in
@@ -198,7 +197,7 @@ def test_quadratic_validation():
 
 
 def _one_d_window():
-    return build_window(WindowLevel(ONE_D, window(1, 0, 1)), normal_residual(ONE_D, DyadicVector.zero(1)))
+    return window_qubo(ONE_D, DyadicVector.zero(1), window(1, 0, 1))
 
 
 def test_copy_with_more_qubits_gets_its_own_part():
@@ -266,7 +265,7 @@ def test_energy_floor_is_target():
         system = LinearSystem(a=a, b=b)
         spec = window(len(b), l, k)
         q = window_qubo(system, center, spec)
-        target = -float(residual_norm_sq(system, center))
+        target = -float(exact_residual_sq(system, center))
         assert target <= 0.0
         floor = target - 1e-9 * max(1.0, abs(target))
         for state in range(1 << spec.total_qubits):
@@ -300,13 +299,13 @@ def test_negation_symmetry_of_energy():
 
 def test_target_min_energy_values():
     system = LinearSystem(a=[[1.0, 0.0], [0.0, 1.0]], b=[3.0, -2.0])
-    assert residual_norm_sq(system, DyadicVector((3, -2), 0)) == 0
-    assert -residual_norm_sq(system, DyadicVector.zero(2)) == -13
+    assert exact_residual_sq(system, DyadicVector((3, -2), 0)) == 0
+    assert -exact_residual_sq(system, DyadicVector.zero(2)) == -13
 
 
 def test_target_min_energy_irrational_system():
     system, _ = irrational_system()
-    got = -float(residual_norm_sq(system, DyadicVector.zero(2)))
+    got = -float(exact_residual_sq(system, DyadicVector.zero(2)))
     true = -frac_residual_sq(system.a, system.b, [Fraction(0), Fraction(0)])
     assert abs(Fraction(got) - true) <= abs(true) * Fraction(1, 10**12)
     # magnitude ~7.06e7: b = (4700.17..., 6963.26...)
@@ -473,7 +472,7 @@ def test_windows_of_one_level_match_fraction_oracle(k):
         centers = [DyadicVector(tuple(rng.randint(-4096, 4096) for _ in range(n)), l - rng.randint(0, 8))
                    for _ in range(4)]
         for center in centers + [DyadicVector.zero(n)]:
-            q = build_window(level, normal_residual(system, center))
+            q = build_window(level, normal_residual(system, residual(system, center)))
             g = frac_normal_rhs(a, b, dyadic_fractions(center))
             for i in range(n):
                 for sign, s in (("plus", 1), ("minus", -1)):
@@ -499,7 +498,7 @@ def test_energy_of_windows_sharing_a_level_matches_fraction_oracle():
     nq = spec.total_qubits
     level = WindowLevel(system, spec)
     centers = [DyadicVector(tuple(rng.randint(-64, 64) for _ in range(n)), l) for _ in range(3)]
-    windows = [build_window(level, normal_residual(system, c)) for c in centers]
+    windows = [build_window(level, normal_residual(system, residual(system, c))) for c in centers]
     assert all(q._part is level.part for q in windows)
     assert len({q.linear for q in windows}) == len(windows)
     for size in (1, _PICK // nq + 1):

@@ -22,7 +22,7 @@ from qrefine import (
 )
 from qrefine import samplers
 from qrefine.encoding import EncodingSpec
-from qrefine.linalg import normal_residual
+from qrefine.linalg import normal_residual, residual
 from qrefine.samplers import SampleEntry, SampleSet
 
 
@@ -168,7 +168,7 @@ def test_anneal_windows_of_one_level_match_reference():
     level = qubo.WindowLevel(system, EncodingSpec(n_vars=2, l_lo=0, l_hi=1))
     config = AnnealConfig(reads=100, sweeps=8, seed=3)
     for center in ((0, 0), (3, -4), (-2, 1)):
-        q = qubo.build_window(level, normal_residual(system, DyadicVector(center, 0)))
+        q = qubo.build_window(level, normal_residual(system, residual(system, DyadicVector(center, 0))))
         assert q._part is level.part
         assert sample_anneal(q, config).entries == anneal_reference(q, config).entries
 
