@@ -216,7 +216,8 @@ def cmd_qubo_dump(args: argparse.Namespace) -> int:
     n = system.n
     center = _parse_center(args.center, n) if args.center else DyadicVector.zero(n)
     spec = EncodingSpec(n_vars=n, l_lo=args.level, l_hi=args.level + args.bits_per_sign - 1)
-    text = dump(build_window(WindowLevel(system, spec), normal_residual(system, residual(system, center))))
+    g = normal_residual(*system.exact[:2], residual(system, center))
+    text = dump(build_window(WindowLevel(system.gram, spec), g))
     if not args.out:
         print(text)
         return 0

@@ -1,12 +1,11 @@
 """Dense linear-algebra substrate: the exact residual r = b - Ax, and
-from it A^T r and ||r||^2; symmetric eigendecomposition (numpy's LAPACK
-eigh), condition number.
+from it A^T r and ||r||^2; the float and exact Gram matrices A^T A;
+symmetric eigendecomposition (numpy's LAPACK eigh), condition number.
 
 Matrices and vectors are plain float64 numpy arrays; LinearSystem wraps
 read-only copies of the (A, b) pair with shape and finiteness checks,
-and caches its float Gram matrix A^T A, the exact dyadic form of A and
-b, and the exact Gram matrix. A system built from_exact keeps the
-exact form it is given, and its floats are that form rounded once.
+and caches its float Gram matrix and the exact dyadic form of A and b.
+A matrix held exactly is a pair (rows, e): integer rows times one 2^e.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoding import DyadicVector, dyadic_to_float
+from .encoding import DyadicVector
 from .errors import DimensionMismatch, SingularMatrix, TooLarge
 
 @dataclass(frozen=True)
@@ -40,45 +39,41 @@ class LinearSystem:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @classmethod
-    def from_exact(cls, rows: tuple[tuple[int, ...], ...], e: int, b: DyadicVector) -> "LinearSystem":
-        """The system (rows 2^e) x = b. Its float a is each exact entry
-        rounded once and feeds gram; its exact form is the given one, so
-        residuals are those of the exact system."""
-        system = cls(a=[[dyadic_to_float(m, e) for m in row] for row in rows], b=b.to_floats())
-        system.__dict__["exact"] = (rows, e, b)
-        return system
-
     @property
     def n(self) -> int:
         return self.a.shape[0]
 
     @cached_property
     def gram(self) -> tuple[tuple[float, ...], ...]:
-        """A^T A as plain floats; each entry is the fsum (exact sum, rounded
-        once) of the float products a[r, i] * a[r, j]. Raises TooLarge when
-        an entry is past the float range."""
-        cols = self.a.T.tolist()
-        try:  # fsum raises on an overflowing sum and on inf - inf
-            g = tuple(tuple(math.fsum(x * y for x, y in zip(ci, cj)) for cj in cols) for ci in cols)
-            if all(math.isfinite(v) for row in g for v in row):
-                return g
-        except (OverflowError, ValueError):
-            pass
-        raise TooLarge("A^T A is past the float range")
+        """float_gram(A), the A^T A that feeds the QUBO."""
+        return float_gram(self.a)
 
     @cached_property
     def exact(self) -> tuple[tuple[tuple[int, ...], ...], int, DyadicVector]:
         """(rows, e, b): exact_form(A) and b as a DyadicVector."""
         return (*exact_form(self.a), DyadicVector.from_floats(self.b.tolist()))
 
-    @cached_property
-    def exact_gram(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """(rows, e): A^T A exactly, as integer rows times 2^e, from the
-        exact form of A; gram is the float one that feeds the QUBO."""
-        cols = tuple(zip(*self.exact[0]))
-        rows = tuple(tuple(sum(map(operator.mul, ci, cj)) for cj in cols) for ci in cols)
-        return rows, 2 * self.exact[1]
+
+def float_gram(a: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """A^T A as plain floats; each entry is the fsum (exact sum, rounded
+    once) of the float products a[r, i] * a[r, j]. Raises TooLarge when
+    an entry is past the float range, or when a nonzero column's diagonal
+    entry is 0.0: a sum of squares cannot cancel, so that zero is underflow."""
+    cols = a.T.tolist()
+    try:  # fsum raises on an overflowing sum and on inf - inf
+        g = tuple(tuple(math.fsum(x * y for x, y in zip(ci, cj)) for cj in cols) for ci in cols)
+        finite = all(math.isfinite(v) for row in g for v in row)
+        if finite and all(g[i][i] or not any(c) for i, c in enumerate(cols)):
+            return g
+    except (OverflowError, ValueError):
+        pass
+    raise TooLarge("A^T A is past the float range")
+
+
+def exact_gram(rows: tuple[tuple[int, ...], ...], e: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, e): A^T A exactly, for the matrix A = rows 2^e."""
+    cols = tuple(zip(*rows))
+    return tuple(tuple(sum(map(operator.mul, ci, cj)) for cj in cols) for ci in cols), 2 * e
 
 
 def exact_form(a: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -119,9 +114,8 @@ def residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
     return system.exact[2].add_increments([-m for m in ax], ax_exp)
 
 
-def normal_residual(system: LinearSystem, r: DyadicVector) -> DyadicVector:
-    """A^T r exactly, for r the residual b - Ax."""
-    rows, e, _ = system.exact
+def normal_residual(rows: tuple[tuple[int, ...], ...], e: int, r: DyadicVector) -> DyadicVector:
+    """A^T r exactly, for the matrix A = rows 2^e and r the residual b - Ax."""
     return DyadicVector(*exact_matvec(tuple(zip(*rows)), e, r))
 
 

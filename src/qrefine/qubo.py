@@ -9,14 +9,15 @@ scale 2^t of qubit u on variable i(u), the coefficients are
     quad[u,v]  = 2 w_u w_v (A^T A)_{i(u),i(v)}        (u < v)
 
 Only the linear terms depend on the center, and only through
-g = A^T r, so a window is built in two steps: ``WindowLevel(system,
-spec)`` forms the weights and the quadratic terms once per level, and
-``build_window(level, g)`` forms the linear terms of one solve from the
-exact g. Every window of a level shares the level's QuadraticPart: its
+g = A^T r, so a window is built in two steps: ``WindowLevel(gram,
+spec)`` forms the weights and the quadratic terms once per level from
+the float A^T A, and ``build_window(level, g)`` forms the linear terms
+of one solve from the exact g; any symmetric form and vector serve.
+Every window of a level shares the level's QuadraticPart: its
 quadratic terms, built once in order, and their dense upper matrix.
 g is given exactly (linalg.normal_residual of r, or carried by refine) and
 rounded once per entry; since every w_u is a signed power of two, the
-only other rounding is in A^T A itself. The constant ||r||^2 is kept out
+only other rounding is in the float A^T A. The constant ||r||^2 is kept out
 of the matrix, so all-zero bits cost exactly zero and no window energy
 can go below -||r||^2, the (m, e) pair residual_norm_sq(r) negated.
 """
@@ -35,7 +36,6 @@ import numpy as np
 
 from .encoding import BitVector, DyadicVector, EncodingSpec
 from .errors import DimensionMismatch, ParseError, TooLarge, TooManyQubits
-from .linalg import LinearSystem
 from .problems import _number, strict_json
 
 _MAX_QUBITS = 10**6  # most qubits of a window or a parsed QUBO
@@ -103,20 +103,19 @@ class IsingModel:
 
 
 class WindowLevel:
-    """The part of a window that its level fixes: the qubit weights w_u and
-    variables i(u), the w_u^2 (A^T A)_{i(u),i(u)} term of each linear coefficient,
-    and the shared QuadraticPart, its terms built in (u, v) order. Raises DimensionMismatch
-    when the spec does not fit the system, TooManyQubits past _MAX_QUBITS and TooLarge
-    for a window past the float range."""
+    """The part of a window that its level fixes, from the float Gram matrix: the
+    qubit weights w_u and variables i(u), the w_u^2 gram_{i(u),i(u)} term of each
+    linear coefficient, and the shared QuadraticPart, its terms built in (u, v) order.
+    Raises DimensionMismatch when the spec does not fit the gram, TooManyQubits past
+    _MAX_QUBITS and TooLarge for a window past the float range."""
 
-    def __init__(self, system: LinearSystem, spec: EncodingSpec) -> None:
-        if spec.n_vars != system.n:
+    def __init__(self, gram: tuple[tuple[float, ...], ...], spec: EncodingSpec) -> None:
+        if spec.n_vars != len(gram):
             raise DimensionMismatch("system, center and spec sizes disagree")
         if spec.total_qubits > _MAX_QUBITS:
             raise TooManyQubits(f"{spec.total_qubits} qubits exceeds the 1e6 bound")
         if spec.l_hi > 1023:
             raise TooLarge(f"bit weight 2^{spec.l_hi} is past the float range")
-        gram = system.gram
 
         nq = spec.total_qubits
         var = [i for i, _, _ in spec.qubits]
@@ -129,7 +128,6 @@ class WindowLevel:
                     quadratic[(u, v)] = q
         if not all(map(math.isfinite, quadratic.values())):
             raise _past_float_range(spec)
-        self.system = system
         self.spec = spec
         self.var = var
         self.square = [w * w * gram[i][i] for w, i in zip(weight, var)]
@@ -144,7 +142,7 @@ def _past_float_range(spec: EncodingSpec) -> TooLarge:
 def build_window(level: WindowLevel, g: DyadicVector) -> QuboMatrix:
     """The window QUBO of a level around the center c whose exact normal
     residual A^T (b - Ac) is g; it shares the level's QuadraticPart."""
-    if len(g) != level.system.n:
+    if len(g) != level.spec.n_vars:
         raise DimensionMismatch("system, center and spec sizes disagree")
     g = g.to_floats()  # rounded once per entry
     linear = tuple(sq - tw * g[i] for sq, tw, i in zip(level.square, level.twice, level.var))

@@ -28,7 +28,9 @@ from .linalg import (
     EigenBasis,
     LinearSystem,
     exact_form,
+    exact_gram,
     exact_matvec,
+    float_gram,
     normal_residual,
     residual,
     residual_norm_sq,
@@ -125,7 +127,8 @@ def refine(
     residual_tolerance > 0 the run stops early once the exact residual
     reaches it (checked as each level settles).
 
-    The run forms r = b - Ac once, and from it carries g = A^T r, from
+    The run holds one matrix W exactly (A, or A V below) and its exact
+    Gram. It forms r = b - Ac once, and from it carries g = W^T r, from
     which each window is built, and ||r||^2, exactly; a center of the
     wrong length is refused there. The sampler's best state is accepted
     when its increment is nonzero and its exact change in ||r||^2
@@ -139,25 +142,23 @@ def refine(
 
     With use_eigenbasis the unknowns are u with x = V u, V the
     eigenvectors of A^T A. Level moves then track the residual contours'
-    axes, which kills the zigzag walk on ill-conditioned systems. The
-    work system is A V formed exactly (V entries are floats, so it is a
-    dyadic matrix product): only its Gram matrix and the QUBO are
-    rounded, and b - (AV)u is b - A(Vu) exactly. So recorded residuals
-    are the original system's, exactly, and recorded centers are V u,
-    mapped back to x-coordinates exactly.
+    axes, which kills the zigzag walk on ill-conditioned systems. Only
+    the matrix changes: W is A V formed exactly (V entries are floats),
+    and the windows' float Gram is that of W's entries rounded once. The
+    residual is the system's own at x = V u: b - (AV)u is b - A(Vu)
+    exactly. So recorded residuals are the original system's, exactly,
+    and recorded centers are V u, mapped back to x-coordinates exactly.
     """
     if truth is not None:
         if len(truth) != system.n:
             raise DimensionMismatch("center and truth lengths differ")
         truth = DyadicVector.from_floats(truth)  # ValueError unless finite
-    work, to_x, basis = system, (lambda c: c), None
+    (rows, e), to_x, basis = system.exact[:2], (lambda c: c), None
     if config.use_eigenbasis:
         basis = symmetric_eigen(np.array(system.gram))  # also bounds m_max below
-        a_rows, a_exp, b = system.exact
         v_rows, v_exp = exact_form(basis.vectors)  # V exactly, once
-        # A V exactly: the work residual b - (AV)u is b - A(Vu)
-        av_rows = tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*v_rows)) for row in a_rows)
-        work = LinearSystem.from_exact(av_rows, a_exp + v_exp, b)
+        rows = tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*v_rows)) for row in rows)
+        e += v_exp
         to_x = lambda u: DyadicVector(*exact_matvec(v_rows, v_exp, u))
     if sampler is None:
         anneal = config.anneal if config.anneal is not None else AnnealConfig()
@@ -167,22 +168,26 @@ def refine(
     m_max = config.m_max if config.m_max is not None else default_m_max(system, basis)
     if m_max - k + 1 < config.l_min:
         raise ValueError(f"no {k}-bit window fits between m_max {m_max} and l_min {config.l_min}")
-    center = config.initial_center if config.initial_center is not None else DyadicVector.zero(work.n)
+    center = config.initial_center if config.initial_center is not None else DyadicVector.zero(system.n)
 
     records: list[IterationRecord] = []
-    # g = A^T (b - Ac) and ||b - Ac||^2 = res_m 2^res_e are carried exactly
-    r = residual(work, center)  # DimensionMismatch on a center of the wrong length
-    g, (res_m, res_e) = normal_residual(work, r), residual_norm_sq(r)
-    res_float = dyadic_to_float(res_m, res_e)  # rounded once each time res_m changes
-    tol_m, tol_e = dyadic_of_float(config.residual_tolerance)
+    # g = W^T (b - Ac) and ||b - Ac||^2 = res_m 2^res_e are carried exactly
     reported = to_x(center)
+    r = residual(system, reported)  # DimensionMismatch on a center of the wrong length
+    g, (res_m, res_e) = normal_residual(rows, e, r), residual_norm_sq(r)
+    res_float = dyadic_to_float(res_m, res_e)  # rounded once each time res_m changes
+    gram_exact = exact_gram(rows, e)
+    tol_m, tol_e = dyadic_of_float(config.residual_tolerance)
     error = error_vs_truth(reported, truth) if truth is not None else None
     terminated = None
     l = m_max - k + 1
+    # the float W^T W, read after the checks above, where the first window read it
+    gram = system.gram if basis is None else float_gram(
+        np.array([[dyadic_to_float(m, e) for m in row] for row in rows]))
     while terminated is None and l >= config.l_min:
         logger.info("descending to level %d (window [%d, %d])", l, l, l + k - 1)
-        spec = EncodingSpec(n_vars=work.n, l_lo=l, l_hi=l + k - 1)
-        level = WindowLevel(work, spec)
+        spec = EncodingSpec(n_vars=system.n, l_lo=l, l_hi=l + k - 1)
+        level = WindowLevel(gram, spec)
         moves = 0
         accepted = True
         while accepted:
@@ -198,7 +203,7 @@ def refine(
             bits, solve_energy = (0,) * spec.total_qubits, 0.0
             accepted = False
             if any(increments):
-                d_m, d_e, (gy_m, gy_e) = energy_change(work, g, increments, l)
+                d_m, d_e, (gy_m, gy_e) = energy_change(gram_exact, g, increments, l)
                 accepted = d_m < 0
             if accepted:
                 center = center.add_increments(increments, l)
@@ -240,12 +245,13 @@ def refine(
 
 
 def energy_change(
-    system: LinearSystem, g: DyadicVector, increments: Sequence[int], l: int
+    gram: tuple[tuple[tuple[int, ...], ...], int], g: DyadicVector, increments: Sequence[int], l: int
 ) -> tuple[int, int, tuple[list[int], int]]:
     """(m, e, gy): the exact change m 2^e in ||b - Ac||^2 when c moves by
-    y 2^l, y the integer increments and g = A^T (b - Ac), which is
-    4^l y^T G y - 2^(l+1) y^T g for G the exact_gram; gy is G y 2^l."""
-    rows, gram_e = system.exact_gram
+    y 2^l, y the integer increments, gram = (rows, gram_e) the exact
+    G = A^T A and g = A^T (b - Ac), which is 4^l y^T G y - 2^(l+1) y^T g;
+    gy is G y 2^l. Any exact symmetric G and g give that quadratic form."""
+    rows, gram_e = gram
     gy_m = [sum(map(operator.mul, row, increments)) for row in rows]  # times 2^(gram_e + l)
     quad = sum(map(operator.mul, increments, gy_m))  # times 2^(gram_e + 2l)
     lin = sum(map(operator.mul, increments, g.mantissas))  # times 2^(g.exponent + l)

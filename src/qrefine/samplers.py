@@ -303,9 +303,7 @@ def _start(q: qubo.QuboMatrix, config: AnnealConfig):
     lin = np.array(q.linear, dtype=float)
     coupling = q._part.upper + q._part.upper.T  # each term on both sides of a zero diagonal
 
-    scale = max(float(np.max(np.abs(lin))), max((abs(c) for c in q.quadratic.values()), default=0.0))
-    if scale == 0.0:
-        scale = 1.0
+    scale = max(np.abs(lin).max(), np.abs(coupling).max()) or 1.0
     betas = np.geomspace(0.05 / scale, 10.0 / scale, config.sweeps)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))

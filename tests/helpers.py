@@ -64,7 +64,8 @@ def window_qubo(system: LinearSystem, center: DyadicVector, spec: EncodingSpec):
     """The window QUBO around center, built in the package's two steps: the
     level's part, then the solve's linear terms from the exact normal
     residual."""
-    return qubo.build_window(qubo.WindowLevel(system, spec), normal_residual(system, residual(system, center)))
+    g = normal_residual(*system.exact[:2], residual(system, center))
+    return qubo.build_window(qubo.WindowLevel(system.gram, spec), g)
 
 
 def exact_residual_sq(system: LinearSystem, x: DyadicVector) -> Fraction:

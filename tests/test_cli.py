@@ -150,6 +150,8 @@ DIAG_1E200 = '{"a": [[1e200, 0.0], [0.0, 1e200]], "b": [1e200, 2e200]}'
 B_1E160 = '{"a": [[1.0, 0.0], [0.0, 1.0]], "b": [1e160, -3e159]}'
 GRAM_FSUM = '{"a": [[1e154, 1e154], [1e154, 0]], "b": [1e154, 1e154]}'
 RHS_1E308 = '{"a": [[1e154]], "b": [1e308]}'
+# every float product in A^T A underflows to 0.0, though A is exactly nonsingular
+DIAG_1E170 = '{"a": [[1e-170, 0], [0, 2e-170]], "b": [1e-170, 2e-170]}'
 
 
 @pytest.mark.parametrize(
@@ -163,9 +165,13 @@ RHS_1E308 = '{"a": [[1e154]], "b": [1e308]}'
         (GRAM_FSUM, []),  # the fsum of A^T A overflows
         (GRAM_FSUM, ["--m-max", "4"]),  # the same, first met in the window
         (RHS_1E308, ["--m-max", "4"]),  # A^T b' overflows, A^T A is finite
+        (DIAG_1E170, []),  # A^T A underflows
+        (DIAG_1E170, ["--m-max", "3"]),  # the same, first met in the window
+        (DIAG_1E170, ["--eigenbasis"]),  # the same, before the eigenbasis is found
     ],
     ids=["gram", "window-rhs", "norm-b", "window-weights", "bit-weight",
-         "gram-fsum", "gram-fsum-m-max", "window-rhs-only"],
+         "gram-fsum", "gram-fsum-m-max", "window-rhs-only",
+         "gram-underflow", "gram-underflow-m-max", "gram-underflow-eigenbasis"],
 )
 def test_solve_past_float_range_is_solver_error(tmp_path, capsys, text, flags):
     path = write_problem(tmp_path, text)
@@ -173,6 +179,29 @@ def test_solve_past_float_range_is_solver_error(tmp_path, capsys, text, flags):
     err = capsys.readouterr().err
     assert rc == 3
     assert "solver error" in err and "float range" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--eigenbasis"]], ids=["plain", "eigenbasis"])
+def test_solve_subnormal_gram_reaches_the_solution(tmp_path, capsys, flags):
+    # at 1e-160 the A^T A entries are subnormal but nonzero, so the run
+    # still finds x = (1, 1)
+    path = write_problem(tmp_path, '{"a": [[1e-160, 0], [0, 2e-160]], "b": [1e-160, 2e-160]}')
+    assert main(["solve", path, *flags]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("x[0] = 1\nx[1] = 1\n")
+
+
+def test_qubo_dump_gram_underflow_is_solver_error(tmp_path, capsys):
+    path = write_problem(tmp_path, DIAG_1E170)
+    assert main(["qubo-dump", path]) == 3
+    assert capsys.readouterr() == ("", "solver error: A^T A is past the float range\n")
+
+
+def test_window_fit_is_checked_before_the_gram(tmp_path, capsys):
+    # two faults: no window fits, and A^T A overflows; the input error wins
+    path = write_problem(tmp_path, '{"a": [[1e200, 0], [0, 1e200]], "b": [1, 1]}')
+    assert main(["solve", path, "--m-max", "-50", "--l-min", "-40"]) == 2
+    assert capsys.readouterr().err == "input error: no 1-bit window fits between m_max -50 and l_min -40\n"
 
 
 def test_solve_residual_past_float_range_still_descends(tmp_path, capsys):

@@ -35,6 +35,7 @@ from qrefine import (
 )
 from qrefine.linalg import (
     exact_form,
+    exact_gram,
     exact_matvec,
     normal_residual,
     residual,
@@ -177,7 +178,7 @@ def test_normal_residual_matches_fraction_oracle():
         b = [rng.uniform(-3, 3) for _ in range(n)]
         x = DyadicVector(tuple(rng.randint(-2**40, 2**40) for _ in range(n)), -45)
         system = LinearSystem(a=a, b=b)
-        got = normal_residual(system, residual(system, x))
+        got = normal_residual(*system.exact[:2], residual(system, x))
         assert dyadic_fractions(got) == frac_normal_rhs(a, b, dyadic_fractions(x))
 
 
@@ -186,10 +187,9 @@ def frac_gram(a: list[list[Fraction]]) -> list[list[Fraction]]:
     return [[sum(x * y for x, y in zip(ci, cj)) for cj in cols] for ci in cols]
 
 
-def check_exact_gram(system: LinearSystem, a: list[list[Fraction]]) -> None:
-    rows, e = system.exact_gram
-    assert system.exact_gram is system.exact_gram
-    assert [[Fraction(m) * Fraction(2) ** e for m in row] for row in rows] == frac_gram(a)
+def check_exact_gram(rows, e: int, a: list[list[Fraction]]) -> None:
+    g_rows, g_e = exact_gram(rows, e)
+    assert [[Fraction(m) * Fraction(2) ** g_e for m in row] for row in g_rows] == frac_gram(a)
 
 
 def test_exact_gram_matches_fraction_oracle():
@@ -197,22 +197,21 @@ def test_exact_gram_matches_fraction_oracle():
     for _ in range(12):
         n = rng.randint(1, 4)
         a = [[rng.uniform(-3, 3) * 2.0 ** rng.randint(-60, 60) for _ in range(n)] for _ in range(n)]
-        check_exact_gram(LinearSystem(a=a, b=[0.0] * n), [[Fraction(v) for v in row] for row in a])
+        rows, e, _ = LinearSystem(a=a, b=[0.0] * n).exact
+        check_exact_gram(rows, e, [[Fraction(v) for v in row] for row in a])
 
 
 def test_exact_gram_of_eigenbasis_work_system_is_the_exact_one():
-    # the eigenbasis work system is A V built from_exact; its Gram comes
-    # from that exact product, not from the floats it was rounded to
+    # an eigenbasis run works on A V formed exactly; its exact Gram is that
+    # product's, not that of the floats the product rounds to
     system, _ = irrational_system()
     v = symmetric_eigen(np.array(system.gram)).vectors
-    a_rows, a_exp, b = system.exact
+    a_rows, a_exp, _ = system.exact
     v_rows, v_exp = exact_form(v)
     av_rows = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*v_rows)) for row in a_rows)
-    work = LinearSystem.from_exact(av_rows, a_exp + v_exp, b)
     av = [[sum(Fraction(x) * Fraction(y) for x, y in zip(row, col)) for col in zip(*v.tolist())]
           for row in system.a.tolist()]
-    assert [[Fraction(x) for x in row] for row in work.a.tolist()] != av  # its floats are rounded
-    check_exact_gram(work, av)
+    check_exact_gram(av_rows, a_exp + v_exp, av)
 
 
 @given(st.integers(min_value=1, max_value=4).flatmap(lambda n: st.tuples(
@@ -288,8 +287,10 @@ def test_eigen_normal_matrix_of_irrational_system():
         [[1e154, 1e154], [1e154, 0.0]],  # fsum overflows on 1e308 + 1e308
         [[1e200, 1e200], [1e200, -1e200]],  # fsum meets inf - inf
         [[1e200]],  # the product itself overflows
+        [[1e-170, 0.0], [0.0, 2e-170]],  # every product underflows to 0.0
+        [[1.0, 0.0], [1.0, 1e-170]],  # one nonzero column's only square underflows
     ],
-    ids=["fsum-overflow", "inf-minus-inf", "product-overflow"],
+    ids=["fsum-overflow", "inf-minus-inf", "product-overflow", "underflow", "column-underflow"],
 )
 def test_gram_past_float_range_is_too_large(a):
     with pytest.raises(TooLarge, match="float range"):

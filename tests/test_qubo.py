@@ -39,6 +39,7 @@ from qrefine import (
 from qrefine.encoding import EncodingSpec, decode_increments
 from qrefine.linalg import normal_residual, residual
 from qrefine.qubo import _PICK, WindowLevel, build_window, dump, energy, parse, qubo_to_ising
+from qrefine.refine import energy_change
 
 ONE_D = LinearSystem(a=[[1.0]], b=[0.0])
 
@@ -74,13 +75,13 @@ def test_build_unit_system_b2_level1():
 
 def test_build_dimension_checks():
     with pytest.raises(DimensionMismatch, match="sizes disagree"):
-        build_window(WindowLevel(ONE_D, window(1, 0, 1)), DyadicVector.zero(2))
+        build_window(WindowLevel(ONE_D.gram, window(1, 0, 1)), DyadicVector.zero(2))
     with pytest.raises(DimensionMismatch, match="sizes disagree"):
-        WindowLevel(ONE_D, window(2, 0, 1))
+        WindowLevel(ONE_D.gram, window(2, 0, 1))
     # 1,002,050 qubits; l_hi is past 1023 too, so without the qubit bound
     # the next check raises at once instead of laying out the window
     with pytest.raises(TooManyQubits, match="1e6"):
-        WindowLevel(ONE_D, EncodingSpec(1, -500000, 1024))
+        WindowLevel(ONE_D.gram, EncodingSpec(1, -500000, 1024))
 
 
 def test_energy_trivials():
@@ -244,6 +245,41 @@ def test_energy_identity_random_windows():
             worst = max(worst, dev / max(Fraction(1), abs(r0)))
             assert dev <= bound
     assert worst <= Fraction(1, 10**12)  # typical deviation is far below the bound
+
+
+def test_window_of_any_symmetric_form_matches_energy_change():
+    # the window layer reads only a symmetric form and a vector: for an exact
+    # symmetric Q 2^e that is no Gram matrix (most of these are indefinite)
+    # and an exact g, each state's window energy is the exact change
+    # 4^l y^T Q y 2^e - 2^(l+1) y^T g to 1e-9 relative to the terms it
+    # sums, as criterion 3 asks of the Gram windows; energy_change gives
+    # that change exactly
+    rng = random.Random(2626)
+    indefinite = 0
+    for _ in range(100):
+        n, k, l, e = rng.randint(1, 4), rng.randint(1, 3), rng.randint(-10, 10), rng.randint(-20, 20)
+        q = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                q[i][j] = q[j][i] = rng.randint(-2**60, 2**60)
+        indefinite += bool(np.linalg.eigvalsh(np.array(q, dtype=float)).min() < 0)
+        g = DyadicVector(tuple(rng.randint(-2**60, 2**60) for _ in range(n)), rng.randint(-40, 20))
+        spec = window(n, l, k)
+        level = WindowLevel(tuple(tuple(float(Fraction(m) * Fraction(2) ** e) for m in row) for row in q), spec)
+        qm = build_window(level, g)
+        magnitudes = QuboMatrix(qm.n_qubits, tuple(map(abs, qm.linear)), {uv: abs(c) for uv, c in qm.quadratic.items()})
+        gf = dyadic_fractions(g)
+        for _ in range(64):
+            bits = random_bits(rng, spec.total_qubits)
+            y = decode_increments(bits, spec)
+            quad = sum(q[i][j] * y[i] * y[j] for i in range(n) for j in range(n))
+            lin = sum(y[i] * gf[i] for i in range(n))
+            expect = Fraction(4) ** l * Fraction(2) ** e * quad - Fraction(2) ** (l + 1) * lin
+            d_m, d_e, _ = energy_change((tuple(map(tuple, q)), e), g, y, l)
+            assert Fraction(d_m) * Fraction(2) ** d_e == expect
+            size = max(Fraction(1), frac_energy(magnitudes, bits))
+            assert abs(Fraction(energy(qm, bits)) - expect) <= Fraction(1, 10**9) * size
+    assert indefinite > 50
 
 
 def test_energy_zero_bits_exact_zero():
@@ -443,12 +479,12 @@ def test_tiny_couplings_are_kept(l):
     expect = {(u, v): float(2 * weight[u] * weight[v] * gram[var[u]][var[v]])
               for u in range(4) for v in range(u + 1, 4)}
     assert len(expect) == 6 and all(expect.values())
-    assert WindowLevel(system, spec).part.quadratic == expect
+    assert WindowLevel(system.gram, spec).part.quadratic == expect
 
 
 def test_diagonal_system_couples_only_the_signs_of_one_variable():
     system = LinearSystem(a=[[1.0, 0.0], [0.0, 2.0]], b=[1.0, 1.0])
-    assert list(WindowLevel(system, window(2, 0, 1)).part.quadratic) == [(0, 1), (2, 3)]
+    assert list(WindowLevel(system.gram, window(2, 0, 1)).part.quadratic) == [(0, 1), (2, 3)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -465,14 +501,14 @@ def test_windows_of_one_level_match_fraction_oracle(k):
         b = [rng.uniform(-4.0, 4.0) for _ in range(n)]
         system = LinearSystem(a=a, b=b)
         spec = window(n, l, k)
-        level = WindowLevel(system, spec)
+        level = WindowLevel(system.gram, spec)
         at_zero = window_qubo(system, DyadicVector.zero(n), spec)
         # gram entries are exact sums of the float products, rounded once
         gram = [float(sum(Fraction(a[r][i] * a[r][i]) for r in range(n))) for i in range(n)]
         centers = [DyadicVector(tuple(rng.randint(-4096, 4096) for _ in range(n)), l - rng.randint(0, 8))
                    for _ in range(4)]
         for center in centers + [DyadicVector.zero(n)]:
-            q = build_window(level, normal_residual(system, residual(system, center)))
+            q = build_window(level, normal_residual(*system.exact[:2], residual(system, center)))
             g = frac_normal_rhs(a, b, dyadic_fractions(center))
             for i in range(n):
                 for sign, s in (("plus", 1), ("minus", -1)):
@@ -496,9 +532,9 @@ def test_energy_of_windows_sharing_a_level_matches_fraction_oracle():
     system = LinearSystem(a=a, b=[rng.uniform(-4.0, 4.0) for _ in range(n)])
     spec = window(n, l, k)
     nq = spec.total_qubits
-    level = WindowLevel(system, spec)
+    level = WindowLevel(system.gram, spec)
     centers = [DyadicVector(tuple(rng.randint(-64, 64) for _ in range(n)), l) for _ in range(3)]
-    windows = [build_window(level, normal_residual(system, residual(system, c))) for c in centers]
+    windows = [build_window(level, normal_residual(*system.exact[:2], residual(system, c))) for c in centers]
     assert all(q._part is level.part for q in windows)
     assert len({q.linear for q in windows}) == len(windows)
     for size in (1, _PICK // nq + 1):

@@ -165,10 +165,10 @@ def test_anneal_windows_of_one_level_match_reference():
     # integer A, b and centers at level 0 give integer coefficients, so the
     # two loops must make the same decisions on every window of the level
     system = LinearSystem(a=[[2.0, 1.0], [1.0, 3.0]], b=[5.0, -7.0])
-    level = qubo.WindowLevel(system, EncodingSpec(n_vars=2, l_lo=0, l_hi=1))
+    level = qubo.WindowLevel(system.gram, EncodingSpec(n_vars=2, l_lo=0, l_hi=1))
     config = AnnealConfig(reads=100, sweeps=8, seed=3)
     for center in ((0, 0), (3, -4), (-2, 1)):
-        q = qubo.build_window(level, normal_residual(system, residual(system, DyadicVector(center, 0))))
+        q = qubo.build_window(level, normal_residual(*system.exact[:2], residual(system, DyadicVector(center, 0))))
         assert q._part is level.part
         assert sample_anneal(q, config).entries == anneal_reference(q, config).entries
 
