@@ -30,8 +30,8 @@ class LinearSystem:
         a = np.array(self.a, dtype=float)
         b = np.array(self.b, dtype=float)
         a.flags.writeable = b.flags.writeable = False
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"coefficient matrix must be square, got {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+            raise DimensionMismatch(f"coefficient matrix must be square and non-empty, got {a.shape}")
         if b.shape != (a.shape[0],):
             raise DimensionMismatch(f"rhs shape {b.shape} does not match matrix {a.shape}")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):

@@ -38,11 +38,12 @@ def _polyline(points: Sequence[tuple[float, float]], sx, sy, stroke: str, width:
 
 
 def decay_svg(trace: RefinementTrace) -> str:
-    """log10(error vs truth) against solve ordinal."""
+    """log10(error vs truth) against solve ordinal, over the errors that
+    have a finite logarithm."""
     pts = [
         (r.ordinal, math.log10(r.error_vs_truth))
         for r in trace.records
-        if r.error_vs_truth is not None and r.error_vs_truth > 0.0
+        if r.error_vs_truth is not None and 0.0 < r.error_vs_truth < math.inf
     ]
     title = "error decay (log10 error vs QUBO solve)"
     if not pts:
@@ -146,19 +147,17 @@ def emit_plots(
 
     The decay chart needs recorded errors (a supplied truth); the
     trajectory chart needs exactly two unknowns. Whatever does not
-    apply is skipped, never an error.
+    apply is skipped, never an error. Every chart is drawn before any
+    file is opened, so a chart that fails leaves no file behind.
     """
     if not trace.records:
         raise ValueError("cannot plot an empty trace")
-    written = []
+    charts = []
     if any(r.error_vs_truth is not None for r in trace.records):
-        path = f"{out_prefix}_decay.svg"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(decay_svg(trace) + "\n")
-        written.append(path)
+        charts.append((f"{out_prefix}_decay.svg", decay_svg(trace)))
     if len(trace.final_center) == 2:
-        path = f"{out_prefix}_trajectory.svg"
+        charts.append((f"{out_prefix}_trajectory.svg", trajectory_svg(trace, truth)))
+    for path, svg in charts:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(trajectory_svg(trace, truth) + "\n")
-        written.append(path)
-    return written
+            fh.write(svg + "\n")
+    return [path for path, _ in charts]

@@ -43,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,7 +62,6 @@ _U = 2.0**-53  # unit roundoff of binary64
 _TINY = 2.0**-1074  # smallest subnormal
 _ONES = np.ones(_EXHAUSTIVE_LIMIT)  # sliced to sum a block's columns
 _ONES.flags.writeable = False
-_SCORES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # QuadraticPart -> _quadratic_scores
 
 
 class SampleEntry(NamedTuple):
@@ -118,8 +116,8 @@ def sample_exhaustive(q: qubo.QuboMatrix) -> SampleSet:
     occurrence each, ordered by bits.
 
     The band of near-minimum states comes from the float pass as bit
-    rows and is scored by one ``qubo.energy`` call; bit tuples are built
-    only for the states tied at its minimum.
+    rows and is scored by one ``qubo.energy`` call; only the states tied
+    at its minimum are kept.
     """
     if q.n_qubits > _EXHAUSTIVE_LIMIT:
         raise TooManyQubits(f"{q.n_qubits} qubits exceeds exhaustive limit {_EXHAUSTIVE_LIMIT}")
@@ -241,14 +239,12 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     return _state_rows(nq, np.concatenate(states)[band])
 
 
+@functools.lru_cache(maxsize=8)
 def _quadratic_scores(part: qubo.QuadraticPart) -> tuple[np.ndarray, ...]:
     """The float pass's scores of a QuadraticPart's terms alone, read-only:
     (F_lo,) with no high bits, else (F_lo, M, F_hi) of the split pass
     (_near_minimum_rows). They are formed on the first solve of a part and
-    kept while the part lives, so the windows of a level share them."""
-    scores = _SCORES.get(part)
-    if scores is not None:
-        return scores
+    cached for the last 8 parts solved, so the windows of a level share them."""
     nq = part.n_qubits
     b = min(nq, _LOW_BITS)
     upper = part.upper
@@ -259,7 +255,6 @@ def _quadratic_scores(part: qubo.QuadraticPart) -> tuple[np.ndarray, ...]:
         scores += (upper[:b, b:].T @ x_lo.T, ((x_high @ upper[b:, b:]) * x_high) @ _ONES[:nq - b])
     for a in scores:
         a.flags.writeable = False
-    _SCORES[part] = scores
     return scores
 
 
@@ -287,8 +282,6 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
     loops draw the same uniforms; they make the same decisions when the
     reads are a multiple of 4, and else could in principle differ (_flip_deltas).
     """
-    if q.n_qubits == 0:  # the one state, empty, in every read
-        return SampleSet([SampleEntry((), 0.0, config.reads)])
     if 1 << q.n_qubits <= config.reads:
         return _table_sweeps(q, config)
     return _flip_sweeps(q, config)
@@ -296,14 +289,14 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
 
 def _start(q: qubo.QuboMatrix, config: AnnealConfig):
     """Both loops' coefficients (of q brought into the float range), schedule
-    and start: the generator after drawing the reads' (reads, nq) bits, the
-    bits, and their energies."""
+    (its beta scale the largest |coef|, 1.0 for an empty QUBO) and start: the
+    generator after drawing the reads' (reads, nq) bits, the bits, and their energies."""
     nq = q.n_qubits
     q, _ = _float_range(q)  # 4 S finite keeps every field, energy and update finite
     lin = np.array(q.linear, dtype=float)
     coupling = q._part.upper + q._part.upper.T  # each term on both sides of a zero diagonal
 
-    scale = max(np.abs(lin).max(), np.abs(coupling).max()) or 1.0
+    scale = max(np.abs(lin).max(initial=0.0), np.abs(coupling).max(initial=0.0)) or 1.0
     betas = np.geomspace(0.05 / scale, 10.0 / scale, config.sweeps)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
@@ -362,12 +355,15 @@ def _flip_sweeps(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
                 np.minimum(best_e, e_now, out=best_e)
                 np.copyto(best, x, where=improved)
 
-    # exact energies are recomputed per distinct state, in one batch, so
-    # SampleSet stays sampler-agnostic
     counts = Counter(map(tuple, best.T.astype(np.int64).tolist()))
-    energies = qubo.energy(q, np.array(list(counts), dtype=np.float64))
-    return SampleSet([SampleEntry(bits, e, occ)
-                      for (bits, occ), e in zip(counts.items(), energies)])
+    return _read_best(q, np.array(list(counts), dtype=np.float64), counts.values())
+
+
+def _read_best(q: qubo.QuboMatrix, rows: np.ndarray, counts) -> SampleSet:
+    """Both loops' result: the reads' distinct best states, bit rows with their
+    counts, scored exactly in one qubo.energy batch so SampleSet stays sampler-agnostic."""
+    bits = map(tuple, rows.astype(np.int64).tolist())
+    return SampleSet(list(map(SampleEntry, bits, qubo.energy(q, rows), counts)))
 
 
 def _delta_table(lin: np.ndarray, coupling: np.ndarray) -> np.ndarray:
@@ -430,7 +426,4 @@ def _table_sweeps(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
                 np.copyto(best, j, where=improved)
 
     counts = Counter((best >> 1).tolist())  # np.unique costs more peak memory
-    rows = _state_rows(nq, np.array(list(counts)))
-    energies = qubo.energy(q, rows)
-    return SampleSet([SampleEntry(bits, e, occ) for bits, e, occ
-                      in zip(map(tuple, rows.astype(np.int64).tolist()), energies, counts.values())])
+    return _read_best(q, _state_rows(nq, np.array(list(counts))), counts.values())

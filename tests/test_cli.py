@@ -257,6 +257,18 @@ def test_solve_writes_plots(tmp_path, capsys):
         assert body.startswith("<svg")
 
 
+def test_solve_plot_of_errors_past_float_range(tmp_path, capsys):
+    # every error_vs_truth is inf: the decay chart is the placeholder, and
+    # neither chart file is left empty
+    text = '{"a": [[1, 0], [0, 1]], "b": [1, 1], "x_true": [1.7e308, 1.7e308]}'
+    path = write_problem(tmp_path, text)
+    prefix = str(tmp_path / "run")
+    assert main(["solve", path, "--m-max", "2", "--l-min", "-4", "--plot", prefix]) == 0
+    assert "error_vs_truth = inf" in capsys.readouterr().out
+    for suffix in ("_decay.svg", "_trajectory.svg"):
+        assert (tmp_path / f"run{suffix}").stat().st_size > 0
+
+
 def test_solve_plot_of_three_unknowns_skips_trajectory(tmp_path, capsys):
     text = '{"a": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "b": [1, 2, 3], "x_true": [1, 2, 3]}'
     path = write_problem(tmp_path, text)

@@ -45,12 +45,15 @@ from qrefine.linalg import (
 
 
 def test_system_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch, match="coefficient matrix must be square"):
         LinearSystem(a=[[1.0, 2.0]], b=[1.0])
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch, match="rhs shape"):
         LinearSystem(a=[[1.0]], b=[1.0, 2.0])
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch, match="must be finite"):
         LinearSystem(a=[[math.nan]], b=[1.0])
+    # refused where it is built, not later by each reader of an empty matrix
+    with pytest.raises(DimensionMismatch, match="non-empty, got \\(0, 0\\)"):
+        LinearSystem(a=np.zeros((0, 0)), b=np.zeros(0))
 
 
 def test_system_is_read_only_with_exact_gram():
@@ -245,7 +248,7 @@ def test_residual_agrees_with_naive_when_well_scaled():
 
 def test_residual_dimension_check():
     system = LinearSystem(a=[[1.0]], b=[1.0])
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch, match="solution length != system size"):
         exact_residual_sq(system, DyadicVector((1, 2), 0))
 
 

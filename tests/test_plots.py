@@ -1,6 +1,8 @@
 """SVG chart emission."""
 
 import hashlib
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -93,6 +95,23 @@ def test_single_record_trace_is_valid(tmp_path):
     assert "circle" in svg
     paths = emit_plots(trace, str(tmp_path / "run"), truth=[0.25])
     assert paths == [str(tmp_path / "run_decay.svg")]
+
+
+def test_decay_draws_only_finite_errors():
+    # errors past the float range have no logarithm to plot: the chart is
+    # the one drawn when those records carry no error at all
+    system, truth = irrational_system()
+    trace = refine(system, RefinementConfig(m_max=20, l_min=-40), truth=truth)
+
+    def with_errors(error):
+        records = [replace(r, error_vs_truth=error) if r.ordinal % 3 == 1 else r
+                   for r in trace.records]
+        return replace(trace, records=tuple(records))
+
+    svg = decay_svg(with_errors(math.inf))
+    assert svg == decay_svg(with_errors(None))
+    finite = sum(r.ordinal % 3 != 1 for r in trace.records)
+    assert svg.split('points="')[1].split('"')[0].count(",") == finite
 
 
 def test_all_zero_errors_still_render():

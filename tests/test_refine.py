@@ -251,7 +251,7 @@ def test_refine_rejects_resolved_m_max_without_window():
 
 
 def test_refine_rejects_bad_initial_center():
-    with pytest.raises(Exception):
+    with pytest.raises(DimensionMismatch, match="solution length != system size"):
         refine(ID2, RefinementConfig(m_max=2, l_min=0, initial_center=DyadicVector.zero(3)))
 
 
