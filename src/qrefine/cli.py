@@ -112,8 +112,6 @@ def _run(
     """Refine, streaming rows to the --trace file, which the first row
     opens: a run refused before its first solve never touches the path,
     and one that fails later keeps the rows it wrote."""
-    if not args.trace:
-        return refine(system, config, truth=truth)
     with contextlib.ExitStack() as stack:
         writer = None
 
@@ -123,7 +121,7 @@ def _run(
                 writer = TraceWriter(stack.enter_context(open(args.trace, "w", encoding="utf-8", newline="")))
             writer(record)
 
-        return refine(system, config, truth=truth, observer=observe)
+        return refine(system, config, truth=truth, observer=observe if args.trace else None)
 
 
 def _plot(args: argparse.Namespace, trace: RefinementTrace, truth: tuple[float, ...] | None) -> None:

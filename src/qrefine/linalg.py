@@ -1,6 +1,6 @@
 """Dense linear-algebra substrate: the exact residual r = b - Ax, and
 from it A^T r and ||r||^2; the float and exact Gram matrices A^T A;
-symmetric eigendecomposition (numpy's LAPACK eigh), condition number.
+symmetric eigendecomposition (LAPACK eigh), singularity test, condition number.
 
 Matrices and vectors are plain float64 numpy arrays; LinearSystem wraps
 read-only copies of the (A, b) pair with shape and finiteness checks,
@@ -89,22 +89,6 @@ def exact_matvec(rows: tuple[tuple[int, ...], ...], e: int, x: DyadicVector) -> 
     return [sum(map(operator.mul, row, x.mantissas)) for row in rows], e + x.exponent
 
 
-@dataclass(frozen=True)
-class EigenBasis:
-    """Eigenvalues (descending) and orthonormal eigenvector columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def min_value(self) -> float:
-        """lmin, the smallest value; raises SingularMatrix when lmin <= lmax
-        (n^2 2.5e-16), grouped so that lmax n^2 cannot overflow: singular
-        within rounding, as when lmax <= 0."""
-        if self.values[-1] <= self.values[0] * (len(self.values) ** 2 * 2.5e-16):
-            raise SingularMatrix("A^T A is singular: its smallest eigenvalue is zero within rounding")
-        return float(self.values[-1])
-
-
 def residual(system: LinearSystem, x: DyadicVector) -> DyadicVector:
     """b - Ax exactly, with x taken exactly: floats are dyadic, so every
     product and sum is integer arithmetic."""
@@ -124,11 +108,12 @@ def residual_norm_sq(r: DyadicVector) -> tuple[int, int]:
     return sum(m * m for m in r.mantissas), 2 * r.exponent
 
 
-def symmetric_eigen(s: np.ndarray) -> EigenBasis:
-    """LAPACK eigh of S prescaled by the power of two that brings its
-    largest entry into [0.5, 1), so S 2^k gives exactly 2^k times the
-    values and the same vectors. Values descend; each vector column is
-    signed so that its largest entry (the first, on a tie) is positive."""
+def symmetric_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, vectors): LAPACK eigh of S prescaled by the power of two
+    that brings its largest entry into [0.5, 1), so S 2^k gives exactly
+    2^k times the values and the same vectors. Values descend; each
+    vector column is signed so its largest entry (the first, on a tie)
+    is positive."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {s.shape}")
@@ -139,11 +124,20 @@ def symmetric_eigen(s: np.ndarray) -> EigenBasis:
     values, vectors = np.linalg.eigh(np.ldexp(s, -shift))
     values, vectors = np.ldexp(values[::-1], shift), vectors[:, ::-1]
     anchors = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(s.shape[0])]
-    return EigenBasis(values=values, vectors=np.where(anchors < 0, -vectors, vectors))
+    return values, np.where(anchors < 0, -vectors, vectors)
+
+
+def lambda_min(values: np.ndarray) -> float:
+    """lmin, the last of the descending eigenvalues of A^T A; raises
+    SingularMatrix when lmin <= lmax (n^2 2.5e-16), grouped so that
+    lmax n^2 cannot overflow: singular within rounding, as when lmax <= 0."""
+    if values[-1] <= values[0] * (len(values) ** 2 * 2.5e-16):
+        raise SingularMatrix("A^T A is singular: its smallest eigenvalue is zero within rounding")
+    return float(values[-1])
 
 
 def condition_number(system: LinearSystem) -> float:
     """2-norm condition number sqrt(lmax/lmin) of A^T A, from the
     system's cached Gram matrix."""
-    basis = symmetric_eigen(np.array(system.gram))
-    return float(np.sqrt(basis.values[0] / basis.min_value()))
+    values, _ = symmetric_eigen(np.array(system.gram))
+    return float(np.sqrt(values[0] / lambda_min(values)))

@@ -99,17 +99,20 @@ def trajectory_svg(trace: RefinementTrace, truth: Optional[Sequence[float]] = No
     """Center walk for 2-unknown systems, level-final centers emphasized."""
     if len(trace.final_center) != 2:
         raise ValueError("trajectory plot needs exactly 2 unknowns")
-    centers = [r.center_after.to_floats() for r in trace.records]
+    pts = [r.center_after.to_floats() for r in trace.records]
     level_final = set()
     for i, r in enumerate(trace.records):
         if i + 1 == len(trace.records) or trace.records[i + 1].level != r.level:
             level_final.add(i)
 
-    xs = [c[0] for c in centers]
-    ys = [c[1] for c in centers]
     if truth is not None:
-        xs.append(float(truth[0]))
-        ys.append(float(truth[1]))
+        pts.append((float(truth[0]), float(truth[1])))
+    # the map is scale-invariant, so one exact power-of-two scale keeps
+    # coordinates below 2^1020, where the padded range stays finite
+    k = max(0, math.frexp(max(abs(v) for p in pts for v in p))[1] - 1020)
+    pts = [(math.ldexp(x, -k), math.ldexp(y, -k)) for x, y in pts]
+    centers = pts[: len(trace.records)]
+    xs, ys = zip(*pts)
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     pad_x = (x_hi - x_lo) * 0.08 or 1.0
@@ -122,7 +125,7 @@ def trajectory_svg(trace: RefinementTrace, truth: Optional[Sequence[float]] = No
         fill = "#1f4e9c" if i in level_final else "#999999"
         parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="{r}" fill="{fill}"/>')
     if truth is not None:
-        tx, ty = sx(float(truth[0])), sy(float(truth[1]))
+        tx, ty = sx(pts[-1][0]), sy(pts[-1][1])
         parts.append(
             f'<path d="M {tx:.2f} {ty - 8:.2f} L {tx + 2.4:.2f} {ty - 2.4:.2f} '
             f'L {tx + 8:.2f} {ty:.2f} L {tx + 2.4:.2f} {ty + 2.4:.2f} '

@@ -25,12 +25,12 @@ import numpy as np
 from .encoding import BitVector, DyadicVector, EncodingSpec, decode_increments, dyadic_of_float, dyadic_to_float
 from .errors import DimensionMismatch, TooLarge
 from .linalg import (
-    EigenBasis,
     LinearSystem,
     exact_form,
     exact_gram,
     exact_matvec,
     float_gram,
+    lambda_min,
     normal_residual,
     residual,
     residual_norm_sq,
@@ -127,8 +127,9 @@ def refine(
     residual_tolerance > 0 the run stops early once the exact residual
     reaches it (checked as each level settles).
 
-    The run holds one matrix W exactly (A, or A V below) and its exact
-    Gram. It forms r = b - Ac once, and from it carries g = W^T r, from
+    The run holds one matrix W exactly (A, or A V below), its exact Gram,
+    and the float Gram of W's entries rounded once, which its windows
+    read. It forms r = b - Ac once, and from it carries g = W^T r, from
     which each window is built, and ||r||^2, exactly; a center of the
     wrong length is refused there. The sampler's best state is accepted
     when its increment is nonzero and its exact change in ||r||^2
@@ -143,8 +144,7 @@ def refine(
     With use_eigenbasis the unknowns are u with x = V u, V the
     eigenvectors of A^T A. Level moves then track the residual contours'
     axes, which kills the zigzag walk on ill-conditioned systems. Only
-    the matrix changes: W is A V formed exactly (V entries are floats),
-    and the windows' float Gram is that of W's entries rounded once. The
+    the matrix changes: W is A V formed exactly (V entries are floats). The
     residual is the system's own at x = V u: b - (AV)u is b - A(Vu)
     exactly. So recorded residuals are the original system's, exactly,
     and recorded centers are V u, mapped back to x-coordinates exactly.
@@ -153,10 +153,10 @@ def refine(
         if len(truth) != system.n:
             raise DimensionMismatch("center and truth lengths differ")
         truth = DyadicVector.from_floats(truth)  # ValueError unless finite
-    (rows, e), to_x, basis = system.exact[:2], (lambda c: c), None
+    (rows, e), to_x, values = system.exact[:2], (lambda c: c), None
     if config.use_eigenbasis:
-        basis = symmetric_eigen(np.array(system.gram))  # also bounds m_max below
-        v_rows, v_exp = exact_form(basis.vectors)  # V exactly, once
+        values, vectors = symmetric_eigen(np.array(system.gram))  # values also bound m_max below
+        v_rows, v_exp = exact_form(vectors)  # V exactly, once
         rows = tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*v_rows)) for row in rows)
         e += v_exp
         to_x = lambda u: DyadicVector(*exact_matvec(v_rows, v_exp, u))
@@ -165,7 +165,7 @@ def refine(
         sampler = (lambda q: sample_anneal(q, anneal)) if config.sampler == "sa" else sample_exhaustive
     k = config.bits_per_sign
     step = config.level_step if config.level_step is not None else k
-    m_max = config.m_max if config.m_max is not None else default_m_max(system, basis)
+    m_max = config.m_max if config.m_max is not None else default_m_max(system, values)
     if m_max - k + 1 < config.l_min:
         raise ValueError(f"no {k}-bit window fits between m_max {m_max} and l_min {config.l_min}")
     center = config.initial_center if config.initial_center is not None else DyadicVector.zero(system.n)
@@ -181,9 +181,8 @@ def refine(
     error = error_vs_truth(reported, truth) if truth is not None else None
     terminated = None
     l = m_max - k + 1
-    # the float W^T W, read after the checks above, where the first window read it
-    gram = system.gram if basis is None else float_gram(
-        np.array([[dyadic_to_float(m, e) for m in row] for row in rows]))
+    # the float W^T W, A's own in a plain run, formed after the checks above
+    gram = float_gram(np.array([[dyadic_to_float(m, e) for m in row] for row in rows]))
     while terminated is None and l >= config.l_min:
         logger.info("descending to level %d (window [%d, %d])", l, l, l + k - 1)
         spec = EncodingSpec(n_vars=system.n, l_lo=l, l_hi=l + k - 1)
@@ -259,11 +258,11 @@ def energy_change(
     return (quad << (gram_e + l - e)) - (lin << (g.exponent + 1 - e)), l + e, (gy_m, gram_e + l)
 
 
-def default_m_max(system: LinearSystem, basis: EigenBasis | None = None) -> int:
+def default_m_max(system: LinearSystem, values: np.ndarray | None = None) -> int:
     """ceil(log2(||b|| / smallest-singular-value + 1)) + 1, a magnitude bound;
-    basis, when given, is the eigenbasis of A^T A, so it is not found again."""
-    basis = basis if basis is not None else symmetric_eigen(np.array(system.gram))
-    lam_min = basis.min_value()  # SingularMatrix when A^T A is singular within rounding
+    values, when given, are the eigenvalues of A^T A, so they are not found again."""
+    values = values if values is not None else symmetric_eigen(np.array(system.gram))[0]
+    lam_min = lambda_min(values)  # SingularMatrix when A^T A is singular within rounding
     with np.errstate(over="ignore"):  # an overflowing ||b|| is reported below
         bound = float(np.linalg.norm(system.b)) / math.sqrt(lam_min)
     if not math.isfinite(bound):

@@ -259,7 +259,9 @@ def test_solve_writes_plots(tmp_path, capsys):
 
 def test_solve_plot_of_errors_past_float_range(tmp_path, capsys):
     # every error_vs_truth is inf: the decay chart is the placeholder, and
-    # neither chart file is left empty
+    # neither chart file is left empty; the trajectory's padded range past
+    # 2^1023 would overflow, so one exact power-of-two scale keeps every
+    # center and the truth marker at finite pixels
     text = '{"a": [[1, 0], [0, 1]], "b": [1, 1], "x_true": [1.7e308, 1.7e308]}'
     path = write_problem(tmp_path, text)
     prefix = str(tmp_path / "run")
@@ -267,6 +269,10 @@ def test_solve_plot_of_errors_past_float_range(tmp_path, capsys):
     assert "error_vs_truth = inf" in capsys.readouterr().out
     for suffix in ("_decay.svg", "_trajectory.svg"):
         assert (tmp_path / f"run{suffix}").stat().st_size > 0
+    svg = (tmp_path / "run_trajectory.svg").read_text(encoding="utf-8")
+    assert "nan" not in svg and "inf" not in svg
+    assert svg.count('cx="115.52" cy="498.28"') == 8
+    assert '<path d="M 684.48 93.72 ' in svg
 
 
 def test_solve_plot_of_three_unknowns_skips_trajectory(tmp_path, capsys):

@@ -208,7 +208,7 @@ def test_exact_gram_of_eigenbasis_work_system_is_the_exact_one():
     # an eigenbasis run works on A V formed exactly; its exact Gram is that
     # product's, not that of the floats the product rounds to
     system, _ = irrational_system()
-    v = symmetric_eigen(np.array(system.gram)).vectors
+    _, v = symmetric_eigen(np.array(system.gram))
     a_rows, a_exp, _ = system.exact
     v_rows, v_exp = exact_form(v)
     av_rows = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*v_rows)) for row in a_rows)
@@ -253,35 +253,35 @@ def test_residual_dimension_check():
 
 
 def test_eigen_diagonal():
-    basis = symmetric_eigen(np.diag([5.0, 2.0]))
-    assert tuple(basis.values) == (5.0, 2.0)
-    assert np.array_equal(basis.vectors, np.eye(2))
+    values, vectors = symmetric_eigen(np.diag([5.0, 2.0]))
+    assert tuple(values) == (5.0, 2.0)
+    assert np.array_equal(vectors, np.eye(2))
 
 
 def test_eigen_textbook_2x2():
-    basis = symmetric_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(basis.values, [3.0, 1.0], rtol=0, atol=1e-12)
+    values, vectors = symmetric_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert np.allclose(values, [3.0, 1.0], rtol=0, atol=1e-12)
     r = 1.0 / math.sqrt(2.0)
-    assert np.allclose(np.abs(basis.vectors), [[r, r], [r, r]], atol=1e-12)
+    assert np.allclose(np.abs(vectors), [[r, r], [r, r]], atol=1e-12)
     s = np.array([[2.0, 1.0], [1.0, 2.0]])
     for j in range(2):
-        assert np.max(np.abs(s @ basis.vectors[:, j] - basis.values[j] * basis.vectors[:, j])) <= 1e-10
+        assert np.max(np.abs(s @ vectors[:, j] - values[j] * vectors[:, j])) <= 1e-10
 
 
 def test_eigen_normal_matrix_of_irrational_system():
     system, _ = irrational_system()
     g = system.a.T @ system.a
     g = (g + g.T) / 2.0
-    basis = symmetric_eigen(g)
+    values, _ = symmetric_eigen(g)
     # independent route: characteristic polynomial of the 2x2
     tr = g[0, 0] + g[1, 1]
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     disc = math.sqrt(tr * tr - 4.0 * det)
     lam = ((tr + disc) / 2.0, (tr - disc) / 2.0)
-    assert abs(basis.values[0] - lam[0]) <= 1e-9 * lam[0]
-    assert abs(basis.values[1] - lam[1]) <= 1e-9 * lam[0]
-    assert 12.2 < basis.values[0] < 12.4
-    assert 4.6 < basis.values[1] < 4.8
+    assert abs(values[0] - lam[0]) <= 1e-9 * lam[0]
+    assert abs(values[1] - lam[1]) <= 1e-9 * lam[0]
+    assert 12.2 < values[0] < 12.4
+    assert 4.6 < values[1] < 4.8
 
 
 @pytest.mark.parametrize(
@@ -315,10 +315,10 @@ def test_eigen_huge_entries_scale_exactly():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for mat, k in cases:
-            small = symmetric_eigen(mat)
-            scaled = symmetric_eigen(mat * 2.0**k)
-            assert np.array_equal(scaled.values, small.values * 2.0**k)
-            assert np.array_equal(scaled.vectors, small.vectors)
+            small_values, small_vectors = symmetric_eigen(mat)
+            values, vectors = symmetric_eigen(mat * 2.0**k)
+            assert np.array_equal(values, small_values * 2.0**k)
+            assert np.array_equal(vectors, small_vectors)
 
 
 def test_eigen_rejects_asymmetric():
@@ -334,12 +334,11 @@ def test_eigen_reconstruction_random(seed, n):
     rng = random.Random(seed)
     m = np.array([[rng.uniform(-5, 5) for _ in range(n)] for _ in range(n)])
     s = m + m.T
-    basis = symmetric_eigen(s)
-    v = basis.vectors
+    values, v = symmetric_eigen(s)
     assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-10
     scale = max(1.0, float(np.max(np.abs(s))))
-    assert np.max(np.abs(v @ np.diag(basis.values) @ v.T - s)) <= 1e-9 * scale
-    assert all(basis.values[i] >= basis.values[i + 1] for i in range(n - 1))
+    assert np.max(np.abs(v @ np.diag(values) @ v.T - s)) <= 1e-9 * scale
+    assert all(values[i] >= values[i + 1] for i in range(n - 1))
 
 
 def test_condition_identity():

@@ -336,6 +336,26 @@ def test_eigenbasis_run_finds_the_eigenbasis_once(monkeypatch):
     assert trace.records[0].level == default_m_max(system)
 
 
+def test_every_run_forms_one_float_gram(monkeypatch):
+    # plain or eigenbasis, the windows read float_gram of the run's work
+    # matrix W, formed once; a plain run's W is A, and it leaves the
+    # system's cached gram unread
+    refine_mod = importlib.import_module("qrefine.refine")
+    original, calls = refine_mod.float_gram, []
+
+    def counted(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(refine_mod, "float_gram", counted)
+    system, _ = irrational_system()
+    refine(system, RefinementConfig(m_max=20, l_min=-10))
+    assert len(calls) == 1 and np.array_equal(calls[0], system.a)
+    assert "gram" not in vars(system)
+    refine(irrational_system()[0], RefinementConfig(m_max=20, l_min=-10, use_eigenbasis=True))
+    assert len(calls) == 2
+
+
 def test_run_forms_one_residual(monkeypatch):
     # b - Ac is formed once per run, and g and ||b - Ac||^2 both come from
     # it; residual_norm_sq is still called once, by the name on refine's
