@@ -47,10 +47,12 @@ def decay_svg(trace: RefinementTrace) -> str:
     ]
     title = "error decay (log10 error vs QUBO solve)"
     if not pts:
+        infinite = any(r.error_vs_truth == math.inf for r in trace.records)
+        note = "every positive error is infinite" if infinite else "no positive errors to plot"
         parts, _, _ = _frame(title, 0, 1, 0, 1)
         parts.append(
             f'<text x="{_W // 2}" y="{_H // 2}" text-anchor="middle" '
-            'font-size="14" font-family="sans-serif">no positive errors to plot</text></svg>'
+            f'font-size="14" font-family="sans-serif">{note}</text></svg>'
         )
         return "\n".join(parts)
 

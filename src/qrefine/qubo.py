@@ -14,7 +14,8 @@ spec)`` forms the weights and the quadratic terms once per level from
 the float A^T A, and ``build_window(level, g)`` forms the linear terms
 of one solve from the exact g; any symmetric form and vector serve.
 Every window of a level shares the level's QuadraticPart: its
-quadratic terms, built once in order, and their dense upper matrix.
+quadratic terms, built once in order and read-only, and their dense
+upper matrix.
 g is given exactly (linalg.normal_residual of r, or carried by refine) and
 rounded once per entry; since every w_u is a signed power of two, the
 only other rounding is in the float A^T A. The constant ||r||^2 is kept out
@@ -28,6 +29,8 @@ import functools
 import json
 import math
 import operator
+import types
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -46,11 +49,13 @@ _PICK = 256  # most outer-product entries in a batch scored without numpy (timed
 class QuadraticPart:
     """The quadratic terms of nq qubits, which its maker checked and put in (u, v)
     order, and their dense upper matrix, built on first use: the only dense form of
-    a QUBO's coefficients that outlives a call. QUBOs differing in linear terms share it."""
+    a QUBO's coefficients that outlives a call. QUBOs differing in linear terms share
+    it, so its terms are a read-only view of the dict its maker hands over: no caller
+    can change what upper and the samplers' scores were cached from."""
 
     def __init__(self, n_qubits: int, quadratic: dict[tuple[int, int], float]) -> None:
         self.n_qubits = n_qubits
-        self.quadratic = quadratic
+        self.quadratic = types.MappingProxyType(quadratic)
 
     @functools.cached_property
     def upper(self) -> np.ndarray:
@@ -66,11 +71,11 @@ class QuadraticPart:
 class QuboMatrix:
     """Linear and upper-triangular quadratic coefficients of nq qubits. Terms given
     without their own QuadraticPart of nq qubits are checked and sorted here, into a
-    new one."""
+    new one; quadratic is always its part's read-only mapping."""
 
     n_qubits: int
     linear: tuple[float, ...]
-    quadratic: dict[tuple[int, int], float] = field(default_factory=dict)
+    quadratic: Mapping[tuple[int, int], float] = field(default_factory=dict)
     # the QuadraticPart of quadratic, shared by the windows of one level
     _part: QuadraticPart | None = field(default=None, compare=False, repr=False)
 
@@ -84,22 +89,17 @@ class QuboMatrix:
                     raise DimensionMismatch(f"quadratic index pair {(i, j)} not upper-triangular")
                 if not math.isfinite(val):
                     raise DimensionMismatch(f"non-finite coefficient at {(i, j)}")
-            quadratic = dict(sorted(self.quadratic.items()))
-            object.__setattr__(self, "quadratic", quadratic)
-            object.__setattr__(self, "_part", QuadraticPart(self.n_qubits, quadratic))
+            part = QuadraticPart(self.n_qubits, dict(sorted(self.quadratic.items())))
+            object.__setattr__(self, "quadratic", part.quadratic)
+            object.__setattr__(self, "_part", part)
         if not all(map(math.isfinite, self.linear)):
             raise DimensionMismatch("non-finite linear coefficient")
 
-    __hash__ = None  # dict field; value identity is via ==
+    def __reduce__(self):
+        # a mappingproxy does not pickle; the copy gets a part of its own
+        return QuboMatrix, (self.n_qubits, self.linear, dict(self.quadratic))
 
-
-@dataclass(frozen=True)
-class IsingModel:
-    h: tuple[float, ...]
-    j: dict[tuple[int, int], float]
-    offset: float
-
-    __hash__ = None
+    __hash__ = None  # mapping field; value identity is via ==
 
 
 class WindowLevel:
@@ -225,21 +225,6 @@ def _exact_sum(terms: tuple[float, ...] | list[float]) -> float:
         return float(sum(map(Fraction, terms)))
     except OverflowError:
         raise TooLarge("a QUBO energy is past the float range") from None
-
-
-def qubo_to_ising(q: QuboMatrix) -> IsingModel:
-    nq = q.n_qubits
-    h_terms: list[list[float]] = [[q.linear[i] / 2.0] for i in range(nq)]
-    offset_terms = [q.linear[i] / 2.0 for i in range(nq)]
-    j = {}
-    for (u, v), c in q.quadratic.items():
-        quarter = c / 4.0
-        j[(u, v)] = quarter
-        h_terms[u].append(quarter)
-        h_terms[v].append(quarter)
-        offset_terms.append(quarter)
-    h = tuple(math.fsum(t) for t in h_terms)
-    return IsingModel(h=h, j=j, offset=math.fsum(offset_terms))
 
 
 def dump(q: QuboMatrix) -> str:

@@ -5,7 +5,8 @@ The oracles recompute quantities from scratch with Fraction (or plain
 integer) arithmetic so the package's own exact paths are never
 used to check themselves. The reference routines (qubit layout, decode,
 grid enumeration, Ising energy, direct solve, annealer, whole-trace
-CSV text) exist only for the tests.
+CSV text, canonical bits, the Ising form of a QUBO) exist only for the
+tests.
 """
 
 import io
@@ -14,12 +15,14 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from qrefine import (
     AnnealConfig,
+    DimensionMismatch,
     DyadicVector,
     IndexOutOfRange,
     LinearSystem,
@@ -93,6 +96,18 @@ def decode(bits, spec: EncodingSpec, center: DyadicVector) -> DyadicVector:
     return center.add_increments(decode_increments(bits, spec), spec.l_lo)
 
 
+def canonical_bits(increments, spec: EncodingSpec) -> tuple[int, ...]:
+    """Representative bits for integer increments: one sign block active per
+    variable, never both (the redundant (1,1) pairings are avoided)."""
+    if len(increments) != spec.n_vars:
+        raise DimensionMismatch("increment count != n_vars")
+    limit = (1 << spec.bits_per_sign) - 1
+    for d in increments:
+        if abs(d) > limit:
+            raise IndexOutOfRange(f"increment {d} exceeds window capacity {limit}")
+    return tuple((max(sign * increments[var], 0) >> bit) & 1 for var, sign, bit in spec.qubits)
+
+
 def enumerate_grid(spec: EncodingSpec, center: DyadicVector):
     """Every distinct decodable point around center, each exactly once."""
     per_var = (1 << (spec.bits_per_sign + 1)) - 1
@@ -101,6 +116,31 @@ def enumerate_grid(spec: EncodingSpec, center: DyadicVector):
     half = (1 << spec.bits_per_sign) - 1
     for combo in itertools.product(range(-half, half + 1), repeat=spec.n_vars):
         yield center.add_increments(combo, spec.l_lo)
+
+
+@dataclass(frozen=True)
+class IsingModel:
+    h: tuple[float, ...]
+    j: dict[tuple[int, int], float]
+    offset: float
+
+    __hash__ = None
+
+
+def qubo_to_ising(q: qubo.QuboMatrix) -> IsingModel:
+    """The Ising form of q: E(x) = sum h s + sum J s s + offset at s = 2x - 1."""
+    nq = q.n_qubits
+    h_terms: list[list[float]] = [[q.linear[i] / 2.0] for i in range(nq)]
+    offset_terms = [q.linear[i] / 2.0 for i in range(nq)]
+    j = {}
+    for (u, v), c in q.quadratic.items():
+        quarter = c / 4.0
+        j[(u, v)] = quarter
+        h_terms[u].append(quarter)
+        h_terms[v].append(quarter)
+        offset_terms.append(quarter)
+    h = tuple(math.fsum(t) for t in h_terms)
+    return IsingModel(h=h, j=j, offset=math.fsum(offset_terms))
 
 
 def ising_energy(model, spins) -> float:

@@ -25,7 +25,7 @@ from qrefine import (
 )
 from qrefine.cli import main
 from qrefine.encoding import EncodingSpec
-from qrefine.qubo import energy, qubo_to_ising
+from qrefine.qubo import energy
 
 from helpers import (
     anneal_reference,
@@ -36,6 +36,7 @@ from helpers import (
     irrational_system,
     frac_residual_sq,
     ising_energy,
+    qubo_to_ising,
     random_bits,
     random_grid_instance,
     random_instance,

@@ -44,3 +44,38 @@ def test_no_unused_imports():
         }
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused
+
+
+def _reads(node: ast.AST, modules: set[str]) -> set[str]:
+    """Names node reads: bare names, and attributes of a qrefine module
+    (qubo.energy)."""
+    reads = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            reads.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) in modules:
+            reads.add(sub.attr)
+    return reads
+
+
+def test_every_public_definition_has_a_caller():
+    # a public top-level function or class of src/qrefine is exported, or
+    # read by name somewhere in src/qrefine or scripts/ outside its own
+    # definition; qubo.parse, the README's interchange reader, is the one
+    # exception. Code only the tests call belongs in tests/helpers.py.
+    package = Path(qrefine.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} | {"qrefine"}
+    sources = sorted(package.glob("*.py")) + sorted((Path(__file__).parents[1] / "scripts").glob("*.py"))
+    defined, reads = [], set()
+    for path in sources:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if path.parent == package and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    defined.append((path.stem, node.name))
+                # a definition's reads of itself (recursion) do not count
+                reads |= _reads(node, modules) - {node.name}
+            else:
+                reads |= _reads(node, modules)
+    uncalled = [f"{module}.{name}" for module, name in defined
+                if name not in qrefine.__all__ and name not in reads and (module, name) != ("qubo", "parse")]
+    assert not uncalled

@@ -120,3 +120,13 @@ def test_all_zero_errors_still_render():
     assert all(r.error_vs_truth == 0.0 for r in trace.records)
     svg = decay_svg(trace)
     assert "no positive errors to plot" in svg
+
+
+def test_all_infinite_errors_say_so():
+    # a truth near the float limit: every distance rounds past the float
+    # range, so there is no point to plot, and the note says why
+    system = LinearSystem(a=np.eye(2), b=np.ones(2))
+    trace = refine(system, RefinementConfig(m_max=2, l_min=-4), truth=np.array([1.7e308, 1.7e308]))
+    assert all(r.error_vs_truth == math.inf for r in trace.records)
+    svg = decay_svg(trace)
+    assert "every positive error is infinite" in svg and "no positive errors" not in svg

@@ -1,7 +1,9 @@
 """Window QUBO construction against the exact residual-difference oracle."""
 
+import copy as copy_module
 import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from helpers import (
     frac_residual_sq,
     ising_energy,
     qubit_index,
+    qubo_to_ising,
     random_bits,
     random_instance,
     random_qubo_coeffs,
@@ -38,7 +41,7 @@ from qrefine import (
 )
 from qrefine.encoding import EncodingSpec, decode_increments
 from qrefine.linalg import normal_residual, residual
-from qrefine.qubo import _PICK, WindowLevel, build_window, dump, energy, parse, qubo_to_ising
+from qrefine.qubo import _PICK, WindowLevel, build_window, dump, energy, parse
 from qrefine.refine import energy_change
 
 ONE_D = LinearSystem(a=[[1.0]], b=[0.0])
@@ -518,6 +521,32 @@ def test_windows_of_one_level_match_fraction_oracle(k):
                         assert q.linear[qubit_index(spec, i, sign, t)] == expect
             assert q.quadratic == at_zero.quadratic
             assert q == window_qubo(system, center, spec)
+
+
+def test_quadratic_terms_are_read_only():
+    # the windows of a level share one mapping of terms, whose dense upper
+    # and float scores are cached; a write through one window would leave a
+    # sibling's dump and sampler disagreeing, so every QUBO's terms refuse it
+    system = LinearSystem(a=[[2.0, 1.0], [1.0, 3.0]], b=[3.0, -4.75])
+    level = WindowLevel(system.gram, window(2, 0, 1))
+    siblings = [build_window(level, normal_residual(*system.exact[:2], residual(system, c)))
+                for c in (DyadicVector.zero(2), DyadicVector((1, -1), 0))]
+    parsed = parse(dump(siblings[0]))
+    built = QuboMatrix(n_qubits=2, linear=(0.0, 0.0), quadratic={(0, 1): 1.0})
+    for q in (siblings[0], parsed, built):
+        with pytest.raises(TypeError):
+            q.quadratic[(0, 1)] = 100.0
+        with pytest.raises(TypeError):
+            del q.quadratic[(0, 1)]
+    for q in siblings:
+        assert q.quadratic[(0, 1)] == q._part.upper[0, 1] == -10.0
+        assert np.array_equal(parse(dump(q))._part.upper, q._part.upper)
+
+
+def test_a_window_pickles_as_its_parsed_copy():
+    q = _one_d_window()
+    for copy in (pickle.loads(pickle.dumps(q)), copy_module.deepcopy(q)):
+        assert copy == q and copy._part is not q._part and dump(copy) == dump(q)
 
 
 def test_energy_of_windows_sharing_a_level_matches_fraction_oracle():
