@@ -4,7 +4,8 @@ symmetric eigendecomposition (LAPACK eigh), singularity test, condition number.
 
 Matrices and vectors are plain float64 numpy arrays; LinearSystem wraps
 read-only copies of the (A, b) pair with shape and finiteness checks,
-and caches its float Gram matrix and the exact dyadic form of A and b.
+and caches its float Gram matrix (row tuples, so it can key a cache)
+and the exact dyadic form of A and b; it compares by identity.
 A matrix held exactly is a pair (rows, e): integer rows times one 2^e.
 """
 
@@ -13,14 +14,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .encoding import DyadicVector
 from .errors import DimensionMismatch, SingularMatrix, TooLarge
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     a: np.ndarray
     b: np.ndarray
@@ -108,12 +109,14 @@ def residual_norm_sq(r: DyadicVector) -> tuple[int, int]:
     return sum(m * m for m in r.mantissas), 2 * r.exponent
 
 
-def symmetric_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, vectors): LAPACK eigh of S prescaled by the power of two
-    that brings its largest entry into [0.5, 1), so S 2^k gives exactly
-    2^k times the values and the same vectors. Values descend; each
-    vector column is signed so its largest entry (the first, on a tie)
-    is positive."""
+@lru_cache(maxsize=8)
+def symmetric_eigen(s: tuple[tuple[float, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(values, vectors): LAPACK eigh of S, given as a tuple of row tuples
+    (a system's gram), prescaled by the power of two that brings its
+    largest entry into [0.5, 1), so S 2^k gives exactly 2^k times the
+    values and the same vectors. Values descend; each vector column is
+    signed so its largest entry (the first, on a tie) is positive. The
+    pair is cached by S and shared by every caller, so it is read-only."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {s.shape}")
@@ -124,7 +127,9 @@ def symmetric_eigen(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values, vectors = np.linalg.eigh(np.ldexp(s, -shift))
     values, vectors = np.ldexp(values[::-1], shift), vectors[:, ::-1]
     anchors = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(s.shape[0])]
-    return values, np.where(anchors < 0, -vectors, vectors)
+    vectors = np.where(anchors < 0, -vectors, vectors)
+    values.flags.writeable = vectors.flags.writeable = False
+    return values, vectors
 
 
 def lambda_min(values: np.ndarray) -> float:
@@ -139,5 +144,5 @@ def lambda_min(values: np.ndarray) -> float:
 def condition_number(system: LinearSystem) -> float:
     """2-norm condition number sqrt(lmax/lmin) of A^T A, from the
     system's cached Gram matrix."""
-    values, _ = symmetric_eigen(np.array(system.gram))
+    values, _ = symmetric_eigen(system.gram)
     return float(np.sqrt(values[0] / lambda_min(values)))

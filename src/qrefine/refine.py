@@ -47,7 +47,7 @@ Observer = Callable[["IterationRecord"], None]
 
 @dataclass(frozen=True)
 class RefinementConfig:
-    m_max: int | None = None  # None: bound from ||b|| and the smallest singular value
+    m_max: int | None = None  # None: bound from ||b - A c0|| and the smallest singular value
     l_min: int = -40
     bits_per_sign: int = 1
     level_step: int | None = None  # None: descend by bits_per_sign
@@ -71,6 +71,8 @@ class RefinementConfig:
             raise ValueError("initial_center cannot be combined with use_eigenbasis")
         if self.sampler not in ("exhaustive", "sa"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
+        if self.anneal is not None and self.sampler != "sa":
+            raise ValueError("anneal settings need sampler='sa'")
 
 
 @dataclass(frozen=True)
@@ -119,11 +121,12 @@ def refine(
 ) -> RefinementTrace:
     """Descend levels from m_max to l_min, recentering until stable at each.
 
-    The window at the first step tops out at exponent m_max; the window
-    low edge l then drops by level_step until it would pass l_min. At
-    each level the window [l, l+k-1] is re-solved around the moving
-    center until the zero increment is optimal; a level that makes
-    max_recenters_per_level moves without settling ends the run. With
+    The window at the first step tops out at exponent m_max (when None,
+    default_m_max of the start residual); the window low edge l then
+    drops by level_step until it would pass l_min. At each level the
+    window [l, l+k-1] is re-solved around the moving center until the
+    zero increment is optimal; a level that makes max_recenters_per_level
+    moves without settling ends the run. With
     residual_tolerance > 0 the run stops early once the exact residual
     reaches it (checked as each level settles).
 
@@ -153,9 +156,9 @@ def refine(
         if len(truth) != system.n:
             raise DimensionMismatch("center and truth lengths differ")
         truth = DyadicVector.from_floats(truth)  # ValueError unless finite
-    (rows, e), to_x, values = system.exact[:2], (lambda c: c), None
+    (rows, e), to_x = system.exact[:2], (lambda c: c)
     if config.use_eigenbasis:
-        values, vectors = symmetric_eigen(np.array(system.gram))  # values also bound m_max below
+        vectors = symmetric_eigen(system.gram)[1]
         v_rows, v_exp = exact_form(vectors)  # V exactly, once
         rows = tuple(tuple(sum(map(operator.mul, row, col)) for col in zip(*v_rows)) for row in rows)
         e += v_exp
@@ -165,15 +168,15 @@ def refine(
         sampler = (lambda q: sample_anneal(q, anneal)) if config.sampler == "sa" else sample_exhaustive
     k = config.bits_per_sign
     step = config.level_step if config.level_step is not None else k
-    m_max = config.m_max if config.m_max is not None else default_m_max(system, values)
-    if m_max - k + 1 < config.l_min:
-        raise ValueError(f"no {k}-bit window fits between m_max {m_max} and l_min {config.l_min}")
     center = config.initial_center if config.initial_center is not None else DyadicVector.zero(system.n)
-
-    records: list[IterationRecord] = []
     # g = W^T (b - Ac) and ||b - Ac||^2 = res_m 2^res_e are carried exactly
     reported = to_x(center)
     r = residual(system, reported)  # DimensionMismatch on a center of the wrong length
+    m_max = config.m_max if config.m_max is not None else default_m_max(system, r)
+    if m_max - k + 1 < config.l_min:
+        raise ValueError(f"no {k}-bit window fits between m_max {m_max} and l_min {config.l_min}")
+
+    records: list[IterationRecord] = []
     g, (res_m, res_e) = normal_residual(rows, e, r), residual_norm_sq(r)
     res_float = dyadic_to_float(res_m, res_e)  # rounded once each time res_m changes
     gram_exact = exact_gram(rows, e)
@@ -258,13 +261,12 @@ def energy_change(
     return (quad << (gram_e + l - e)) - (lin << (g.exponent + 1 - e)), l + e, (gy_m, gram_e + l)
 
 
-def default_m_max(system: LinearSystem, values: np.ndarray | None = None) -> int:
-    """ceil(log2(||b|| / smallest-singular-value + 1)) + 1, a magnitude bound;
-    values, when given, are the eigenvalues of A^T A, so they are not found again."""
-    values = values if values is not None else symmetric_eigen(np.array(system.gram))[0]
-    lam_min = lambda_min(values)  # SingularMatrix when A^T A is singular within rounding
-    with np.errstate(over="ignore"):  # an overflowing ||b|| is reported below
-        bound = float(np.linalg.norm(system.b)) / math.sqrt(lam_min)
+def default_m_max(system: LinearSystem, r: DyadicVector) -> int:
+    """ceil(log2(||r|| / smallest-singular-value + 1)) + 1, a bound on the
+    exponent of ||x* - c|| for the start residual r = b - Ac (b at a zero start)."""
+    lam_min = lambda_min(symmetric_eigen(system.gram)[0])  # SingularMatrix: singular within rounding
+    with np.errstate(over="ignore"):  # an overflowing ||r|| is reported below
+        bound = float(np.linalg.norm(r.to_floats())) / math.sqrt(lam_min)
     if not math.isfinite(bound):
-        raise TooLarge("||b|| / smallest singular value is past the float range")
+        raise TooLarge("||r|| / smallest singular value is past the float range")
     return math.ceil(math.log2(bound + 1.0)) + 1

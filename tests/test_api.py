@@ -79,3 +79,26 @@ def test_every_public_definition_has_a_caller():
     uncalled = [f"{module}.{name}" for module, name in defined
                 if name not in qrefine.__all__ and name not in reads and (module, name) != ("qubo", "parse")]
     assert not uncalled
+
+
+def test_every_lru_cache_has_an_integer_maxsize():
+    # every lru_cache in src/qrefine is called with an explicit integer
+    # maxsize, as a decorator or in call form (_power_of_five); a bare
+    # @lru_cache or maxsize=None would grow without bound
+    unbounded = []
+    for path in sorted(Path(qrefine.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bounded = {
+            id(node.func)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            for kw in node.keywords
+            if kw.arg == "maxsize" and isinstance(kw.value, ast.Constant) and type(kw.value.value) is int
+        }
+        unbounded += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (getattr(node, "id", None) == "lru_cache" or getattr(node, "attr", None) == "lru_cache")
+            and id(node) not in bounded
+        ]
+    assert not unbounded

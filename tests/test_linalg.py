@@ -208,7 +208,7 @@ def test_exact_gram_of_eigenbasis_work_system_is_the_exact_one():
     # an eigenbasis run works on A V formed exactly; its exact Gram is that
     # product's, not that of the floats the product rounds to
     system, _ = irrational_system()
-    _, v = symmetric_eigen(np.array(system.gram))
+    _, v = symmetric_eigen(system.gram)
     a_rows, a_exp, _ = system.exact
     v_rows, v_exp = exact_form(v)
     av_rows = tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*v_rows)) for row in a_rows)
@@ -252,14 +252,19 @@ def test_residual_dimension_check():
         exact_residual_sq(system, DyadicVector((1, 2), 0))
 
 
+def rows(m: np.ndarray) -> tuple[tuple[float, ...], ...]:
+    """A matrix as the tuple of row tuples symmetric_eigen takes."""
+    return tuple(map(tuple, m.tolist()))
+
+
 def test_eigen_diagonal():
-    values, vectors = symmetric_eigen(np.diag([5.0, 2.0]))
+    values, vectors = symmetric_eigen(rows(np.diag([5.0, 2.0])))
     assert tuple(values) == (5.0, 2.0)
     assert np.array_equal(vectors, np.eye(2))
 
 
 def test_eigen_textbook_2x2():
-    values, vectors = symmetric_eigen(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    values, vectors = symmetric_eigen(((2.0, 1.0), (1.0, 2.0)))
     assert np.allclose(values, [3.0, 1.0], rtol=0, atol=1e-12)
     r = 1.0 / math.sqrt(2.0)
     assert np.allclose(np.abs(vectors), [[r, r], [r, r]], atol=1e-12)
@@ -272,7 +277,7 @@ def test_eigen_normal_matrix_of_irrational_system():
     system, _ = irrational_system()
     g = system.a.T @ system.a
     g = (g + g.T) / 2.0
-    values, _ = symmetric_eigen(g)
+    values, _ = symmetric_eigen(rows(g))
     # independent route: characteristic polynomial of the 2x2
     tr = g[0, 0] + g[1, 1]
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
@@ -315,17 +320,34 @@ def test_eigen_huge_entries_scale_exactly():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for mat, k in cases:
-            small_values, small_vectors = symmetric_eigen(mat)
-            values, vectors = symmetric_eigen(mat * 2.0**k)
+            small_values, small_vectors = symmetric_eigen(rows(mat))
+            values, vectors = symmetric_eigen(rows(mat * 2.0**k))
             assert np.array_equal(values, small_values * 2.0**k)
             assert np.array_equal(vectors, small_vectors)
 
 
+def test_eigen_pair_is_cached_and_read_only():
+    # callers share the cached pair, so neither array can be written
+    values, vectors = symmetric_eigen(((2.0, 1.0), (1.0, 2.0)))
+    assert symmetric_eigen(((2.0, 1.0), (1.0, 2.0)))[1] is vectors
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        vectors[0, 0] = 0.0
+
+
+def test_system_compares_by_identity():
+    # a system holds arrays, so it compares and hashes as an object
+    first, second = (LinearSystem(a=[[1.0, 2.0], [3.0, 4.0]], b=[1.0, 2.0]) for _ in range(2))
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+
+
 def test_eigen_rejects_asymmetric():
     with pytest.raises(ValueError, match="not symmetric"):
-        symmetric_eigen(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        symmetric_eigen(((0.0, 1.0), (2.0, 0.0)))
     with pytest.raises(DimensionMismatch, match="square"):
-        symmetric_eigen(np.ones((2, 3)))
+        symmetric_eigen(rows(np.ones((2, 3))))
 
 
 @settings(max_examples=40)
@@ -334,7 +356,7 @@ def test_eigen_reconstruction_random(seed, n):
     rng = random.Random(seed)
     m = np.array([[rng.uniform(-5, 5) for _ in range(n)] for _ in range(n)])
     s = m + m.T
-    values, v = symmetric_eigen(s)
+    values, v = symmetric_eigen(rows(s))
     assert np.max(np.abs(v.T @ v - np.eye(n))) <= 1e-10
     scale = max(1.0, float(np.max(np.abs(s))))
     assert np.max(np.abs(v @ np.diag(values) @ v.T - s)) <= 1e-9 * scale

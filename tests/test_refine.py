@@ -35,7 +35,7 @@ from qrefine import (
     sample_exhaustive,
 )
 from qrefine.encoding import EncodingSpec
-from qrefine.linalg import exact_gram, normal_residual, residual
+from qrefine.linalg import exact_gram, normal_residual, residual, symmetric_eigen
 from qrefine.qubo import energy
 from qrefine.refine import default_m_max, energy_change, error_vs_truth
 
@@ -311,29 +311,53 @@ def test_observer_sees_every_record():
 
 def test_default_m_max_covers_solution():
     system, truth = irrational_system()
-    m = default_m_max(system)
+    m = default_m_max(system, residual(system, DyadicVector.zero(system.n)))
     assert 2.0**m >= max(abs(t) for t in truth)
     trace = refine(system, RefinementConfig(l_min=-40))
     for value, t in zip(trace.final_center.to_floats(), truth):
         assert abs(value - t) <= 5e-12
 
 
-def test_eigenbasis_run_finds_the_eigenbasis_once(monkeypatch):
-    # the eigenbasis refine works in also gives the default m_max, so the
-    # eigen solve runs once; the count is taken on refine's module
-    # global, the name perfbench's tracer wraps
-    refine_mod = importlib.import_module("qrefine.refine")
-    original, calls = refine_mod.symmetric_eigen, []
+def test_one_eigen_solve_per_system(monkeypatch):
+    # condition_number, an eigenbasis run and two default-m_max runs on one
+    # system all read the cached symmetric_eigen of its gram, so LAPACK
+    # runs once; the count is taken on numpy itself
+    symmetric_eigen.cache_clear()
+    original, calls = np.linalg.eigh, []
 
     def counted(s):
         calls.append(s)
         return original(s)
 
-    monkeypatch.setattr(refine_mod, "symmetric_eigen", counted)
-    system, truth = irrational_system()
-    trace = refine(system, RefinementConfig(l_min=-10, use_eigenbasis=True))
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    system, _ = build_illcond(44.0)
+    condition_number(system)
+    eigen = refine(system, RefinementConfig(l_min=-2, use_eigenbasis=True))
+    plain = [refine(system, RefinementConfig(l_min=-2)) for _ in range(2)]
+    top = default_m_max(system, residual(system, DyadicVector.zero(system.n)))
+    assert eigen.records[0].level == plain[0].records[0].level == plain[1].records[0].level == top
     assert len(calls) == 1
-    assert trace.records[0].level == default_m_max(system)
+
+
+def test_default_m_max_starts_at_the_start_residual():
+    # from the float solve x0, ||x* - x0|| <= ||b - A x0|| / sigma_min, so
+    # the top window drops from the zero start's 2^13 to 2^2, and the run
+    # reaches the same final error as one from 2^13 in fewer solves
+    system, truth = irrational_system()
+    x0 = DyadicVector.from_floats(np.linalg.solve(system.a, system.b).tolist())
+    start = refine(system, RefinementConfig(l_min=-40, initial_center=x0), truth=truth)
+    high = refine(system, RefinementConfig(m_max=13, l_min=-40, initial_center=x0), truth=truth)
+    assert refine(system, RefinementConfig(l_min=12)).records[0].level == 13  # from zero
+    assert start.records[0].level == 2
+    assert start.total_qubo_solves < high.total_qubo_solves
+    assert start.records[-1].error_vs_truth == high.records[-1].error_vs_truth
+
+
+def test_anneal_settings_need_the_annealer():
+    # settings for a sampler that does not run are refused, not ignored
+    with pytest.raises(ValueError, match="sampler='sa'"):
+        RefinementConfig(m_max=4, l_min=-4, anneal=AnnealConfig(reads=3))
+    assert RefinementConfig(sampler="sa", anneal=AnnealConfig(reads=3)).anneal.reads == 3
 
 
 def test_every_run_forms_one_float_gram(monkeypatch):
@@ -615,7 +639,7 @@ def test_singular_within_rounding_is_refused_alike(a):
     # refuses both, in default_m_max as in condition_number
     system = LinearSystem(a=a, b=[1.0, 1.0])
     with pytest.raises(SingularMatrix):
-        default_m_max(system)
+        default_m_max(system, residual(system, DyadicVector.zero(system.n)))
     with pytest.raises(SingularMatrix):
         condition_number(system)
 
