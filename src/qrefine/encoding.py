@@ -155,3 +155,15 @@ def decode_increments(bits: BitVector, spec: EncodingSpec) -> tuple[int, ...]:
         out[var] += sign * (b << bit)
     return tuple(out)
 
+
+def canonical_bits(increments: Sequence[int], spec: EncodingSpec) -> BitVector:
+    """The one encoding of integer increments (in units of 2^l_lo) that sets
+    at most one sign block per variable: |d|'s bits in d's sign block."""
+    if len(increments) != spec.n_vars:
+        raise DimensionMismatch("increment count != n_vars")
+    limit = (1 << spec.bits_per_sign) - 1
+    for d in increments:
+        if abs(d) > limit:
+            raise IndexOutOfRange(f"increment {d} exceeds window capacity {limit}")
+    return tuple((max(sign * increments[var], 0) >> bit) & 1 for var, sign, bit in spec.qubits)
+

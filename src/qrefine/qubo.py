@@ -14,8 +14,8 @@ spec)`` forms the weights and the quadratic terms once per level from
 the float A^T A, and ``build_window(level, g)`` forms the linear terms
 of one solve from the exact g; any symmetric form and vector serve.
 Every window of a level shares the level's QuadraticPart: its
-quadratic terms, built once in order and read-only, and their dense
-upper matrix.
+quadratic terms, built once in order and read-only, their dense
+upper matrix, and the spec that marks them as windows.
 g is given exactly (linalg.normal_residual of r, or carried by refine) and
 rounded once per entry; since every w_u is a signed power of two, the
 only other rounding is in the float A^T A. The constant ||r||^2 is kept out
@@ -51,11 +51,18 @@ class QuadraticPart:
     order, and their dense upper matrix, built on first use: the only dense form of
     a QUBO's coefficients that outlives a call. QUBOs differing in linear terms share
     it, so its terms are a read-only view of the dict its maker hands over: no caller
-    can change what upper and the samplers' scores were cached from."""
+    can change what upper and the samplers' scores were cached from.
 
-    def __init__(self, n_qubits: int, quadratic: dict[tuple[int, int], float]) -> None:
+    A window level's part carries its EncodingSpec, which marks its QUBOs as
+    windows: every encoding of an increment has one exact energy, so the
+    exhaustive sampler enumerates one encoding per increment. A part made from
+    plain terms has spec None."""
+
+    def __init__(self, n_qubits: int, quadratic: dict[tuple[int, int], float],
+                 spec: EncodingSpec | None = None) -> None:
         self.n_qubits = n_qubits
         self.quadratic = types.MappingProxyType(quadratic)
+        self.spec = spec
 
     @functools.cached_property
     def upper(self) -> np.ndarray:
@@ -132,7 +139,7 @@ class WindowLevel:
         self.var = var
         self.square = [w * w * gram[i][i] for w, i in zip(weight, var)]
         self.twice = [2.0 * w for w in weight]
-        self.part = QuadraticPart(nq, quadratic)
+        self.part = QuadraticPart(nq, quadratic, spec)
 
 
 def _past_float_range(spec: EncodingSpec) -> TooLarge:
@@ -141,7 +148,8 @@ def _past_float_range(spec: EncodingSpec) -> TooLarge:
 
 def build_window(level: WindowLevel, g: DyadicVector) -> QuboMatrix:
     """The window QUBO of a level around the center c whose exact normal
-    residual A^T (b - Ac) is g; it shares the level's QuadraticPart."""
+    residual A^T (b - Ac) is g; it shares the level's QuadraticPart, which
+    marks it as a window of the level's spec."""
     if len(g) != level.spec.n_vars:
         raise DimensionMismatch("system, center and spec sizes disagree")
     g = g.to_floats()  # rounded once per entry

@@ -122,7 +122,8 @@ def refine(
     """Descend levels from m_max to l_min, recentering until stable at each.
 
     The window at the first step tops out at exponent m_max (when None,
-    default_m_max of the start residual); the window low edge l then
+    default_m_max of the start residual, or l_min + k - 1 if that is
+    higher; an explicit m_max below it is refused); the window low edge l then
     drops by level_step until it would pass l_min. At each level the
     window [l, l+k-1] is re-solved around the moving center until the
     zero increment is optimal; a level that makes max_recenters_per_level
@@ -172,8 +173,10 @@ def refine(
     # g = W^T (b - Ac) and ||b - Ac||^2 = res_m 2^res_e are carried exactly
     reported = to_x(center)
     r = residual(system, reported)  # DimensionMismatch on a center of the wrong length
-    m_max = config.m_max if config.m_max is not None else default_m_max(system, r)
-    if m_max - k + 1 < config.l_min:
+    m_max = config.m_max
+    if m_max is None:  # a bound below the lowest window's top starts the run there
+        m_max = max(default_m_max(system, r), config.l_min + k - 1)
+    elif m_max - k + 1 < config.l_min:
         raise ValueError(f"no {k}-bit window fits between m_max {m_max} and l_min {config.l_min}")
 
     records: list[IterationRecord] = []

@@ -9,23 +9,25 @@ play the role of hardware read statistics. Each solve scores its
 candidate states with one batched ``qubo.energy`` call: the annealer
 its distinct best states, the exhaustive sampler its near-minimum band.
 
-The exhaustive sampler scores every state in float, as the score of the
-quadratic terms plus that of the linear terms. The quadratic scores
-depend on the QUBO's QuadraticPart alone, so they are formed once per
-part: once per level for the windows of a level, which differ only in
-their linear terms. A state is split into its low min(nq, 10) bits and
-the rest, as in Horowitz and Sahni's meet-in-the-middle (JACM 21(2),
-1974): the low part's quadratic energies and cross terms and the high
-part's quadratic energies are formed once per part, and each chunk of
-high states adds its own energies to one product with them. A state then
-costs O(nq - 10) instead of O(nq^2), memory stays O(2^(nq - 10) nq +
-chunk) up to the 24-qubit cap, and a window of at most 10 qubits, with no
-high bits, is scored by one chain of matrix products. It keeps, as bit
-rows, the band of states whose float score lies within a proven rounding
-bound of the float minimum, which holds every state of minimum exact
-energy, and scores only that band exactly. If 4 S, S the sum of all |coef|,
-is past the float range, both samplers do their float work on the QUBO scaled
-by a power of two that brings it in, and score their candidates on the original.
+The exhaustive sampler enumerates all 2^nq states of a plain QUBO and, of
+a window (a QUBO of build_window), one encoding per increment, its
+canonical_bits: every encoding of an increment has one exact energy, so
+(2^(k+1) - 1)^n states, 225 of 4,096 for two unknowns at k = 3, stand for
+all. It scores each state in float, as the score of the quadratic terms
+plus that of the linear terms. The quadratic scores depend on the QUBO's
+QuadraticPart alone, so they are formed once per part: once per level for
+the windows of a level, which differ only in their linear terms. A state
+is a product of groups, a qubit (patterns 0 and 1) or an unknown (its
+canonical blocks), split into its low groups, whose states fit 2^10 rows,
+and the rest, as in Horowitz and Sahni's meet-in-the-middle (JACM 21(2),
+1974): each chunk of high states adds its own energies to one product
+with the low part's cached scores, so a state costs O(high qubits)
+instead of O(nq^2). It keeps, as bit rows, the band of states whose float
+score lies within a proven rounding bound of the float minimum, which
+holds every enumerated state of minimum exact energy, and scores only
+that band exactly. If 4 S, S the sum of all |coef|, is past the float
+range, both samplers do their float work on the QUBO scaled by a power of
+two that brings it in, and score their candidates on the original.
 
 The annealer forms its symmetric coupling matrix from the part's upper
 matrix once per call. When every state fits in the reads (2^nq <= reads),
@@ -50,18 +52,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import qubo
-from .encoding import BitVector
+from .encoding import BitVector, EncodingSpec, canonical_bits
 from .errors import TooManyQubits
 
-_EXHAUSTIVE_LIMIT = 24
+_EXHAUSTIVE_LIMIT = 1 << 24  # most states of an exhaustive solve
 _BLOCK = 1 << 14  # float scores per block or chunk; a power of two
-# most low bits of a split state, all scored in one block; timed, a split
-# with high bits is no faster up to 10 qubits and faster from 11
+# the low states of a split state, all scored in one block, fit 2^_LOW_BITS
+# rows; timed on plain QUBOs, a split is no faster up to 10 qubits and faster from 11
 _LOW_BITS = 10
 _U = 2.0**-53  # unit roundoff of binary64
 _TINY = 2.0**-1074  # smallest subnormal
-_ONES = np.ones(_EXHAUSTIVE_LIMIT)  # sliced to sum a block's columns
-_ONES.flags.writeable = False
 
 
 class SampleEntry(NamedTuple):
@@ -112,15 +112,21 @@ class AnnealConfig:
 
 
 def sample_exhaustive(q: qubo.QuboMatrix) -> SampleSet:
-    """The states of minimum qubo.energy over all 2^nq states, one
-    occurrence each, ordered by bits.
+    """The states of minimum qubo.energy among the states the float pass
+    enumerates, one occurrence each, ordered by bits: all 2^nq states of a
+    plain QUBO; of a window (a QUBO of build_window), one encoding per
+    increment, its canonical_bits. Every encoding of an increment has one
+    exact energy, so a window's entries are its optimal increments. Raises
+    TooManyQubits past _EXHAUSTIVE_LIMIT states.
 
     The band of near-minimum states comes from the float pass as bit
     rows and is scored by one ``qubo.energy`` call; only the states tied
     at its minimum are kept.
     """
-    if q.n_qubits > _EXHAUSTIVE_LIMIT:
-        raise TooManyQubits(f"{q.n_qubits} qubits exceeds exhaustive limit {_EXHAUSTIVE_LIMIT}")
+    pattern, lo, hi = _layout(q._part)
+    if len(pattern) ** (lo + hi) > _EXHAUSTIVE_LIMIT:
+        raise TooManyQubits(f"{q.n_qubits} qubits give {len(pattern)}^{lo + hi} states, "
+                            f"past the exhaustive limit 2^24")
     band = _near_minimum_rows(q)
     scores = qubo.energy(q, band)
     e0 = min(scores)
@@ -131,7 +137,9 @@ def sample_exhaustive(q: qubo.QuboMatrix) -> SampleSet:
 def _float_range(q: qubo.QuboMatrix) -> tuple[qubo.QuboMatrix, float]:
     """q and S, the fsum of all |coef|, when 4 S is finite; else q scaled by
     2^-k, each coefficient by math.ldexp, and its S. With max |coef| < 2^e
-    and n coefficients, k = e + bit_length(n) + 3 - 1023 gives 4 S < 2^1022."""
+    and n coefficients, k = e + bit_length(n) + 3 - 1023 gives 4 S < 2^1022.
+    The scaled QUBO's part keeps q's spec: scaling keeps every encoding of an
+    increment at one exact energy."""
     coefs = (*q.linear, *q.quadratic.values())
     try:
         total = math.fsum(map(abs, coefs))
@@ -140,36 +148,44 @@ def _float_range(q: qubo.QuboMatrix) -> tuple[qubo.QuboMatrix, float]:
     if math.isfinite(4.0 * total):
         return q, total
     k = math.frexp(max(map(abs, coefs)))[1] + len(coefs).bit_length() + 3 - 1023
+    part = qubo.QuadraticPart(q.n_qubits, {key: math.ldexp(c, -k) for key, c in q.quadratic.items()},
+                              q._part.spec)
     return _float_range(qubo.QuboMatrix(q.n_qubits, tuple(math.ldexp(c, -k) for c in q.linear),
-                                        {key: math.ldexp(c, -k) for key, c in q.quadratic.items()}))
+                                        part.quadratic, part))
 
 
 def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
-    """Bit rows of the states whose float energy lies within 2*delta of the
-    float minimum, in ascending state order; they include every state of
-    minimum exact energy.
+    """Bit rows of the enumerated states whose float energy lies within
+    2*delta of their float minimum, in ascending state order; they include
+    every enumerated state of minimum exact energy.
 
-    Every float score is the quadratic part's score plus the linear part's,
-    and the quadratic scores are formed once per QuadraticPart, so once per
-    level for the windows of a level (_quadratic_scores). With U the
-    strictly upper quadratic matrix and c the linear terms, a state splits
-    into its low b = min(nq, _LOW_BITS) bits and its high h = nq - b bits,
-    x = (lo, hi) with state index lo + (hi << b), and U into the blocks
-    U_ll, U_lh and U_hh; c into c_lo and c_hi. Cached are F_lo = ((X_lo @
-    U_ll) * X_lo) @ ones over the 2^b low states and, when h > 0, M = U_lh^T
-    @ X_lo^T and F_hi = ((X_high @ U_hh) * X_high) @ ones over all 2^h high
-    states. Once per solve E_lo = X_lo @ c_lo + F_lo, which for h = 0 (U_ll
-    = U) is f over all states; else each chunk X_hi of max(1, _BLOCK >> b)
-    high states, a slice of the cached rows X_high and at most _BLOCK scores
-    under the default, gets
+    The enumerated states are products over groups of qubits, each group
+    taking one row of its pattern table (_layout): a plain QUBO's qubits are
+    groups of one, with patterns 0 and 1, so every state is enumerated; a
+    window's unknowns are groups of 2k qubits, with patterns the
+    canonical_bits of the unknown's 2^(k+1) - 1 increments. Every float score
+    is the quadratic part's score plus the linear part's, and the quadratic
+    scores are formed once per QuadraticPart, so once per level for the
+    windows of a level (_quadratic_scores). With U the strictly upper
+    quadratic matrix and c the linear terms, a state splits into its low
+    groups, whose n_lo states fit 2^_LOW_BITS rows, and the rest: its low b
+    qubits and its high h = nq - b qubits, x = (lo, hi) with state index lo +
+    hi n_lo, and U into the blocks U_ll, U_lh and U_hh; c into c_lo and c_hi.
+    Cached are F_lo = ((X_lo @ U_ll) * X_lo) @ ones over the n_lo low states
+    and, when h > 0, M = U_lh^T @ X_lo^T and F_hi = ((X_high @ U_hh) * X_high)
+    @ ones over all high states. Once per solve E_lo = X_lo @ c_lo + F_lo,
+    which with no high groups (U_ll = U) is f over all states; else each chunk
+    X_hi of max(1, _BLOCK // n_lo) high states, a slice of the cached rows
+    X_high and at most _BLOCK scores under the default, gets
 
         f = (X_hi @ M + E_lo) + E_hi[:, None],  E_hi = F_hi[chunk] + X_hi @ c_hi,
 
     so f(x) costs O(h) instead of O(nq^2).
 
-    Proof. Let E(x) be the exact sum of the coefficients state x selects,
-    S(x) the sum of their magnitudes, S the sum of all |coef|, u = 2^-53,
-    gamma_k = k*u / (1 - k*u) and s(x) = qubo.energy(q, x).
+    Proof. It holds on any set of enumerated states. Let E(x) be the exact sum
+    of the coefficients state x selects, S(x) the sum of their magnitudes, S
+    the sum of all |coef|, u = 2^-53, gamma_k = k*u / (1 - k*u) and s(x) =
+    qubo.energy(q, x).
 
     - With x in {0, 1} every product is exact, and a BLAS fused multiply-add
       with a 0/1 factor is an exact product and one rounded addition. A
@@ -197,62 +213,95 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
       ch. 2), so over at most m terms E(x) and S(x) move by at most m 2^-1075 and
       the bound by under m 2^-1074: |f(x) - s(x) 2^-k| <= delta := gamma_m S +
       2 m 2^-1074, with k = 0 when 4 S is finite.
-    - Let x* be any state of minimum s and y the state of minimum f. Then
-      f(x*) <= s(x*) 2^-k + delta <= s(y) 2^-k + delta <= f(y) + 2 delta.
+    - Let x* be any enumerated state of minimum s and y the enumerated state of
+      minimum f. Then f(x*) <= s(x*) 2^-k + delta <= s(y) 2^-k + delta <=
+      f(y) + 2 delta. Only x* and y enter, so the set of states enumerated
+      does not matter.
 
     delta is evaluated as 2 m u S + 2 m 2^-1074 with S from fsum. Under the
-    24-qubit cap m u <= 302 u, so gamma_m <= m u (1 + 1e-13) and the factor
-    2 covers the roundings of S and of the product; an underflowing product
-    is covered by the absolute term. The cut f(y) + 2 delta is rounded up by one
-    ulp. Each chunk keeps its states under the running cut, which only falls, so
-    one cut of the joined list by the final cut gives the band in ascending state
-    order.
+    2^24-state cap nq <= 46, so m <= 1,083 and gamma_m <= m u (1 + 2e-13), and
+    the factor 2 covers the roundings of S and of the product; an underflowing
+    product is covered by the absolute term. The cut f(y) + 2 delta is rounded
+    up by one ulp. Each chunk keeps its states under the running cut, which
+    only falls, so one cut of the joined list by the final cut gives the band in
+    ascending state order.
     """
     q, total = _float_range(q)
     nq = q.n_qubits
     m = nq + len(q.quadratic) + 2
     width = 2.0 * (2.0 * m * _U * total + 2 * m * _TINY)
 
-    b = min(nq, _LOW_BITS)
+    pattern, lo, hi = _layout(q._part)
     quad = _quadratic_scores(q._part)
-    x_lo = _low_states(b)
+    x_lo = _states(pattern, lo)
+    b = x_lo.shape[1]
     e_lo = x_lo @ np.array(q.linear[:b])
     e_lo += quad[0]
-    if b == nq:  # no high bits: the low states are all the states
+    if not hi:  # no high groups: the low states are all the states
         return x_lo[e_lo <= math.nextafter(float(e_lo.min()) + width, math.inf)]
     _, cross, f_hi = quad
     c_hi = np.array(q.linear[b:])
-    x_high = _low_states(nq - b)
-    rows = max(1, _BLOCK >> b)
+    x_high = _states(pattern, hi)
+    n_lo = len(x_lo)
+    rows = max(1, _BLOCK // n_lo)
     f_min, states, scores = math.inf, [], []
     for start in range(0, len(x_high), rows):
         x_hi = x_high[start:start + rows]
         f = x_hi @ cross
         f += e_lo
         f += (f_hi[start:start + rows] + x_hi @ c_hi)[:, None]
-        f = f.ravel()  # entry (j << b) + lo is state lo + ((start + j) << b)
+        f = f.ravel()  # entry j n_lo + lo is state lo + (start + j) n_lo
         f_min = min(f_min, float(f.min()))
         mine = np.flatnonzero(f <= math.nextafter(f_min + width, math.inf))
-        states.append(mine + (start << b))
+        states.append(mine + start * n_lo)
         scores.append(f[mine])
     band = np.concatenate(scores) <= math.nextafter(f_min + width, math.inf)
-    return _state_rows(nq, np.concatenate(states)[band])
+    index = np.concatenate(states)[band]
+    return np.hstack((x_lo[index % n_lo], x_high[index // n_lo]))
+
+
+@functools.lru_cache(maxsize=8)
+def _layout(part: qubo.QuadraticPart) -> tuple[tuple[BitVector, ...], int, int]:
+    """(pattern, lo, hi): the pattern table of each group of a part's qubits,
+    and its groups split into the lo low ones, the most whose states fit
+    2^_LOW_BITS rows, and the hi high ones. A plain part has one group per
+    qubit, with patterns 0 and 1, so its low groups are its min(nq,
+    _LOW_BITS) low bits; a window's has one per unknown, whose patterns are
+    the canonical_bits of its increments in state order."""
+    spec = part.spec
+    if spec is None:
+        pattern, groups = ((0,), (1,)), part.n_qubits
+    else:
+        pattern, groups = _canonical_patterns(spec.bits_per_sign), spec.n_vars
+    lo = 0
+    while lo < groups and len(pattern) ** (lo + 1) <= 1 << _LOW_BITS:
+        lo += 1
+    return pattern, lo, groups - lo
+
+
+@functools.lru_cache(maxsize=8)
+def _canonical_patterns(k: int) -> tuple[BitVector, ...]:
+    """The canonical_bits of one unknown's 2^(k+1) - 1 increments at k bits
+    per sign, in state order."""
+    cap = (1 << k) - 1
+    one = EncodingSpec(1, 0, k - 1)
+    return tuple(sorted((canonical_bits((d,), one) for d in range(-cap, cap + 1)), key=lambda bits: bits[::-1]))
 
 
 @functools.lru_cache(maxsize=8)
 def _quadratic_scores(part: qubo.QuadraticPart) -> tuple[np.ndarray, ...]:
     """The float pass's scores of a QuadraticPart's terms alone, read-only:
-    (F_lo,) with no high bits, else (F_lo, M, F_hi) of the split pass
+    (F_lo,) with no high groups, else (F_lo, M, F_hi) of the split pass
     (_near_minimum_rows). They are formed on the first solve of a part and
     cached for the last 8 parts solved, so the windows of a level share them."""
-    nq = part.n_qubits
-    b = min(nq, _LOW_BITS)
+    pattern, lo, hi = _layout(part)
     upper = part.upper
-    x_lo = _low_states(b)
-    scores = (((x_lo @ upper[:b, :b]) * x_lo) @ _ONES[:b],)
-    if b < nq:
-        x_high = _low_states(nq - b)
-        scores += (upper[:b, b:].T @ x_lo.T, ((x_high @ upper[b:, b:]) * x_high) @ _ONES[:nq - b])
+    x_lo = _states(pattern, lo)
+    b = x_lo.shape[1]
+    scores = (((x_lo @ upper[:b, :b]) * x_lo) @ np.ones(b),)
+    if hi:
+        x_high = _states(pattern, hi)
+        scores += (upper[:b, b:].T @ x_lo.T, ((x_high @ upper[b:, b:]) * x_high) @ np.ones(part.n_qubits - b))
     for a in scores:
         a.flags.writeable = False
     return scores
@@ -264,9 +313,13 @@ def _state_rows(nq: int, states: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _low_states(nq: int) -> np.ndarray:
-    """Read-only state matrix of all 2^nq states of nq qubits, in state order."""
-    x = _state_rows(nq, np.arange(1 << nq))
+def _states(pattern: tuple[BitVector, ...], groups: int) -> np.ndarray:
+    """Read-only bit rows of all P^groups states of groups that each take one
+    of the P rows of pattern, in state order: row i gives group g the pattern
+    (i // P^g) % P. With pattern ((0,), (1,)) row i is state i's bits."""
+    p = len(pattern)
+    digits = np.arange(p**groups)[:, None] // p ** np.arange(groups) % p
+    x = np.array(pattern, dtype=np.float64)[digits].reshape(p**groups, groups * len(pattern[0]))
     x.flags.writeable = False
     return x
 

@@ -5,8 +5,7 @@ The oracles recompute quantities from scratch with Fraction (or plain
 integer) arithmetic so the package's own exact paths are never
 used to check themselves. The reference routines (qubit layout, decode,
 grid enumeration, Ising energy, direct solve, annealer, whole-trace
-CSV text, canonical bits, the Ising form of a QUBO) exist only for the
-tests.
+CSV text, the Ising form of a QUBO) exist only for the tests.
 """
 
 import io
@@ -22,7 +21,6 @@ import numpy as np
 
 from qrefine import (
     AnnealConfig,
-    DimensionMismatch,
     DyadicVector,
     IndexOutOfRange,
     LinearSystem,
@@ -94,18 +92,6 @@ def qubit_index(spec: EncodingSpec, var: int, sign: str, bit: int) -> int:
 def decode(bits, spec: EncodingSpec, center: DyadicVector) -> DyadicVector:
     """Exact decoded point center + increment(bits)."""
     return center.add_increments(decode_increments(bits, spec), spec.l_lo)
-
-
-def canonical_bits(increments, spec: EncodingSpec) -> tuple[int, ...]:
-    """Representative bits for integer increments: one sign block active per
-    variable, never both (the redundant (1,1) pairings are avoided)."""
-    if len(increments) != spec.n_vars:
-        raise DimensionMismatch("increment count != n_vars")
-    limit = (1 << spec.bits_per_sign) - 1
-    for d in increments:
-        if abs(d) > limit:
-            raise IndexOutOfRange(f"increment {d} exceeds window capacity {limit}")
-    return tuple((max(sign * increments[var], 0) >> bit) & 1 for var, sign, bit in spec.qubits)
 
 
 def enumerate_grid(spec: EncodingSpec, center: DyadicVector):

@@ -8,6 +8,7 @@ import pytest
 
 from qrefine import LinearSystem, SingularMatrix, TooLarge, cli, condition_number, errors
 from qrefine.cli import main
+from qrefine.encoding import EncodingSpec, canonical_bits, decode_increments
 from qrefine.qubo import parse
 from qrefine.traceio import format_record, header
 
@@ -96,12 +97,12 @@ def test_solve_refused_run_creates_no_trace(tmp_path, capsys):
 
 
 def test_solve_refused_run_keeps_existing_trace_bytes(tmp_path, capsys):
-    # no 3-bit window fits above l_min 5: refused before the first solve,
-    # so the file the first row would open is never touched
+    # no 3-bit window fits between m_max 6 and l_min 5: refused before the
+    # first solve, so the file the first row would open is never touched
     path = write_problem(tmp_path, '{"a": [[1.0]], "b": [3.0]}')
     trace = tmp_path / "old.csv"
     trace.write_bytes(b"ordinal,level\n1,0\n")
-    rc = main(["solve", path, "--l-min", "5", "--bits-per-sign", "3", "--trace", str(trace)])
+    rc = main(["solve", path, "--m-max", "6", "--l-min", "5", "--bits-per-sign", "3", "--trace", str(trace)])
     assert rc == 2
     assert "input error" in capsys.readouterr().err
     assert trace.read_bytes() == b"ordinal,level\n1,0\n"
@@ -512,11 +513,11 @@ def test_qubo_dump_unwritable_out_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flags,digest,stdout_digest",
     [
-        ([], "5a7f15e447aaca250fdca48780bc2e74443f07adb20937c6f202bfe6f73465f7",
-         "cfce552a2c0f237146133a4417e4f855be1f7f70e645667804f0b4dc1d7214fc"),
+        ([], "f0e037f148fd9751dde3f17d9b86fe8e8d7ae7c58edb9ab3225a12c53a52124f",
+         "c5632f826fa49a23a87586653783cb32f9ba6b1cd2b36ad6ef60e4706945339a"),
         (["--bits-per-sign", "3", "--level-step", "3"],
-         "cb3b6cd72560892db798fbc07aca64183052aff269dbca092392e01f3fdeafec",
-         "3a9c3d91514a1c5e31e58dd99359d6e58027e7dbcaf7956349758fce81c6eb10"),
+         "27e177f34e8532ff7a1f1e973d0cab5a4b59df0a6d7d584aa7bf446a2ed5aceb",
+         "6d89c770c8e6388d7291af74f444ec390d354022de51a75c142446580507a354"),
         (["--sampler", "sa", "--reads", "1000", "--seed", "7"],
          "5a7f15e447aaca250fdca48780bc2e74443f07adb20937c6f202bfe6f73465f7",
          "d2ae32aa40a6a67e56390425bfcfebd2cef186fe097d82657373c717e97e666b"),
@@ -524,9 +525,7 @@ def test_qubo_dump_unwritable_out_is_input_error(tmp_path, capsys):
     ids=["k1", "k3-step3", "sa"],
 )
 def test_repro_table_trace_matches_golden_hash(tmp_path, capsys, flags, digest, stdout_digest):
-    # the stdout digest pins the table, ground-occurrence column included;
-    # the annealer finds every 4-qubit window's ground state, so its trace
-    # is the k=1 one, and its table differs only in the ground counts
+    # the stdout digest pins the table, ground-occurrence column included
     trace = tmp_path / "trace.csv"
     assert main(["repro-table1", *flags, "--trace", str(trace)]) == 0
     out = capsys.readouterr().out
@@ -534,13 +533,16 @@ def test_repro_table_trace_matches_golden_hash(tmp_path, capsys, flags, digest, 
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_digest
 
 
-def test_repro_table_k3_has_a_row_with_ground_count_above_1(capsys):
-    # a 12-qubit window can have degenerate ground states; the table shows
-    # each level's first-solve count
+def test_repro_table_k3_first_solve_bits_are_canonical(capsys):
+    # each level's window is minimized over one encoding per increment, so
+    # every first-solve bits string is canonical_bits of its increment
     assert main(["repro-table1", "--bits-per-sign", "3", "--level-step", "3"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
-    counts = [int(f[2]) for f in rows if len(f) == 4 and set(f[1]) <= {"0", "1"}]
-    assert counts and max(counts) > 1
+    shown = [(int(f[0]), tuple(map(int, f[1]))) for f in rows if len(f) == 4 and set(f[1]) <= {"0", "1"}]
+    assert len(shown) == 20 and any(any(bits) for _, bits in shown)
+    for m, bits in shown:
+        spec = EncodingSpec(n_vars=2, l_lo=m, l_hi=m + 2)
+        assert bits == canonical_bits(decode_increments(bits, spec), spec)
 
 
 def test_repro_table_writes_plots(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import canonical_bits, decode, dyadic_fractions, enumerate_grid, qubit_index
+from helpers import decode, dyadic_fractions, enumerate_grid, qubit_index
 from qrefine import (
     DimensionMismatch,
     DyadicVector,
@@ -19,6 +19,7 @@ from qrefine import (
 )
 from qrefine.encoding import (
     EncodingSpec,
+    canonical_bits,
     decode_increments,
     dyadic_of_float,
     dyadic_to_float,

@@ -6,6 +6,7 @@ ordered by (float(exact energy), bits), which is the order the sampler
 promises since fsum is correctly rounded.
 """
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -18,9 +19,12 @@ from hypothesis import strategies as st
 
 from helpers import (
     build_illcond,
+    dyadic_fractions,
     frac_energies,
     frac_energy,
+    frac_residual_sq,
     irrational_system,
+    qubit_index,
     random_qubo_coeffs,
     state_bits,
     window_qubo,
@@ -32,7 +36,7 @@ from qrefine import (
     refine,
     sample_exhaustive,
 )
-from qrefine.encoding import EncodingSpec
+from qrefine.encoding import EncodingSpec, canonical_bits, decode_increments
 from qrefine import qubo, samplers
 from qrefine.errors import TooLarge
 from qrefine.samplers import SampleEntry, _near_minimum_rows
@@ -51,12 +55,22 @@ def four_s_overflows(q) -> bool:
     return math.isinf(4.0 * rounded(sum(abs(Fraction(c)) for c in (*q.linear, *q.quadratic.values()))))
 
 
-def expected(q) -> tuple[list[float], set[int]]:
+def canonical_states(spec, nq) -> list[int]:
+    """The states, in the documented qubit layout, that set at most one
+    sign block of each variable: one encoding per increment."""
+    blocks = [[sum(1 << qubit_index(spec, var, sign, bit) for bit in range(spec.bits_per_sign))
+               for sign in ("plus", "minus")] for var in range(spec.n_vars)]
+    return [s for s in range(1 << nq) if all(not (s & plus and s & minus) for plus, minus in blocks)]
+
+
+def expected(q, spec=None) -> tuple[list[float], set[int]]:
     """The exact energy of every state, rounded once, and the states tied
-    with the exact minimum."""
+    with the exact minimum: of all states, or of a window's canonical ones
+    when its spec is given."""
     exact = [rounded(e) for e in frac_energies(q)]
-    e0 = min(exact)
-    return exact, {s for s, e in enumerate(exact) if e == e0}
+    states = range(len(exact)) if spec is None else canonical_states(spec, q.n_qubits)
+    e0 = min(exact[s] for s in states)
+    return exact, {s for s in states if exact[s] == e0}
 
 
 def band_states(q) -> list[int]:
@@ -66,12 +80,13 @@ def band_states(q) -> list[int]:
     return (rows << np.arange(q.n_qubits)).sum(axis=1).tolist()
 
 
-def check_exact(q):
+def check_exact(q, spec=None):
     """The entries are exactly the oracle's states tied with the exact
-    minimum, in (energy, bits) order, one occurrence each, and the band
-    holds every one of them."""
+    minimum, over all states or a window's canonical ones (spec given), in
+    (energy, bits) order, one occurrence each, and the band holds every one
+    of them."""
     nq = q.n_qubits
-    exact, grounds = expected(q)
+    exact, grounds = expected(q, spec)
     got = sample_exhaustive(q)
     order = sorted((exact[s], state_bits(s, nq)) for s in grounds)
     assert got.entries == tuple(SampleEntry(bits, e, 1) for e, bits in order)
@@ -82,13 +97,14 @@ def check_exact(q):
 
 def window_qubos(system, config):
     """Every window of a plain exhaustive run, rebuilt from the recorded
-    centers, with the energy the run recorded for each accepted move."""
+    centers, with its spec, the center it was built around and the record
+    of its solve."""
     trace = refine(system, config)
     center = DyadicVector.zero(system.n)
     k = config.bits_per_sign
     for rec in trace.records:
         spec = EncodingSpec(n_vars=system.n, l_lo=rec.level, l_hi=rec.level + k - 1)
-        yield window_qubo(system, center, spec), rec
+        yield window_qubo(system, center, spec), spec, center, rec
         center = rec.center_after
 
 
@@ -112,25 +128,51 @@ def test_empty_qubo():
     check_exact(QuboMatrix(n_qubits=0, linear=()))
 
 
+def unmarked(q):
+    """A plain copy of q: the same terms in a part of its own, with no spec."""
+    return QuboMatrix(q.n_qubits, q.linear, dict(q.quadratic))
+
+
 def test_table1_k3_windows():
     system, _ = irrational_system()
     config = RefinementConfig(m_max=20, l_min=-40, bits_per_sign=3, level_step=3)
     count = 0
-    for qm, rec in window_qubos(system, config):
+    for qm, spec, _, rec in window_qubos(system, config):
         assert qm.n_qubits == 12
-        best = check_exact(qm).best()
+        best = check_exact(qm, spec).best()
+        check_exact(unmarked(qm))  # a plain copy is enumerated in full
         if any(rec.bits):
             assert best == SampleEntry(rec.bits, rec.qubo_energy, 1)
         count += 1
     assert count == 37
 
 
+@pytest.mark.parametrize("flags", [{}, dict(bits_per_sign=3, level_step=3)], ids=["table1-k1", "table1-k3-step3"])
+def test_each_move_is_the_exact_best_increment(flags):
+    # on every window of the run, the recorded move (zero when refused)
+    # attains the exact minimum of the change in ||b - Ax||^2 over all of the
+    # window's increments, its bits are canonical_bits of it, and a move's
+    # qubo_energy is its bits' window energy, the exact sum rounded once
+    system, _ = irrational_system()
+    a, b = system.a.tolist(), system.b.tolist()
+    cap = (1 << flags.get("bits_per_sign", 1)) - 1
+    for qm, spec, center, rec in window_qubos(system, RefinementConfig(m_max=20, l_min=-40, **flags)):
+        base = frac_residual_sq(a, b, dyadic_fractions(center))
+        step = Fraction(2) ** spec.l_lo
+        change = {y: frac_residual_sq(a, b, [c + d * step for c, d in zip(dyadic_fractions(center), y)]) - base
+                  for y in itertools.product(range(-cap, cap + 1), repeat=system.n)}
+        move = decode_increments(rec.bits, spec)
+        assert change[move] == min(change.values())
+        assert rec.bits == canonical_bits(move, spec)
+        assert rec.qubo_energy == (rounded(frac_energy(qm, rec.bits)) if any(move) else 0.0)
+
+
 def test_illcond_plain_windows():
     system, _ = build_illcond(44.0)
     config = RefinementConfig(m_max=2, l_min=-40)
     count = 0
-    for qm, rec in window_qubos(system, config):
-        best = check_exact(qm).best()
+    for qm, spec, _, rec in window_qubos(system, config):
+        best = check_exact(qm, spec).best()
         if any(rec.bits):
             assert best == SampleEntry(rec.bits, rec.qubo_energy, 1)
         count += 1
@@ -291,7 +333,7 @@ def test_split_chunk_edges_keep_band_states(monkeypatch):
     plain_bands = [band_states(q) for q in cases[2:]]
     assert len(plain_bands[1]) == 1 << samplers._LOW_BITS
     chunks = []
-    low_states = samplers._low_states
+    states = samplers._states
 
     class Sliced(np.ndarray):
         # the high states' rows, recording each chunk sliced from them
@@ -301,11 +343,11 @@ def test_split_chunk_edges_keep_band_states(monkeypatch):
                 chunks.append((key.start, len(rows)))
             return rows
 
-    def counted(bits):
-        x = low_states(bits)
-        return x.view(Sliced) if bits == nq - samplers._LOW_BITS else x
+    def counted(pattern, groups):
+        x = states(pattern, groups)
+        return x.view(Sliced) if groups == nq - samplers._LOW_BITS else x
 
-    monkeypatch.setattr(samplers, "_low_states", counted)
+    monkeypatch.setattr(samplers, "_states", counted)
     monkeypatch.setattr(samplers, "_BLOCK", 1 << (samplers._LOW_BITS + 1))
     for q, before in zip(cases, plain):
         chunks.clear()
@@ -486,3 +528,54 @@ def test_qubos_sharing_a_quadratic_part(nq):
         assert copy == q and copy._part is not q._part
         assert check_exact(q) == sample_exhaustive(copy)
     check_exact(first)
+
+
+def canonical_rows(spec):
+    """One encoding per increment y of a window, by the documented layout:
+    |y_i|'s bits in y_i's sign block, the other block zero."""
+    cap = (1 << spec.bits_per_sign) - 1
+    rows = []
+    for y in itertools.product(range(-cap, cap + 1), repeat=spec.n_vars):
+        bits = [0] * spec.total_qubits
+        for var, d in enumerate(y):
+            for bit in range(spec.bits_per_sign):
+                if abs(d) >> bit & 1:
+                    bits[qubit_index(spec, var, "plus" if d > 0 else "minus", bit)] = 1
+        rows.append(tuple(bits))
+    return rows
+
+
+@st.composite
+def random_windows(draw):
+    """(gram, spec, g): a random SPD Gram B B^T + I, a window of n <= 3
+    unknowns at k <= 3 bits per sign, and a random normal residual."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.floats(-2.0, 2.0, allow_nan=False)
+    b = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    gram = tuple(tuple(math.fsum(b[i][t] * b[j][t] for t in range(n)) + (i == j) for j in range(n))
+                 for i in range(n))
+    l_lo = draw(st.integers(-4, 2))
+    g = DyadicVector.from_floats([draw(st.floats(-20.0, 20.0, allow_nan=False)) for _ in range(n)])
+    return gram, EncodingSpec(n_vars=n, l_lo=l_lo, l_hi=l_lo + k - 1), g
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_windows())
+def test_window_enumerates_one_encoding_per_increment(window):
+    gram, spec, g = window
+    q = qubo.build_window(qubo.WindowLevel(gram, spec), g)
+    got = sample_exhaustive(q)
+    # brute force over the canonical encodings: exactly those of minimum energy
+    rows = canonical_rows(spec)
+    scores = qubo.energy(q, np.array(rows))
+    e0 = min(scores)
+    assert got.entries == tuple(sorted(SampleEntry(bits, e, 1) for bits, e in zip(rows, scores) if e == e0))
+    for entry in got.entries:
+        assert entry.bits == canonical_bits(decode_increments(entry.bits, spec), spec)
+    if q.n_qubits <= 12:  # the exact full oracle scores 2^nq states in Python
+        check_exact(unmarked(q))
+    # split over more groups, and chunked: a fresh part, so no cached layout
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(samplers, "_LOW_BITS", 2)
+        patch.setattr(samplers, "_BLOCK", 2**4)
+        assert sample_exhaustive(qubo.build_window(qubo.WindowLevel(gram, spec), g)) == got

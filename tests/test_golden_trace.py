@@ -20,9 +20,9 @@ ILLCOND = dict(m_max=2, l_min=-40)
     "build,config,digest",
     [
         (irrational_system, TABLE1,
-         "5a7f15e447aaca250fdca48780bc2e74443f07adb20937c6f202bfe6f73465f7"),
+         "f0e037f148fd9751dde3f17d9b86fe8e8d7ae7c58edb9ab3225a12c53a52124f"),
         (irrational_system, dict(TABLE1, bits_per_sign=3, level_step=3),
-         "cb3b6cd72560892db798fbc07aca64183052aff269dbca092392e01f3fdeafec"),
+         "27e177f34e8532ff7a1f1e973d0cab5a4b59df0a6d7d584aa7bf446a2ed5aceb"),
         (build_illcond, ILLCOND,
          "9e6507e2f66fdecb349aed6c6f493a0cc1e29559d054bbff0ce86408c3dc4bc9"),
         (build_illcond, dict(ILLCOND, use_eigenbasis=True),

@@ -242,12 +242,25 @@ def test_refine_recenter_cap_ends_run():
     assert trace.total_qubo_solves == 3
 
 
-def test_refine_rejects_resolved_m_max_without_window():
-    # default m_max here is 1, so a 3-bit window would start at -1 < l_min
+def test_refine_rejects_explicit_m_max_without_window():
+    # a 3-bit window below m_max 1 would start at -1 < l_min
     system = LinearSystem(a=[[1.0]], b=[0.0])
-    with pytest.raises(ValueError, match="no 3-bit window fits"):
-        refine(system, RefinementConfig(l_min=0, bits_per_sign=3))
-    assert refine(system, RefinementConfig(l_min=-1, bits_per_sign=3)).total_qubo_solves == 1
+    with pytest.raises(ValueError, match="no 3-bit window fits between m_max 1 and l_min 0"):
+        refine(system, RefinementConfig(m_max=1, l_min=0, bits_per_sign=3))
+    # default m_max here is 1 too: the run starts at the lowest window instead
+    for l_min in (0, -1):
+        assert refine(system, RefinementConfig(l_min=l_min, bits_per_sign=3)).total_qubo_solves == 1
+
+
+def test_refine_start_at_solution_begins_at_lowest_window():
+    # the exact start has r0 = 0, so default_m_max gives 1, below the top
+    # of the lowest 3-bit window [0, 2]: the run solves that window once
+    start = DyadicVector((5,), 0)
+    trace = refine(LinearSystem(a=[[1.0]], b=[5.0]),
+                   RefinementConfig(l_min=0, bits_per_sign=3, initial_center=start))
+    assert [r.level for r in trace.records] == [0]
+    assert trace.terminated_by == "level-exhausted"
+    assert trace.final_center == start
 
 
 def test_refine_rejects_bad_initial_center():
@@ -495,18 +508,20 @@ def test_sa_refinement_deterministic():
 
 
 @pytest.mark.parametrize(
-    "config",
+    "system,truth,config",
     [
-        RefinementConfig(m_max=20, l_min=-40, bits_per_sign=3, level_step=3),
-        RefinementConfig(m_max=6, l_min=-6, sampler="sa",
-                         anneal=AnnealConfig(reads=64, sweeps=40, seed=11)),
+        # x*_0 = 0.5 lies halfway between two points of the [0, 2] window,
+        # so that window has two optimal increments
+        (LinearSystem(a=[[1.0, 0.0], [0.0, 1.0]], b=[0.5, 2.25]), (0.5, 2.25),
+         RefinementConfig(m_max=5, l_min=-3, bits_per_sign=3, level_step=3)),
+        (*irrational_system(), RefinementConfig(m_max=6, l_min=-6, sampler="sa",
+                                                anneal=AnnealConfig(reads=64, sweeps=40, seed=11))),
     ],
     ids=["exhaustive-k3", "anneal"],
 )
-def test_records_carry_each_solves_ground_occurrences(config):
+def test_records_carry_each_solves_ground_occurrences(system, truth, config):
     # the record of every solve, accepted or not, carries the count that
     # a sampler wrapped around the same backend sees
-    system, truth = irrational_system()
     counts = []
 
     def capture(qm):

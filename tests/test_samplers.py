@@ -2,11 +2,12 @@
 
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from helpers import anneal_reference, irrational_system, random_qubo_coeffs
+from helpers import anneal_reference, irrational_system, random_qubo_coeffs, window_qubo
 from qrefine import (
     AnnealConfig,
     DyadicVector,
@@ -21,7 +22,7 @@ from qrefine import (
     sample_exhaustive,
 )
 from qrefine import samplers
-from qrefine.encoding import EncodingSpec
+from qrefine.encoding import EncodingSpec, decode_increments
 from qrefine.linalg import normal_residual, residual
 from qrefine.samplers import SampleEntry, SampleSet
 
@@ -55,8 +56,30 @@ def test_exhaustive_tie_order_lexicographic():
 
 
 def test_exhaustive_qubit_cap():
-    with pytest.raises(TooManyQubits):
+    with pytest.raises(TooManyQubits, match="25 qubits give 2\\^25 states"):
         sample_exhaustive(QuboMatrix(n_qubits=25, linear=(0.0,) * 25, quadratic={}))
+
+
+def test_exhaustive_cap_counts_window_states():
+    # a window is capped by its 3^n canonical states at k = 1, not its 2^2n
+    # states: 13 unknowns (26 qubits, 3^13 states) solve, 16 (3^16 > 2^24) do not
+    rng = random.Random(1313)
+    d = [rng.uniform(0.5, 2.0) for _ in range(13)]
+    b = [rng.uniform(-3.0, 3.0) for _ in range(13)]
+    system = LinearSystem(a=[[d[i] if j == i else 0.0 for j in range(13)] for i in range(13)], b=b)
+    spec = EncodingSpec(n_vars=13, l_lo=0, l_hi=0)
+    best = []  # each unknown's exact best step: the residual splits over coordinates
+    for di, bi in zip(map(Fraction, d), map(Fraction, b)):
+        change = {y: (di * y - bi) ** 2 - bi**2 for y in (-1, 0, 1)}
+        y0 = min(change, key=change.get)
+        assert sorted(change.values())[1] > change[y0]  # no tie
+        best.append(y0)
+    got = sample_exhaustive(window_qubo(system, DyadicVector.zero(13), spec))
+    assert [decode_increments(e.bits, spec) for e in got.entries] == [tuple(best)]
+    assert any(best)
+    wide = LinearSystem(a=[[1.0 if j == i else 0.0 for j in range(16)] for i in range(16)], b=[1.0] * 16)
+    with pytest.raises(TooManyQubits, match="3\\^16 states"):
+        sample_exhaustive(window_qubo(wide, DyadicVector.zero(16), EncodingSpec(n_vars=16, l_lo=0, l_hi=0)))
 
 
 def test_exhaustive_relabeling_invariance():
