@@ -14,8 +14,9 @@ spec)`` forms the weights and the quadratic terms once per level from
 the float A^T A, and ``build_window(level, g)`` forms the linear terms
 of one solve from the exact g; any symmetric form and vector serve.
 Every window of a level shares the level's QuadraticPart: its
-quadratic terms, built once in order and read-only, their dense
-upper matrix, and the spec that marks them as windows.
+quadratic terms, built once in order and read-only, and their dense
+upper matrix. A window carries its spec as ``window_spec``, which no
+other QUBO has.
 g is given exactly (linalg.normal_residual of r, or carried by refine) and
 rounded once per entry; since every w_u is a signed power of two, the
 only other rounding is in the float A^T A. The constant ||r||^2 is kept out
@@ -51,18 +52,11 @@ class QuadraticPart:
     order, and their dense upper matrix, built on first use: the only dense form of
     a QUBO's coefficients that outlives a call. QUBOs differing in linear terms share
     it, so its terms are a read-only view of the dict its maker hands over: no caller
-    can change what upper and the samplers' scores were cached from.
+    can change what upper and the samplers' scores were cached from."""
 
-    A window level's part carries its EncodingSpec, which marks its QUBOs as
-    windows: every encoding of an increment has one exact energy, so the
-    exhaustive sampler enumerates one encoding per increment. A part made from
-    plain terms has spec None."""
-
-    def __init__(self, n_qubits: int, quadratic: dict[tuple[int, int], float],
-                 spec: EncodingSpec | None = None) -> None:
+    def __init__(self, n_qubits: int, quadratic: dict[tuple[int, int], float]) -> None:
         self.n_qubits = n_qubits
         self.quadratic = types.MappingProxyType(quadratic)
-        self.spec = spec
 
     @functools.cached_property
     def upper(self) -> np.ndarray:
@@ -78,13 +72,21 @@ class QuadraticPart:
 class QuboMatrix:
     """Linear and upper-triangular quadratic coefficients of nq qubits. Terms given
     without their own QuadraticPart of nq qubits are checked and sorted here, into a
-    new one; quadratic is always its part's read-only mapping."""
+    new one; quadratic is always its part's read-only mapping.
+
+    window_spec is the EncodingSpec of a QUBO that build_window made, and None for
+    any other: it is not an argument, so the constructor, parse and
+    dataclasses.replace all give None, while a pickled or copied window keeps it.
+    A window's linear terms are w_u^2 G_ii - 2 w_u g_i, so all encodings of an
+    increment have equal energies in exact arithmetic, and the exhaustive sampler
+    enumerates one encoding per increment of a QUBO with a window_spec."""
 
     n_qubits: int
     linear: tuple[float, ...]
     quadratic: Mapping[tuple[int, int], float] = field(default_factory=dict)
     # the QuadraticPart of quadratic, shared by the windows of one level
     _part: QuadraticPart | None = field(default=None, compare=False, repr=False)
+    window_spec: EncodingSpec | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if len(self.linear) != self.n_qubits:
@@ -103,10 +105,20 @@ class QuboMatrix:
             raise DimensionMismatch("non-finite linear coefficient")
 
     def __reduce__(self):
-        # a mappingproxy does not pickle; the copy gets a part of its own
-        return QuboMatrix, (self.n_qubits, self.linear, dict(self.quadratic))
+        # a mappingproxy does not pickle; the copy gets a part of its own and
+        # keeps the window_spec
+        return _qubo, (self.n_qubits, self.linear, dict(self.quadratic), None, self.window_spec)
 
     __hash__ = None  # mapping field; value identity is via ==
+
+
+def _qubo(n_qubits: int, linear: tuple[float, ...], quadratic: Mapping[tuple[int, int], float],
+          part: QuadraticPart | None, window_spec: EncodingSpec | None) -> QuboMatrix:
+    """A QuboMatrix with the given window_spec, which build_window and
+    unpickling alone set."""
+    q = QuboMatrix(n_qubits, linear, quadratic, part)
+    object.__setattr__(q, "window_spec", window_spec)
+    return q
 
 
 class WindowLevel:
@@ -139,7 +151,7 @@ class WindowLevel:
         self.var = var
         self.square = [w * w * gram[i][i] for w, i in zip(weight, var)]
         self.twice = [2.0 * w for w in weight]
-        self.part = QuadraticPart(nq, quadratic, spec)
+        self.part = QuadraticPart(nq, quadratic)
 
 
 def _past_float_range(spec: EncodingSpec) -> TooLarge:
@@ -148,8 +160,8 @@ def _past_float_range(spec: EncodingSpec) -> TooLarge:
 
 def build_window(level: WindowLevel, g: DyadicVector) -> QuboMatrix:
     """The window QUBO of a level around the center c whose exact normal
-    residual A^T (b - Ac) is g; it shares the level's QuadraticPart, which
-    marks it as a window of the level's spec."""
+    residual A^T (b - Ac) is g; it shares the level's QuadraticPart and
+    carries the level's spec as its window_spec."""
     if len(g) != level.spec.n_vars:
         raise DimensionMismatch("system, center and spec sizes disagree")
     g = g.to_floats()  # rounded once per entry
@@ -157,7 +169,7 @@ def build_window(level: WindowLevel, g: DyadicVector) -> QuboMatrix:
     if not all(map(math.isfinite, linear)):
         raise _past_float_range(level.spec)
     part = level.part
-    return QuboMatrix(n_qubits=part.n_qubits, linear=linear, quadratic=part.quadratic, _part=part)
+    return _qubo(part.n_qubits, linear, part.quadratic, part, level.spec)
 
 
 def energy(q: QuboMatrix, bits: BitVector | np.ndarray) -> float | list[float]:

@@ -2,32 +2,37 @@
 
 Both samplers return a SampleSet of the states they found, ordered by
 (energy, bits), where energy is the exact-sum score ``qubo.energy`` (one
-correctly rounded ``fsum``). The exhaustive backend is the exact oracle
-and returns the states tied at the minimum; the annealer is the scalable
-stand-in and returns every read's best state, whose occurrence counts
-play the role of hardware read statistics. Each solve scores its
-candidate states with one batched ``qubo.energy`` call: the annealer
-its distinct best states, the exhaustive sampler its near-minimum band.
+correctly rounded ``fsum``). The exhaustive backend is deterministic and
+returns the states tied at the minimum of the states it enumerates; the
+annealer is the scalable stand-in and returns every read's best state,
+whose occurrence counts play the role of hardware read statistics. Each
+solve scores its candidate states with one batched ``qubo.energy`` call:
+the annealer its distinct best states, the exhaustive sampler its
+near-minimum band.
 
-The exhaustive sampler enumerates all 2^nq states of a plain QUBO and, of
-a window (a QUBO of build_window), one encoding per increment, its
-canonical_bits: every encoding of an increment has one exact energy, so
-(2^(k+1) - 1)^n states, 225 of 4,096 for two unknowns at k = 3, stand for
-all. It scores each state in float, as the score of the quadratic terms
-plus that of the linear terms. The quadratic scores depend on the QUBO's
-QuadraticPart alone, so they are formed once per part: once per level for
-the windows of a level, which differ only in their linear terms. A state
-is a product of groups, a qubit (patterns 0 and 1) or an unknown (its
-canonical blocks), split into its low groups, whose states fit 2^10 rows,
-and the rest, as in Horowitz and Sahni's meet-in-the-middle (JACM 21(2),
-1974): each chunk of high states adds its own energies to one product
-with the low part's cached scores, so a state costs O(high qubits)
-instead of O(nq^2). It keeps, as bit rows, the band of states whose float
-score lies within a proven rounding bound of the float minimum, which
-holds every enumerated state of minimum exact energy, and scores only
-that band exactly. If 4 S, S the sum of all |coef|, is past the float
-range, both samplers do their float work on the QUBO scaled by a power of
-two that brings it in, and score their candidates on the original.
+The exhaustive sampler enumerates all 2^nq states of a plain QUBO, where
+it is the exact oracle, and of a window (a QUBO with a window_spec) one
+encoding per increment, its canonical_bits: all encodings of an increment
+have equal energies in exact arithmetic, so (2^(k+1) - 1)^n states, 225 of
+4,096 for two unknowns at k = 3, stand for all. Each linear term is
+rounded, though, so another encoding can lie below the canonical one by
+rounding dust; a window is minimized over its canonical encodings only.
+It scores each state in float, as the score of the quadratic terms plus
+that of the linear terms. The quadratic scores depend on the QUBO's
+QuadraticPart and pattern table alone, so they are formed once per part:
+once per level for the windows of a level, which differ only in their
+linear terms. A state is a product of groups, a qubit (patterns 0 and 1)
+or an unknown (its canonical blocks), split into its low groups, whose
+states fit 2^10 rows, and the rest, as in Horowitz and Sahni's
+meet-in-the-middle (JACM 21(2), 1974): each chunk of high states adds its
+own energies to one product with the low part's cached scores, so a state
+costs O(high qubits) instead of O(nq^2). It keeps, as bit rows, the band
+of states whose float score lies within a proven rounding bound of the
+float minimum, which holds every enumerated state of minimum exact
+energy, and scores only that band exactly. If 4 S, S the sum of all
+|coef|, is past the float range, both samplers do their float work on the
+QUBO scaled by a power of two that brings it in, and score their
+candidates on the original.
 
 The annealer forms its symmetric coupling matrix from the part's upper
 matrix once per call. When every state fits in the reads (2^nq <= reads),
@@ -55,7 +60,7 @@ from . import qubo
 from .encoding import BitVector, EncodingSpec, canonical_bits
 from .errors import TooManyQubits
 
-_EXHAUSTIVE_LIMIT = 1 << 24  # most states of an exhaustive solve
+_EXHAUSTIVE_BITS = 24  # an exhaustive solve enumerates at most 2^24 states
 _BLOCK = 1 << 14  # float scores per block or chunk; a power of two
 # the low states of a split state, all scored in one block, fit 2^_LOW_BITS
 # rows; timed on plain QUBOs, a split is no faster up to 10 qubits and faster from 11
@@ -114,19 +119,24 @@ class AnnealConfig:
 def sample_exhaustive(q: qubo.QuboMatrix) -> SampleSet:
     """The states of minimum qubo.energy among the states the float pass
     enumerates, one occurrence each, ordered by bits: all 2^nq states of a
-    plain QUBO; of a window (a QUBO of build_window), one encoding per
-    increment, its canonical_bits. Every encoding of an increment has one
-    exact energy, so a window's entries are its optimal increments. Raises
-    TooManyQubits past _EXHAUSTIVE_LIMIT states.
+    plain QUBO; of a window (a QUBO with a window_spec) whose unknown has at
+    most 2^_LOW_BITS increments, one encoding per increment, its
+    canonical_bits. All encodings of an increment have equal energies in
+    exact arithmetic, but each linear term is rounded, so a non-canonical
+    encoding can lie below the canonical one by rounding dust: a window's
+    entries are its optimal increments, not always the minimum of
+    qubo.energy over all its states. Raises TooManyQubits past 2^24
+    enumerated states, counted before any state is formed.
 
     The band of near-minimum states comes from the float pass as bit
     rows and is scored by one ``qubo.energy`` call; only the states tied
     at its minimum are kept.
     """
-    pattern, lo, hi = _layout(q._part)
-    if len(pattern) ** (lo + hi) > _EXHAUSTIVE_LIMIT:
-        raise TooManyQubits(f"{q.n_qubits} qubits give {len(pattern)}^{lo + hi} states, "
-                            f"past the exhaustive limit 2^24")
+    spec = _enumerated_spec(q)
+    p, groups = (2, q.n_qubits) if spec is None else ((2 << spec.bits_per_sign) - 1, spec.n_vars)
+    if groups > _EXHAUSTIVE_BITS or p**groups > 1 << _EXHAUSTIVE_BITS:  # p >= 2
+        raise TooManyQubits(f"{q.n_qubits} qubits give {p}^{groups} states, "
+                            f"past the exhaustive limit 2^{_EXHAUSTIVE_BITS}")
     band = _near_minimum_rows(q)
     scores = qubo.energy(q, band)
     e0 = min(scores)
@@ -134,12 +144,20 @@ def sample_exhaustive(q: qubo.QuboMatrix) -> SampleSet:
     return SampleSet([SampleEntry(bits, e0, 1) for e, bits in zip(scores, rows) if e == e0])
 
 
+def _enumerated_spec(q: qubo.QuboMatrix) -> EncodingSpec | None:
+    """q's window_spec when the float pass enumerates q by unknowns: a window
+    whose unknown's 2^(k+1) - 1 increments fit the 2^_LOW_BITS low rows, so
+    k <= 9. Else None, and every state is enumerated, as for a plain QUBO."""
+    spec = q.window_spec
+    if spec is None or (2 << spec.bits_per_sign) - 1 > 1 << _LOW_BITS:
+        return None
+    return spec
+
+
 def _float_range(q: qubo.QuboMatrix) -> tuple[qubo.QuboMatrix, float]:
     """q and S, the fsum of all |coef|, when 4 S is finite; else q scaled by
     2^-k, each coefficient by math.ldexp, and its S. With max |coef| < 2^e
-    and n coefficients, k = e + bit_length(n) + 3 - 1023 gives 4 S < 2^1022.
-    The scaled QUBO's part keeps q's spec: scaling keeps every encoding of an
-    increment at one exact energy."""
+    and n coefficients, k = e + bit_length(n) + 3 - 1023 gives 4 S < 2^1022."""
     coefs = (*q.linear, *q.quadratic.values())
     try:
         total = math.fsum(map(abs, coefs))
@@ -148,10 +166,8 @@ def _float_range(q: qubo.QuboMatrix) -> tuple[qubo.QuboMatrix, float]:
     if math.isfinite(4.0 * total):
         return q, total
     k = math.frexp(max(map(abs, coefs)))[1] + len(coefs).bit_length() + 3 - 1023
-    part = qubo.QuadraticPart(q.n_qubits, {key: math.ldexp(c, -k) for key, c in q.quadratic.items()},
-                              q._part.spec)
     return _float_range(qubo.QuboMatrix(q.n_qubits, tuple(math.ldexp(c, -k) for c in q.linear),
-                                        part.quadratic, part))
+                                        {key: math.ldexp(c, -k) for key, c in q.quadratic.items()}))
 
 
 def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
@@ -160,27 +176,29 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     every enumerated state of minimum exact energy.
 
     The enumerated states are products over groups of qubits, each group
-    taking one row of its pattern table (_layout): a plain QUBO's qubits are
+    taking one row of its pattern table (_quadratic_scores): a plain QUBO's qubits are
     groups of one, with patterns 0 and 1, so every state is enumerated; a
-    window's unknowns are groups of 2k qubits, with patterns the
-    canonical_bits of the unknown's 2^(k+1) - 1 increments. Every float score
-    is the quadratic part's score plus the linear part's, and the quadratic
-    scores are formed once per QuadraticPart, so once per level for the
-    windows of a level (_quadratic_scores). With U the strictly upper
-    quadratic matrix and c the linear terms, a state splits into its low
-    groups, whose n_lo states fit 2^_LOW_BITS rows, and the rest: its low b
-    qubits and its high h = nq - b qubits, x = (lo, hi) with state index lo +
-    hi n_lo, and U into the blocks U_ll, U_lh and U_hh; c into c_lo and c_hi.
-    Cached are F_lo = ((X_lo @ U_ll) * X_lo) @ ones over the n_lo low states
-    and, when h > 0, M = U_lh^T @ X_lo^T and F_hi = ((X_high @ U_hh) * X_high)
-    @ ones over all high states. Once per solve E_lo = X_lo @ c_lo + F_lo,
-    which with no high groups (U_ll = U) is f over all states; else each chunk
-    X_hi of max(1, _BLOCK // n_lo) high states, a slice of the cached rows
-    X_high and at most _BLOCK scores under the default, gets
+    window's unknowns (_enumerated_spec) are groups of 2k qubits, with
+    patterns the canonical_bits of the unknown's 2^(k+1) - 1 increments.
+    Every float score is the quadratic part's score plus the linear part's,
+    and the quadratic scores are formed once per QuadraticPart and pattern
+    table, so once per level for the windows of a level (_quadratic_scores).
+    With U the strictly upper quadratic matrix and c the linear terms, a
+    state splits into its low groups, whose n_lo states fit 2^_LOW_BITS rows,
+    and the rest: its low b qubits and its high h = nq - b
+    qubits, x = (lo, hi) with state index lo + hi n_lo, and U into the blocks
+    U_ll, U_lh and U_hh; c into c_lo and c_hi. Cached are F_lo = ((X_lo @
+    U_ll) * X_lo) @ ones over the n_lo low states and, when h > 0, M =
+    U_lh^T @ X_lo^T and F_hi = ((X_hi @ U_hh) * X_hi) @ ones over all high
+    states. Once per solve E_lo = X_lo @ c_lo + F_lo, which with no high
+    groups (U_ll = U) is f over all states; else each chunk X_hi of max(1,
+    _BLOCK // n_lo) high states, sliced from the rows of at most _BLOCK high
+    states formed at once, gets at most _BLOCK scores under the default,
 
         f = (X_hi @ M + E_lo) + E_hi[:, None],  E_hi = F_hi[chunk] + X_hi @ c_hi,
 
-    so f(x) costs O(h) instead of O(nq^2).
+    so f(x) costs O(h) instead of O(nq^2), and the pass holds at most _BLOCK
+    high rows, F_hi and the n_lo low rows, however many states it enumerates.
 
     Proof. It holds on any set of enumerated states. Let E(x) be the exact sum
     of the coefficients state x selects, S(x) the sum of their magnitudes, S
@@ -226,14 +244,13 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     only falls, so one cut of the joined list by the final cut gives the band in
     ascending state order.
     """
+    spec = _enumerated_spec(q)
     q, total = _float_range(q)
     nq = q.n_qubits
     m = nq + len(q.quadratic) + 2
     width = 2.0 * (2.0 * m * _U * total + 2 * m * _TINY)
 
-    pattern, lo, hi = _layout(q._part)
-    quad = _quadratic_scores(q._part)
-    x_lo = _states(pattern, lo)
+    pattern, hi, x_lo, quad = _quadratic_scores(q._part, spec)
     b = x_lo.shape[1]
     e_lo = x_lo @ np.array(q.linear[:b])
     e_lo += quad[0]
@@ -241,42 +258,25 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
         return x_lo[e_lo <= math.nextafter(float(e_lo.min()) + width, math.inf)]
     _, cross, f_hi = quad
     c_hi = np.array(q.linear[b:])
-    x_high = _states(pattern, hi)
     n_lo = len(x_lo)
     rows = max(1, _BLOCK // n_lo)
+    formed = rows * max(1, _BLOCK // rows)  # high states whose rows are formed at once
     f_min, states, scores = math.inf, [], []
-    for start in range(0, len(x_high), rows):
-        x_hi = x_high[start:start + rows]
-        f = x_hi @ cross
-        f += e_lo
-        f += (f_hi[start:start + rows] + x_hi @ c_hi)[:, None]
-        f = f.ravel()  # entry j n_lo + lo is state lo + (start + j) n_lo
-        f_min = min(f_min, float(f.min()))
-        mine = np.flatnonzero(f <= math.nextafter(f_min + width, math.inf))
-        states.append(mine + start * n_lo)
-        scores.append(f[mine])
+    for first in range(0, len(f_hi), formed):
+        x_high = _pattern_rows(pattern, hi, np.arange(first, min(first + formed, len(f_hi))))
+        for start in range(first, first + len(x_high), rows):
+            x_hi = x_high[start - first:start - first + rows]
+            f = x_hi @ cross
+            f += e_lo
+            f += (f_hi[start:start + rows] + x_hi @ c_hi)[:, None]
+            f = f.ravel()  # entry j n_lo + lo is state lo + (start + j) n_lo
+            f_min = min(f_min, float(f.min()))
+            mine = np.flatnonzero(f <= math.nextafter(f_min + width, math.inf))
+            states.append(mine + start * n_lo)
+            scores.append(f[mine])
     band = np.concatenate(scores) <= math.nextafter(f_min + width, math.inf)
     index = np.concatenate(states)[band]
-    return np.hstack((x_lo[index % n_lo], x_high[index // n_lo]))
-
-
-@functools.lru_cache(maxsize=8)
-def _layout(part: qubo.QuadraticPart) -> tuple[tuple[BitVector, ...], int, int]:
-    """(pattern, lo, hi): the pattern table of each group of a part's qubits,
-    and its groups split into the lo low ones, the most whose states fit
-    2^_LOW_BITS rows, and the hi high ones. A plain part has one group per
-    qubit, with patterns 0 and 1, so its low groups are its min(nq,
-    _LOW_BITS) low bits; a window's has one per unknown, whose patterns are
-    the canonical_bits of its increments in state order."""
-    spec = part.spec
-    if spec is None:
-        pattern, groups = ((0,), (1,)), part.n_qubits
-    else:
-        pattern, groups = _canonical_patterns(spec.bits_per_sign), spec.n_vars
-    lo = 0
-    while lo < groups and len(pattern) ** (lo + 1) <= 1 << _LOW_BITS:
-        lo += 1
-    return pattern, lo, groups - lo
+    return np.hstack((x_lo[index % n_lo], _pattern_rows(pattern, hi, index // n_lo)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -289,39 +289,54 @@ def _canonical_patterns(k: int) -> tuple[BitVector, ...]:
 
 
 @functools.lru_cache(maxsize=8)
-def _quadratic_scores(part: qubo.QuadraticPart) -> tuple[np.ndarray, ...]:
-    """The float pass's scores of a QuadraticPart's terms alone, read-only:
-    (F_lo,) with no high groups, else (F_lo, M, F_hi) of the split pass
-    (_near_minimum_rows). They are formed on the first solve of a part and
-    cached for the last 8 parts solved, so the windows of a level share them."""
-    pattern, lo, hi = _layout(part)
+def _quadratic_scores(part: qubo.QuadraticPart, spec: EncodingSpec | None) -> tuple:
+    """(pattern, hi, X_lo, scores) of the float pass over the states a part's
+    QUBOs enumerate under spec: the pattern table of its groups, one per qubit
+    with patterns 0 and 1 when spec is None, else one per unknown with the
+    canonical_bits of its increments in state order; the number hi of high
+    groups, the rest being the low groups, the most whose states fit
+    2^_LOW_BITS rows (min(nq, _LOW_BITS) for a plain part); the read-only rows
+    X_lo of the low states; and the read-only scores of the part's terms alone,
+    (F_lo,) with no high groups, else (F_lo, M, F_hi) (_near_minimum_rows),
+    F_hi formed _BLOCK high rows at a time. They are formed on the first solve
+    of a part and cached for the last 8 solved, so the windows of a level
+    share them."""
+    if spec is None:
+        pattern, groups = ((0,), (1,)), part.n_qubits
+    else:
+        pattern, groups = _canonical_patterns(spec.bits_per_sign), spec.n_vars
+    lo = 0
+    while lo < groups and len(pattern) ** (lo + 1) <= 1 << _LOW_BITS:
+        lo += 1
+    hi = groups - lo
     upper = part.upper
-    x_lo = _states(pattern, lo)
+    x_lo = _pattern_rows(pattern, lo, np.arange(len(pattern) ** lo))
     b = x_lo.shape[1]
     scores = (((x_lo @ upper[:b, :b]) * x_lo) @ np.ones(b),)
     if hi:
-        x_high = _states(pattern, hi)
-        scores += (upper[:b, b:].T @ x_lo.T, ((x_high @ upper[b:, b:]) * x_high) @ np.ones(part.n_qubits - b))
-    for a in scores:
+        u_hh, ones, n_hi = upper[b:, b:], np.ones(part.n_qubits - b), len(pattern) ** hi
+        f_hi = np.empty(n_hi)
+        for start in range(0, n_hi, _BLOCK):
+            x_hi = _pattern_rows(pattern, hi, np.arange(start, min(start + _BLOCK, n_hi)))
+            f_hi[start:start + len(x_hi)] = ((x_hi @ u_hh) * x_hi) @ ones
+        scores += (upper[:b, b:].T @ x_lo.T, f_hi)
+    for a in (x_lo, *scores):
         a.flags.writeable = False
-    return scores
+    return pattern, hi, x_lo, scores
+
+
+def _pattern_rows(pattern: tuple[BitVector, ...], groups: int, states: np.ndarray) -> np.ndarray:
+    """Bit rows, as floats, of the given states of groups that each take one of
+    the P rows of pattern: state i gives group g the pattern (i // P^g) % P.
+    With pattern ((0,), (1,)) the row of state i is its bits (i >> g) & 1."""
+    p = len(pattern)
+    digits = states[:, None] // p ** np.arange(groups) % p
+    return np.array(pattern, dtype=np.float64)[digits].reshape(len(states), groups * len(pattern[0]))
 
 
 def _state_rows(nq: int, states: np.ndarray) -> np.ndarray:
     """Rows bits[u] = (state >> u) & 1 of the given states, as floats."""
     return ((states[:, None] >> np.arange(nq)) & 1).astype(np.float64)
-
-
-@functools.lru_cache(maxsize=8)
-def _states(pattern: tuple[BitVector, ...], groups: int) -> np.ndarray:
-    """Read-only bit rows of all P^groups states of groups that each take one
-    of the P rows of pattern, in state order: row i gives group g the pattern
-    (i // P^g) % P. With pattern ((0,), (1,)) row i is state i's bits."""
-    p = len(pattern)
-    digits = np.arange(p**groups)[:, None] // p ** np.arange(groups) % p
-    x = np.array(pattern, dtype=np.float64)[digits].reshape(p**groups, groups * len(pattern[0]))
-    x.flags.writeable = False
-    return x
 
 
 def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:

@@ -87,6 +87,14 @@ def test_solve_singular_system(tmp_path, capsys):
         assert str(info.value) == message
 
 
+def test_solve_window_past_the_state_cap_is_solver_error(tmp_path, capsys):
+    # a 30-bit unknown has 2^31 - 1 increments: its window counts as its 2^60
+    # states and is refused at once, before any state is formed
+    path = write_problem(tmp_path, '{"a": [[1.0]], "b": [3.0]}')
+    assert main(["solve", path, "--bits-per-sign", "30"]) == 3
+    assert capsys.readouterr().err == "solver error: 60 qubits give 2^60 states, past the exhaustive limit 2^24\n"
+
+
 def test_solve_refused_run_creates_no_trace(tmp_path, capsys):
     path = write_problem(tmp_path, '{"a": [[1.0, 1.0], [1.0, 1.0]], "b": [1.0, 1.0]}')
     trace = tmp_path / "sing.csv"

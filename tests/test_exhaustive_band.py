@@ -6,8 +6,10 @@ ordered by (float(exact energy), bits), which is the order the sampler
 promises since fsum is correctly rounded.
 """
 
+import copy as copy_module
 import itertools
 import math
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -31,6 +33,7 @@ from helpers import (
 )
 from qrefine import (
     DyadicVector,
+    LinearSystem,
     QuboMatrix,
     RefinementConfig,
     refine,
@@ -333,7 +336,7 @@ def test_split_chunk_edges_keep_band_states(monkeypatch):
     plain_bands = [band_states(q) for q in cases[2:]]
     assert len(plain_bands[1]) == 1 << samplers._LOW_BITS
     chunks = []
-    states = samplers._states
+    rows_of = samplers._pattern_rows
 
     class Sliced(np.ndarray):
         # the high states' rows, recording each chunk sliced from them
@@ -343,11 +346,11 @@ def test_split_chunk_edges_keep_band_states(monkeypatch):
                 chunks.append((key.start, len(rows)))
             return rows
 
-    def counted(pattern, groups):
-        x = states(pattern, groups)
+    def counted(pattern, groups, states):
+        x = rows_of(pattern, groups, states)
         return x.view(Sliced) if groups == nq - samplers._LOW_BITS else x
 
-    monkeypatch.setattr(samplers, "_states", counted)
+    monkeypatch.setattr(samplers, "_pattern_rows", counted)
     monkeypatch.setattr(samplers, "_BLOCK", 1 << (samplers._LOW_BITS + 1))
     for q, before in zip(cases, plain):
         chunks.clear()
@@ -574,8 +577,53 @@ def test_window_enumerates_one_encoding_per_increment(window):
         assert entry.bits == canonical_bits(decode_increments(entry.bits, spec), spec)
     if q.n_qubits <= 12:  # the exact full oracle scores 2^nq states in Python
         check_exact(unmarked(q))
-    # split over more groups, and chunked: a fresh part, so no cached layout
+    k = spec.bits_per_sign
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(samplers, "_LOW_BITS", 2)
+        # a fresh part each time, so no cached layout: low states of one
+        # unknown and the rest high, in chunks of one or more high states
+        patch.setattr(samplers, "_LOW_BITS", k + 1)
         patch.setattr(samplers, "_BLOCK", 2**4)
         assert sample_exhaustive(qubo.build_window(qubo.WindowLevel(gram, spec), g)) == got
+        # an unknown whose 2^(k+1) - 1 increments pass 2^_LOW_BITS rows: every
+        # state is enumerated, as for the unmarked copy
+        patch.setattr(samplers, "_LOW_BITS", k)
+        full = sample_exhaustive(qubo.build_window(qubo.WindowLevel(gram, spec), g))
+        assert full == sample_exhaustive(unmarked(q))
+
+
+def test_only_build_window_marks_a_window():
+    # the window_spec is part of a QUBO's value: replace and parse give a
+    # plain QUBO, unequal to the window and enumerated in full, while a
+    # pickled or copied window keeps it; on some table1 windows a
+    # non-canonical encoding lies below the canonical one by rounding dust,
+    # so the two samples differ there
+    system, _ = irrational_system()
+    differ = 0
+    for qm, spec, _, _ in window_qubos(system, RefinementConfig(m_max=20, l_min=-40)):
+        assert qm.window_spec == spec
+        full = sample_exhaustive(unmarked(qm))
+        for plain in (replace(qm, linear=qm.linear), replace(qm, linear=tuple(-c for c in qm.linear)),
+                      qubo.parse(qubo.dump(qm))):
+            assert plain.window_spec is None and plain != qm
+        for plain in (replace(qm), qubo.parse(qubo.dump(qm))):
+            assert sample_exhaustive(plain) == full
+        for copy in (pickle.loads(pickle.dumps(qm)), copy_module.deepcopy(qm)):
+            assert copy == qm and copy.window_spec == spec
+            assert sample_exhaustive(copy) == sample_exhaustive(qm)
+        differ += sample_exhaustive(qm) != full
+    assert differ > 0
+
+
+def test_window_past_low_rows_is_enumerated_in_full():
+    # at k = 10 one unknown has 2,047 increments, more than the 2^_LOW_BITS
+    # low rows: its 2^20 states are all enumerated, as the plain copy's; at
+    # k = 9 (1,023 increments) it is enumerated by its canonical encodings
+    system = LinearSystem(a=[[1.5]], b=[700.3])
+    for k in (9, 10):
+        q = window_qubo(system, DyadicVector.zero(1), EncodingSpec(n_vars=1, l_lo=0, l_hi=k - 1))
+        got = sample_exhaustive(q)
+        if k == 9:
+            assert got.best().bits == canonical_bits((467,), q.window_spec)
+        else:
+            assert got == sample_exhaustive(unmarked(q))
+        assert decode_increments(got.best().bits, q.window_spec) == (467,)

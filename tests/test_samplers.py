@@ -80,6 +80,11 @@ def test_exhaustive_cap_counts_window_states():
     wide = LinearSystem(a=[[1.0 if j == i else 0.0 for j in range(16)] for i in range(16)], b=[1.0] * 16)
     with pytest.raises(TooManyQubits, match="3\\^16 states"):
         sample_exhaustive(window_qubo(wide, DyadicVector.zero(16), EncodingSpec(n_vars=16, l_lo=0, l_hi=0)))
+    # one unknown at k = 23 has 2^24 - 1 increments, too many for the low
+    # rows, so it counts as its 2^46 states, refused before any is formed
+    one = LinearSystem(a=[[1.0]], b=[1.0])
+    with pytest.raises(TooManyQubits, match="46 qubits give 2\\^46 states"):
+        sample_exhaustive(window_qubo(one, DyadicVector.zero(1), EncodingSpec(n_vars=1, l_lo=0, l_hi=22)))
 
 
 def test_exhaustive_relabeling_invariance():
