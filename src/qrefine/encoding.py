@@ -138,10 +138,14 @@ class EncodingSpec:
     def qubits(self) -> tuple[tuple[int, int, int], ...]:
         """The qubit layout: (var, sign, bit) of each qubit in index order;
         a set qubit adds sign * 2^(l_lo + bit) to unknown var."""
-        k = self.bits_per_sign
-        return tuple(
-            (var, sign, bit) for var in range(self.n_vars) for sign in (1, -1) for bit in range(k)
-        )
+        return _qubit_layout(self.n_vars, self.bits_per_sign)
+
+
+@lru_cache(maxsize=8)
+def _qubit_layout(n_vars: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """EncodingSpec.qubits, which depends on n_vars and k alone, so the
+    levels of a run share it."""
+    return tuple((var, sign, bit) for var in range(n_vars) for sign in (1, -1) for bit in range(k))
 
 
 def decode_increments(bits: BitVector, spec: EncodingSpec) -> tuple[int, ...]:

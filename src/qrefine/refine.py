@@ -189,10 +189,12 @@ def refine(
     l = m_max - k + 1
     # the float W^T W, A's own in a plain run, formed after the checks above
     gram = float_gram(np.array([[dyadic_to_float(m, e) for m in row] for row in rows]))
+    level = None
     while terminated is None and l >= config.l_min:
         logger.info("descending to level %d (window [%d, %d])", l, l, l + k - 1)
         spec = EncodingSpec(n_vars=system.n, l_lo=l, l_hi=l + k - 1)
-        level = WindowLevel(gram, spec)
+        # the first level is built from the Gram, each lower one rescaled from it
+        level = WindowLevel(gram, spec) if level is None else level.at(spec)
         moves = 0
         accepted = True
         while accepted:

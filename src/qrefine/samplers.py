@@ -19,20 +19,23 @@ rounded, though, so another encoding can lie below the canonical one by
 rounding dust; a window is minimized over its canonical encodings only.
 It scores each state in float, as the score of the quadratic terms plus
 that of the linear terms. The quadratic scores depend on the QUBO's
-QuadraticPart and pattern table alone, so they are formed once per part:
-once per level for the windows of a level, which differ only in their
-linear terms. A state is a product of groups, a qubit (patterns 0 and 1)
-or an unknown (its canonical blocks), split into its low groups, whose
-states fit 2^10 rows, and the rest, as in Horowitz and Sahni's
-meet-in-the-middle (JACM 21(2), 1974): each chunk of high states adds its
-own energies to one product with the low part's cached scores, so a state
-costs O(high qubits) instead of O(nq^2). It keeps, as bit rows, the band
-of states whose float score lies within a proven rounding bound of the
-float minimum, which holds every enumerated state of minimum exact
-energy, and scores only that band exactly. If 4 S, S the sum of all
-|coef|, is past the float range, both samplers do their float work on the
-QUBO scaled by a power of two that brings it in, and score their
-candidates on the original.
+QuadraticPart and pattern table alone, so they are formed once per part,
+and a run's windows share one: once per run, rescaled per level. While
+its terms stay normal floats, each level's part is the run's first part
+rescaled by 2^shift (WindowLevel.at), so the pass runs on the first part
+and the linear terms times 2^-shift. A state is a product of groups, a
+qubit (patterns 0 and 1) or an unknown (its canonical blocks), split into
+its low groups, whose states fit 2^10 rows, and the rest, as in Horowitz
+and Sahni's meet-in-the-middle (JACM 21(2), 1974): each chunk of high
+states adds its own energies to one product with the low part's cached
+scores, so a state costs O(high qubits) instead of O(nq^2). It keeps, as
+bit rows, the band of states whose float score lies within a proven
+rounding bound of the float minimum, which holds every enumerated state
+of minimum exact energy, and scores only that band exactly. If 4 S, S
+the sum of all |coef|, is past the float range, both samplers do their
+float work on the QUBO scaled by a power of two that brings it in, and
+score their candidates on the original; so does the annealer when its
+beta schedule would pass the float range at the low end.
 
 The annealer forms its symmetric coupling matrix from the part's upper
 matrix once per call. When every state fits in the reads (2^nq <= reads),
@@ -104,7 +107,9 @@ class AnnealConfig:
 
     The inverse temperature runs geometrically from 0.05/E to 10/E over
     the sweeps, with E the largest coefficient magnitude of the QUBO, so
-    the same settings work at scale 2^40 and 2^-80.
+    the same settings work at scale 2^40 and 2^-80, and below 2^-1020,
+    where 10/E is past the float range, on the QUBO scaled up by a power
+    of two.
     """
 
     reads: int = 1000
@@ -154,20 +159,32 @@ def _enumerated_spec(q: qubo.QuboMatrix) -> EncodingSpec | None:
     return spec
 
 
-def _float_range(q: qubo.QuboMatrix) -> tuple[qubo.QuboMatrix, float]:
-    """q and S, the fsum of all |coef|, when 4 S is finite; else q scaled by
-    2^-k, each coefficient by math.ldexp, and its S. With max |coef| < 2^e
-    and n coefficients, k = e + bit_length(n) + 3 - 1023 gives 4 S < 2^1022."""
+def _float_range(q: qubo.QuboMatrix, own: bool = False) -> tuple[tuple[float, ...], qubo.QuadraticPart, float]:
+    """(linear, part, S) of the QUBO q 2^-k that the float work runs on, S the
+    sum of its |coef|, for the first k of these whose 4 S is finite:
+    - k = shift for a window whose part was rescaled from a root part
+      (QuadraticPart.root), on the root's part and q's linear terms times
+      2^-shift, exact since they scale up; not with own;
+    - k = 0, on q's own part and linear terms;
+    - else each coefficient scaled by math.ldexp, with max |coef| < 2^e, n
+      coefficients and k = e + bit_length(n) + 3 - 1023, which gives 4 S < 2^1022.
+    S is fsum of the linear magnitudes and the part's cached magnitude, or
+    with own, the annealer's, the fsum of every |coef|."""
+    part = q._part
+    bases = [(part, 0)] if own or part.root is None else [(part.root, part.shift), (part, 0)]
+    for base, shift in bases:
+        try:
+            linear = tuple(math.ldexp(c, -shift) for c in q.linear) if shift else q.linear
+            quad = map(abs, base.quadratic.values()) if own else (base.magnitude,)
+            total = math.fsum([*map(abs, linear), *quad])
+        except OverflowError:
+            total = math.inf
+        if math.isfinite(4.0 * total):
+            return linear, base, total
     coefs = (*q.linear, *q.quadratic.values())
-    try:
-        total = math.fsum(map(abs, coefs))
-    except OverflowError:
-        total = math.inf
-    if math.isfinite(4.0 * total):
-        return q, total
     k = math.frexp(max(map(abs, coefs)))[1] + len(coefs).bit_length() + 3 - 1023
     return _float_range(qubo.QuboMatrix(q.n_qubits, tuple(math.ldexp(c, -k) for c in q.linear),
-                                        {key: math.ldexp(c, -k) for key, c in q.quadratic.items()}))
+                                        {key: math.ldexp(c, -k) for key, c in q.quadratic.items()}), own)
 
 
 def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
@@ -182,7 +199,9 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     patterns the canonical_bits of the unknown's 2^(k+1) - 1 increments.
     Every float score is the quadratic part's score plus the linear part's,
     and the quadratic scores are formed once per QuadraticPart and pattern
-    table, so once per level for the windows of a level (_quadratic_scores).
+    table (_quadratic_scores), so once per run, rescaled per level: a
+    window whose part is a root part's rescaled by 2^shift runs on the
+    root part, with its linear terms times 2^-shift (_float_range).
     With U the strictly upper quadratic matrix and c the linear terms, a
     state splits into its low groups, whose n_lo states fit 2^_LOW_BITS rows,
     and the rest: its low b qubits and its high h = nq - b
@@ -225,39 +244,42 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     - fsum is correctly rounded: |s(x) - E(x)| <= u S(x) + 2^-1075.
     - With m = nq + #quadratic + 2, gamma_{N-1} + u <= gamma_m, so
       |f(x) - s(x)| <= gamma_m S + 2^-1075.
-    - If 4 S overflows, the pass runs on q scaled by 2^-k (_float_range), so f,
-      E, S(x) and S are the scaled q's, against s(x) 2^-k. Scaling by a power of
+    - The pass runs on q scaled by 2^-k (_float_range): k = 0 when 4 S is
+      finite; k = shift < 0, on the root part, for a rescaled window whose 4 S
+      is finite in root units; else k > 0, so that 4 S is finite. So f, E,
+      S(x) and S are the scaled q's, against s(x) 2^-k. Scaling by a power of
       two is exact but for a subnormal result, off by at most 2^-1075 (Higham,
       ch. 2), so over at most m terms E(x) and S(x) move by at most m 2^-1075 and
       the bound by under m 2^-1074: |f(x) - s(x) 2^-k| <= delta := gamma_m S +
-      2 m 2^-1074, with k = 0 when 4 S is finite.
+      2 m 2^-1074.
     - Let x* be any enumerated state of minimum s and y the enumerated state of
       minimum f. Then f(x*) <= s(x*) 2^-k + delta <= s(y) 2^-k + delta <=
       f(y) + 2 delta. Only x* and y enter, so the set of states enumerated
       does not matter.
 
-    delta is evaluated as 2 m u S + 2 m 2^-1074 with S from fsum. Under the
+    delta is evaluated as 2 m u S + 2 m 2^-1074 with S the fsum of the linear
+    magnitudes and the part's cached fsum of its quadratic ones. Under the
     2^24-state cap nq <= 46, so m <= 1,083 and gamma_m <= m u (1 + 2e-13), and
-    the factor 2 covers the roundings of S and of the product; an underflowing
-    product is covered by the absolute term. The cut f(y) + 2 delta is rounded
-    up by one ulp. Each chunk keeps its states under the running cut, which
-    only falls, so one cut of the joined list by the final cut gives the band in
-    ascending state order.
+    the factor 2 covers the two roundings of S and that of the product; an
+    underflowing product is covered by the absolute term. The rounded S is
+    at least S (1 - u)^2, so a finite 4 S rounded keeps S, and every partial
+    sum, finite. The cut f(y) + 2 delta is rounded up by one ulp. Each chunk
+    keeps its states under the running cut, which only falls, so one cut of
+    the joined list by the final cut gives the band in ascending state order.
     """
     spec = _enumerated_spec(q)
-    q, total = _float_range(q)
-    nq = q.n_qubits
-    m = nq + len(q.quadratic) + 2
+    linear, part, total = _float_range(q)
+    m = q.n_qubits + len(part.quadratic) + 2
     width = 2.0 * (2.0 * m * _U * total + 2 * m * _TINY)
 
-    pattern, hi, x_lo, quad = _quadratic_scores(q._part, spec)
+    pattern, hi, x_lo, quad = _quadratic_scores(part, spec and spec.bits_per_sign)
     b = x_lo.shape[1]
-    e_lo = x_lo @ np.array(q.linear[:b])
+    e_lo = x_lo @ np.array(linear[:b])
     e_lo += quad[0]
     if not hi:  # no high groups: the low states are all the states
         return x_lo[e_lo <= math.nextafter(float(e_lo.min()) + width, math.inf)]
     _, cross, f_hi = quad
-    c_hi = np.array(q.linear[b:])
+    c_hi = np.array(linear[b:])
     n_lo = len(x_lo)
     rows = max(1, _BLOCK // n_lo)
     formed = rows * max(1, _BLOCK // rows)  # high states whose rows are formed at once
@@ -289,22 +311,22 @@ def _canonical_patterns(k: int) -> tuple[BitVector, ...]:
 
 
 @functools.lru_cache(maxsize=8)
-def _quadratic_scores(part: qubo.QuadraticPart, spec: EncodingSpec | None) -> tuple:
+def _quadratic_scores(part: qubo.QuadraticPart, k: int | None) -> tuple:
     """(pattern, hi, X_lo, scores) of the float pass over the states a part's
-    QUBOs enumerate under spec: the pattern table of its groups, one per qubit
-    with patterns 0 and 1 when spec is None, else one per unknown with the
+    QUBOs enumerate at k bits per sign: the pattern table of its groups, one per
+    qubit with patterns 0 and 1 when k is None, else one per unknown with the
     canonical_bits of its increments in state order; the number hi of high
     groups, the rest being the low groups, the most whose states fit
     2^_LOW_BITS rows (min(nq, _LOW_BITS) for a plain part); the read-only rows
     X_lo of the low states; and the read-only scores of the part's terms alone,
     (F_lo,) with no high groups, else (F_lo, M, F_hi) (_near_minimum_rows),
     F_hi formed _BLOCK high rows at a time. They are formed on the first solve
-    of a part and cached for the last 8 solved, so the windows of a level
-    share them."""
-    if spec is None:
+    of a part and cached for the last 8 solved, so the windows of a run share
+    them: each level's pass runs on its root part (_float_range)."""
+    if k is None:
         pattern, groups = ((0,), (1,)), part.n_qubits
     else:
-        pattern, groups = _canonical_patterns(spec.bits_per_sign), spec.n_vars
+        pattern, groups = _canonical_patterns(k), part.n_qubits // (2 * k)
     lo = 0
     while lo < groups and len(pattern) ** (lo + 1) <= 1 << _LOW_BITS:
         lo += 1
@@ -358,13 +380,19 @@ def sample_anneal(q: qubo.QuboMatrix, config: AnnealConfig) -> SampleSet:
 def _start(q: qubo.QuboMatrix, config: AnnealConfig):
     """Both loops' coefficients (of q brought into the float range), schedule
     (its beta scale the largest |coef|, 1.0 for an empty QUBO) and start: the
-    generator after drawing the reads' (reads, nq) bits, the bits, and their energies."""
+    generator after drawing the reads' (reads, nq) bits, the bits, and their
+    energies. When 10 / scale is past the float range, the coefficients and
+    scale are first scaled by the exact power of two that brings scale into
+    [0.5, 1), which leaves every beta * delta as it is in exact arithmetic."""
     nq = q.n_qubits
-    q, _ = _float_range(q)  # 4 S finite keeps every field, energy and update finite
-    lin = np.array(q.linear, dtype=float)
-    coupling = q._part.upper + q._part.upper.T  # each term on both sides of a zero diagonal
+    linear, part, _ = _float_range(q, own=True)  # 4 S finite keeps every field, energy and update finite
+    lin = np.array(linear, dtype=float)
+    coupling = part.upper + part.upper.T  # each term on both sides of a zero diagonal
 
-    scale = max(np.abs(lin).max(initial=0.0), np.abs(coupling).max(initial=0.0)) or 1.0
+    scale = float(max(np.abs(lin).max(initial=0.0), np.abs(coupling).max(initial=0.0))) or 1.0
+    if not math.isfinite(10.0 / scale):
+        k = -math.frexp(scale)[1]
+        lin, coupling, scale = np.ldexp(lin, k), np.ldexp(coupling, k), math.ldexp(scale, k)
     betas = np.geomspace(0.05 / scale, 10.0 / scale, config.sweeps)
 
     rng = np.random.Generator(np.random.PCG64(config.seed))

@@ -1,4 +1,4 @@
-"""Golden traces: the SHA-256 of the trace CSV, with truth, for four runs.
+"""Golden traces: the SHA-256 of the trace CSV, with truth, for six runs.
 
 Criterion 9 compares two runs of the same code, so it cannot see a
 change that alters the trace. These hashes pin the trace itself: any
@@ -33,4 +33,23 @@ ILLCOND = dict(m_max=2, l_min=-40)
 def test_trace_csv_matches_golden_hash(build, config, digest):
     system, truth = build()
     trace = refine(system, RefinementConfig(**config), truth=truth)
+    assert hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "config,records,digest",
+    [
+        (dict(TABLE1, l_min=-700), 1133,
+         "269ad98c1b2e133f61f8f6ce2a3be032da70387bdd85f4e8651d2d29a7f3eca0"),
+        (dict(TABLE1, l_min=-1100, bits_per_sign=3, level_step=3), 554,
+         "4529baef11d6b870363d3b5499c9f7d0293cb499040bb03fa89245e0d2475faf"),
+    ],
+    ids=["table1-k1-700", "table1-k3-step3-1100"],
+)
+def test_deep_trace_csv_matches_golden_hash(config, records, digest):
+    # runs past the levels whose window terms are normal floats, and past the
+    # level where every weight rounds to zero
+    system, truth = irrational_system()
+    trace = refine(system, RefinementConfig(**config), truth=truth)
+    assert len(trace.records) == records
     assert hashlib.sha256(trace_to_csv(trace).encode("utf-8")).hexdigest() == digest

@@ -523,6 +523,66 @@ def test_windows_of_one_level_match_fraction_oracle(k):
             assert q == window_qubo(system, center, spec)
 
 
+def _hex(values):
+    return [float(c).hex() for c in values]
+
+
+def _normal_pattern(level):
+    """Which squares are nonzero and which couplings there are, or None when
+    2^(2 l_lo) or a nonzero square or coupling is not a normal float."""
+    terms = [*level.square, *level.part.quadratic.values()]
+    if 2 * level.spec.l_lo < -1022 or any(c and abs(c) < 2.0**-1022 for c in terms):
+        return None
+    return [bool(c) for c in level.square], list(level.part.quadratic)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize(
+    "system,top",
+    [(irrational_system()[0], 20), (LinearSystem(a=[[2.0**508]], b=[2.0**508]), 2),
+     (LinearSystem(a=[[1.0, 0.3 * 2.0**-700], [0.0, 1.0]], b=[1.0, 1.0]), 4)],
+    ids=["table1", "2^508", "tiny-coupling"],
+)
+def test_rescaled_levels_equal_built_ones(system, top, k):
+    # a run rescales its first level (level.at) down to -1100: each level equals
+    # the one WindowLevel builds from the Gram, bit for bit, and samples alike.
+    # at() rescales from the last level it built (the root) exactly while
+    # 2^(2 l) and every rescaled term are normal floats; else it builds the
+    # level, the next root. The tiny coupling leaves the normal range at
+    # l = -161, long before 2^(2 l) does at -512, and rounds to zero near
+    # -187, where a rescaled window would keep a zero coupling; below that,
+    # a root without it rescales again
+    g = normal_residual(*system.exact[:2], residual(system, DyadicVector.zero(system.n)))
+    level = root_pattern = None
+    rescaled = 0
+    for l in range(top - k + 1, -1101, -1):
+        spec = window(system.n, l, k)
+        built = WindowLevel(system.gram, spec)
+        level = built if level is None else level.at(spec)
+        assert level.spec == spec
+        assert _hex(level.square) == _hex(built.square) and _hex(level.twice) == _hex(built.twice)
+        assert list(level.part.quadratic) == list(built.part.quadratic)
+        assert _hex(level.part.quadratic.values()) == _hex(built.part.quadratic.values())
+        assert level.part.upper.tobytes() == built.part.upper.tobytes()
+        assert sample_exhaustive(build_window(level, g)) == sample_exhaustive(build_window(built, g))
+        pattern = _normal_pattern(built)
+        expect = root_pattern is not None and pattern == root_pattern
+        assert (level.part.root is not None) == expect
+        if not expect:
+            root_pattern = pattern
+        rescaled += expect
+    assert rescaled > 150
+
+
+def test_rescaled_level_of_another_shape_is_built():
+    system = LinearSystem(a=[[2.0, 1.0], [1.0, 3.0]], b=[3.0, -4.75])
+    level = WindowLevel(system.gram, window(2, 0, 2))
+    assert level.at(window(2, 0, 2)) is level
+    for spec in (window(2, 1, 2), window(2, -1, 1), window(2, -1, 3)):
+        other = level.at(spec)
+        assert other.part.root is None and other.part.quadratic == WindowLevel(system.gram, spec).part.quadratic
+
+
 def test_quadratic_terms_are_read_only():
     # the windows of a level share one mapping of terms, whose dense upper
     # and float scores are cached; a write through one window would leave a

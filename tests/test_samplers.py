@@ -338,6 +338,28 @@ def test_systems_near_float_range_solve_exactly(power):
         assert trace.final_center == DyadicVector((1,), 0)
 
 
+@pytest.mark.parametrize("s", [1.0, 2.0**-1030], ids=["one", "2^-1030"])
+def test_anneal_of_a_tiny_qubo_finds_its_ground_state(s):
+    # at s = 2^-1030, 10 / max |coef| is past the float range: the annealer
+    # scales its float work up by a power of two, so its schedule stays finite
+    # and every read finds the ground state (1, 0, 1), as at s = 1
+    q = QuboMatrix(n_qubits=3, linear=(-4 * s, 3 * s, -2 * s), quadratic={(0, 1): -s, (1, 2): 5 * s})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = [sample_anneal(q, AnnealConfig(reads=1, sweeps=50, seed=seed)).best() for seed in range(40)]
+    assert set(found) == {SampleEntry(bits=(1, 0, 1), energy=-6 * s, occurrences=1)}
+
+
+def test_a_run_forms_its_quadratic_scores_once():
+    # every level's window is its first level's rescaled, so the float pass
+    # of every solve of a run reads one part's cached scores
+    samplers._quadratic_scores.cache_clear()
+    system, _ = irrational_system()
+    trace = refine(system, RefinementConfig(m_max=20, l_min=-40, bits_per_sign=3, level_step=3))
+    assert len({r.level for r in trace.records}) == 20
+    assert samplers._quadratic_scores.cache_info().misses == 1
+
+
 def test_exhaustive_cap_before_dense_coefficients():
     with pytest.raises(TooManyQubits):
         sample_exhaustive(QuboMatrix(n_qubits=100_000, linear=(0.0,) * 100_000))
