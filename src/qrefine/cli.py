@@ -28,7 +28,7 @@ import numpy as np
 
 from .encoding import DyadicVector, EncodingSpec
 from .errors import ParseError, QrefineError
-from .linalg import LinearSystem, normal_residual, residual
+from .linalg import LinearSystem, float_gram, normal_residual, residual
 from .plots import emit_plots
 from .problems import load_problem
 from .qubo import WindowLevel, build_window, dump
@@ -215,7 +215,7 @@ def cmd_qubo_dump(args: argparse.Namespace) -> int:
     center = _parse_center(args.center, n) if args.center else DyadicVector.zero(n)
     spec = EncodingSpec(n_vars=n, l_lo=args.level, l_hi=args.level + args.bits_per_sign - 1)
     g = normal_residual(*system.exact[:2], residual(system, center))
-    text = dump(build_window(WindowLevel(system.gram, spec), g))
+    text = dump(build_window(WindowLevel(float_gram(system.a), spec), g))
     if not args.out:
         print(text)
         return 0

@@ -4,7 +4,8 @@ symmetric eigendecomposition (LAPACK eigh), singularity test, condition number.
 
 Matrices and vectors are plain float64 numpy arrays; LinearSystem wraps
 read-only copies of the (A, b) pair with shape and finiteness checks,
-and caches its float Gram matrix (row tuples, so it can key a cache)
+and caches its unit Gram matrix, float_gram of A 2^-s with 2^s the power
+of two just above A's largest entry (row tuples, so it can key a cache),
 and the exact dyadic form of A and b; it compares by identity.
 A matrix held exactly is a pair (rows, e): integer rows times one 2^e.
 """
@@ -45,9 +46,17 @@ class LinearSystem:
         return self.a.shape[0]
 
     @cached_property
+    def scale(self) -> int:
+        """s = unit_scale of A: its largest |entry| times 2^-s is in [0.5, 1)."""
+        return unit_scale(*self.exact[:2])
+
+    @cached_property
     def gram(self) -> tuple[tuple[float, ...], ...]:
-        """float_gram(A), the A^T A that feeds the QUBO."""
-        return float_gram(self.a)
+        """The unit Gram float_gram(A 2^-s), s = scale: A^T A times 4^-s,
+        bit for bit wherever both are normal. Only a column whose square
+        underflows in it, far below A's largest entry, makes it TooLarge.
+        condition_number, default_m_max and the eigenbasis read it."""
+        return float_gram(np.ldexp(self.a, -self.scale))
 
     @cached_property
     def exact(self) -> tuple[tuple[tuple[int, ...], ...], int, DyadicVector]:
@@ -69,6 +78,12 @@ def float_gram(a: np.ndarray) -> tuple[tuple[float, ...], ...]:
     except (OverflowError, ValueError):
         pass
     raise TooLarge("A^T A is past the float range")
+
+
+def unit_scale(rows: tuple[tuple[int, ...], ...], e: int) -> int:
+    """s with the largest |entry| of the matrix rows 2^e times 2^-s in [0.5, 1),
+    so 2^s is the power of two just above it; e for a zero matrix."""
+    return max(abs(m) for row in rows for m in row).bit_length() + e
 
 
 def exact_gram(rows: tuple[tuple[int, ...], ...], e: int) -> tuple[tuple[tuple[int, ...], ...], int]:

@@ -10,16 +10,12 @@ scale 2^t of qubit u on variable i(u), the coefficients are
 
 Only the linear terms depend on the center, and only through
 g = A^T r, so a window is built in two steps: ``WindowLevel(gram,
-spec)`` forms the weights and the quadratic terms from the float A^T A
-once per run, rescaled per level, and ``build_window(level, g)`` forms
-the linear terms of one solve from the exact g; any symmetric form and
-vector serve. One exponent lower, every weight halves and every
-quadratic term and w_u^2 term quarters, exactly while they stay normal
-floats, so ``level.at(spec)`` rescales a level by powers of two, and
-builds it from the Gram only past that. Every window of a level shares
-the level's QuadraticPart: its quadratic terms, built once in order and
-read-only, and their dense upper matrix. A window carries its spec as
-``window_spec``, which no other QUBO has.
+spec)`` forms the weights and the quadratic terms from the float A^T A,
+and ``build_window(level, g)`` forms the linear terms of one solve from
+the exact g; any symmetric form and vector serve. Every window of a
+level shares the level's QuadraticPart: its quadratic terms, built once
+in order and read-only, and their dense upper matrix. A window carries
+its spec as ``window_spec``, which no other QUBO has.
 g is given exactly (linalg.normal_residual of r, or carried by refine) and
 rounded once per entry; since every w_u is a signed power of two, the
 only other rounding is in the float A^T A. The constant ||r||^2 is kept out
@@ -48,7 +44,6 @@ from .problems import _number, strict_json
 _MAX_QUBITS = 10**6  # most qubits of a window or a parsed QUBO
 _ROWS = 1 << 10  # rows per chunk of an energy batch, bounding its rows x nq x nq products
 _PICK = 256  # most outer-product entries in a batch scored without numpy (timed crossover: 100-300)
-_NORMAL = 2.0**-1022  # the least normal float
 
 
 class QuadraticPart:
@@ -56,27 +51,18 @@ class QuadraticPart:
     order, and their dense upper matrix, built on first use: the only dense form of
     a QUBO's coefficients that outlives a call. QUBOs differing in linear terms share
     it, so its terms are a read-only view of the dict its maker hands over: no caller
-    can change what upper and the samplers' scores were cached from.
+    can change what upper and the samplers' scores were cached from."""
 
-    A part that WindowLevel.at rescaled records its root and shift: its terms are
-    exactly the root's times 2^shift. Any other part has root None and shift 0."""
-
-    def __init__(self, n_qubits: int, quadratic: dict[tuple[int, int], float],
-                 root: QuadraticPart | None = None, shift: int = 0) -> None:
+    def __init__(self, n_qubits: int, quadratic: dict[tuple[int, int], float]) -> None:
         self.n_qubits = n_qubits
         self.quadratic = types.MappingProxyType(quadratic)
-        self.root = root
-        self.shift = shift
 
     @functools.cached_property
     def upper(self) -> np.ndarray:
         """Read-only dense strictly upper-triangular matrix of the terms."""
-        if self.root is not None:
-            upper = np.ldexp(self.root.upper, self.shift)
-        else:
-            upper = np.zeros((self.n_qubits, self.n_qubits))
-            for (u, v), c in self.quadratic.items():
-                upper[u, v] = c
+        upper = np.zeros((self.n_qubits, self.n_qubits))
+        for (u, v), c in self.quadratic.items():
+            upper[u, v] = c
         upper.setflags(write=False)
         return upper
 
@@ -152,8 +138,7 @@ class WindowLevel:
     qubit weights w_u and variables i(u), the w_u^2 gram_{i(u),i(u)} term of each
     linear coefficient, and the shared QuadraticPart, its terms built in (u, v) order.
     Raises DimensionMismatch when the spec does not fit the gram, TooManyQubits past
-    _MAX_QUBITS and TooLarge for a window past the float range. Each level built
-    here is a root, from which at() rescales the levels below it."""
+    _MAX_QUBITS and TooLarge for a window past the float range."""
 
     def __init__(self, gram: tuple[tuple[float, ...], ...], spec: EncodingSpec) -> None:
         if spec.n_vars != len(gram):
@@ -174,43 +159,11 @@ class WindowLevel:
                     quadratic[(u, v)] = q
         if not all(map(math.isfinite, quadratic.values())):
             raise _past_float_range(spec)
-        self.gram = gram
         self.spec = spec
         self.var = var
         self.square = [w * w * gram[i][i] for w, i in zip(weight, var)]
         self.twice = [2.0 * w for w in weight]
         self.part = QuadraticPart(nq, quadratic)
-        self._root = None  # the level this one is rescaled from, None for a root
-        # the least magnitude of a nonzero square or coupling; each square has a
-        # coupling of twice its magnitude, checked finite above
-        self._least = min(map(abs, filter(None, [*self.square, *quadratic.values()])), default=1.0)
-
-    def at(self, spec: EncodingSpec) -> WindowLevel:
-        """The level of spec, equal to WindowLevel(self.gram, spec) bit for bit.
-
-        For a spec of the same n_vars and bits per sign d exponents below the
-        root this level comes from (d <= 0), each square and coupling is the
-        root's times 4^d and each twice the root's times 2^d, by math.ldexp;
-        the part records (root part, 2 d). A product of powers of two and a
-        Gram entry is exact while it is a normal float, so the rescaled terms
-        are the ones WindowLevel would form while 2^(2 l_lo) and every
-        rescaled term are normal. Past that, and for any other spec, the
-        level is built from the Gram, a new root."""
-        root = self._root or self
-        if spec == root.spec:
-            return root
-        d = spec.l_lo - root.spec.l_lo
-        if ((spec.n_vars, spec.bits_per_sign) != (root.spec.n_vars, root.spec.bits_per_sign) or d > 0
-                or math.ldexp(1.0, 2 * spec.l_lo) < _NORMAL or math.ldexp(root._least, 2 * d) < _NORMAL):
-            return WindowLevel(root.gram, spec)
-        level = WindowLevel.__new__(WindowLevel)
-        level.gram, level.spec, level.var, level._root = root.gram, spec, root.var, root
-        level.square = [math.ldexp(c, 2 * d) for c in root.square]
-        level.twice = [math.ldexp(c, d) for c in root.twice]
-        part = root.part
-        level.part = QuadraticPart(part.n_qubits, {key: math.ldexp(c, 2 * d) for key, c in part.quadratic.items()},
-                                   part, 2 * d)
-        return level
 
 
 def _past_float_range(spec: EncodingSpec) -> TooLarge:

@@ -35,6 +35,7 @@ from .linalg import (
     residual,
     residual_norm_sq,
     symmetric_eigen,
+    unit_scale,
 )
 from .qubo import QuboMatrix, WindowLevel, build_window
 from .samplers import AnnealConfig, SampleSet, sample_anneal, sample_exhaustive
@@ -131,14 +132,22 @@ def refine(
     residual_tolerance > 0 the run stops early once the exact residual
     reaches it (checked as each level settles).
 
-    The run holds one matrix W exactly (A, or A V below), its exact Gram,
-    and the float Gram of W's entries rounded once, which its windows
-    read. It forms r = b - Ac once, and from it carries g = W^T r, from
-    which each window is built, and ||r||^2, exactly; a center of the
-    wrong length is refused there. The sampler's best state is accepted
-    when its increment is nonzero and its exact change in ||r||^2
-    (energy_change) is negative, whatever energy the sampler reported, so
-    rounding dust is rejected. `truth` is made exact once per run.
+    The run holds one matrix W exactly (A, or A V below) and its exact
+    Gram. With 2^s the power of two just above W's largest entry, every
+    level-l window divided by 4^(l+s) is one unit window: weights 2^t
+    (t < k) on the float Gram of W 2^-s, entries rounded once, with linear
+    terms from the exact g 2^(-l-2s), g = W^T r, each rounded once. So no
+    window term depends on the level or on the system's scale, and the
+    samplers, `sampler` too, receive unit windows, whose window_spec is
+    [0, k-1]. A record's qubo_energy is the unit energy times 4^(l+s),
+    rounded once: exact in the normal range, correctly rounded where
+    subnormal and +-inf past the range, like residual_norm_sq. The run
+    forms r = b - Ac once, and from it carries g and ||r||^2, exactly; a
+    center of the wrong length is refused there. The sampler's best state
+    is accepted when its increment is nonzero and its exact change in
+    ||r||^2 (energy_change) is negative, whatever energy the sampler
+    reported, so rounding dust is rejected. `truth` is made exact once per
+    run.
 
     Each window goes to `sampler` when given, else to the one that
     config.sampler names: sample_exhaustive, or sample_anneal with
@@ -187,14 +196,13 @@ def refine(
     error = error_vs_truth(reported, truth) if truth is not None else None
     terminated = None
     l = m_max - k + 1
-    # the float W^T W, A's own in a plain run, formed after the checks above
-    gram = float_gram(np.array([[dyadic_to_float(m, e) for m in row] for row in rows]))
-    level = None
+    # the unit window: the level-l window over 4^(l+s), on the float Gram of
+    # W 2^-s, A's own in a plain run, formed after the checks above
+    s = unit_scale(rows, e)
+    unit = EncodingSpec(n_vars=system.n, l_lo=0, l_hi=k - 1)
+    level = WindowLevel(float_gram(np.array([[dyadic_to_float(m, e - s) for m in row] for row in rows])), unit)
     while terminated is None and l >= config.l_min:
         logger.info("descending to level %d (window [%d, %d])", l, l, l + k - 1)
-        spec = EncodingSpec(n_vars=system.n, l_lo=l, l_hi=l + k - 1)
-        # the first level is built from the Gram, each lower one rescaled from it
-        level = WindowLevel(gram, spec) if level is None else level.at(spec)
         moves = 0
         accepted = True
         while accepted:
@@ -202,12 +210,12 @@ def refine(
                 logger.info("level %d: recenter cap %d reached", l, moves)
                 terminated = "recenter-cap"
                 break
-            qm = build_window(level, g)
+            qm = build_window(level, DyadicVector(g.mantissas, g.exponent - l - 2 * s))
             solved = sampler(qm)
             best = solved.best()
-            increments = decode_increments(best.bits, spec)
-            target = -res_float  # floor of the QUBO just solved
-            bits, solve_energy = (0,) * spec.total_qubits, 0.0
+            increments = decode_increments(best.bits, unit)  # in units of 2^l
+            target = -res_float  # floor of the level-l window, 4^(l+s) times the unit one's
+            bits, solve_energy = (0,) * unit.total_qubits, 0.0
             accepted = False
             if any(increments):
                 d_m, d_e, (gy_m, gy_e) = energy_change(gram_exact, g, increments, l)
@@ -218,7 +226,8 @@ def refine(
                 e = min(res_e, d_e)
                 res_m, res_e = (res_m << (res_e - e)) + (d_m << (d_e - e)), e
                 res_float = dyadic_to_float(res_m, res_e)
-                bits, solve_energy = best.bits, best.energy
+                unit_m, unit_e = dyadic_of_float(best.energy)
+                bits, solve_energy = best.bits, dyadic_to_float(unit_m, unit_e + 2 * (l + s))
                 reported = to_x(center)
                 error = error_vs_truth(reported, truth) if truth is not None else None
             record = IterationRecord(
@@ -268,10 +277,16 @@ def energy_change(
 
 def default_m_max(system: LinearSystem, r: DyadicVector) -> int:
     """ceil(log2(||r|| / smallest-singular-value + 1)) + 1, a bound on the
-    exponent of ||x* - c|| for the start residual r = b - Ac (b at a zero start)."""
+    exponent of ||x* - c|| for the start residual r = b - Ac (b at a zero start).
+    Its norm is taken of r 2^-t, with 2^t the power of two just above max |r|,
+    and the smallest eigenvalue of the unit Gram is A^T A's times 4^-s, so the
+    bound is their ratio times 2^(t - s): exact powers of two, so only a bound
+    past the float range is refused."""
     lam_min = lambda_min(symmetric_eigen(system.gram)[0])  # SingularMatrix: singular within rounding
-    with np.errstate(over="ignore"):  # an overflowing ||r|| is reported below
-        bound = float(np.linalg.norm(r.to_floats())) / math.sqrt(lam_min)
-    if not math.isfinite(bound):
-        raise TooLarge("||r|| / smallest singular value is past the float range")
+    t = unit_scale((r.mantissas,), r.exponent)
+    unit_norm = float(np.linalg.norm(DyadicVector(r.mantissas, r.exponent - t).to_floats()))
+    try:
+        bound = math.ldexp(unit_norm / math.sqrt(lam_min), t - system.scale)
+    except OverflowError:
+        raise TooLarge("||r|| / smallest singular value is past the float range") from None
     return math.ceil(math.log2(bound + 1.0)) + 1

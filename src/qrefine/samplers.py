@@ -20,22 +20,20 @@ rounding dust; a window is minimized over its canonical encodings only.
 It scores each state in float, as the score of the quadratic terms plus
 that of the linear terms. The quadratic scores depend on the QUBO's
 QuadraticPart and pattern table alone, so they are formed once per part,
-and a run's windows share one: once per run, rescaled per level. While
-its terms stay normal floats, each level's part is the run's first part
-rescaled by 2^shift (WindowLevel.at), so the pass runs on the first part
-and the linear terms times 2^-shift. A state is a product of groups, a
-qubit (patterns 0 and 1) or an unknown (its canonical blocks), split into
-its low groups, whose states fit 2^10 rows, and the rest, as in Horowitz
-and Sahni's meet-in-the-middle (JACM 21(2), 1974): each chunk of high
-states adds its own energies to one product with the low part's cached
-scores, so a state costs O(high qubits) instead of O(nq^2). It keeps, as
-bit rows, the band of states whose float score lies within a proven
-rounding bound of the float minimum, which holds every enumerated state
-of minimum exact energy, and scores only that band exactly. If 4 S, S
-the sum of all |coef|, is past the float range, both samplers do their
-float work on the QUBO scaled by a power of two that brings it in, and
-score their candidates on the original; so does the annealer when its
-beta schedule would pass the float range at the low end.
+and a run's windows share one: refine solves one unit window per run. A
+state is a product of groups, a qubit (patterns 0 and 1) or an unknown
+(its canonical blocks), split into its low groups, whose states fit 2^10
+rows, and the rest, as in Horowitz and Sahni's meet-in-the-middle (JACM
+21(2), 1974): each chunk of high states adds its own energies to one
+product with the low part's cached scores, so a state costs O(high
+qubits) instead of O(nq^2). It keeps, as bit rows, the band of states
+whose float score lies within a proven rounding bound of the float
+minimum, which holds every enumerated state of minimum exact energy, and
+scores only that band exactly. If 4 S, S the sum of all |coef|, is past
+the float range, both samplers do their float work on the QUBO scaled by
+a power of two that brings it in, and score their candidates on the
+original; so does the annealer when its beta schedule would pass the
+float range at the low end.
 
 The annealer forms its symmetric coupling matrix from the part's upper
 matrix once per call. When every state fits in the reads (2^nq <= reads),
@@ -161,26 +159,19 @@ def _enumerated_spec(q: qubo.QuboMatrix) -> EncodingSpec | None:
 
 def _float_range(q: qubo.QuboMatrix, own: bool = False) -> tuple[tuple[float, ...], qubo.QuadraticPart, float]:
     """(linear, part, S) of the QUBO q 2^-k that the float work runs on, S the
-    sum of its |coef|, for the first k of these whose 4 S is finite:
-    - k = shift for a window whose part was rescaled from a root part
-      (QuadraticPart.root), on the root's part and q's linear terms times
-      2^-shift, exact since they scale up; not with own;
-    - k = 0, on q's own part and linear terms;
-    - else each coefficient scaled by math.ldexp, with max |coef| < 2^e, n
-      coefficients and k = e + bit_length(n) + 3 - 1023, which gives 4 S < 2^1022.
-    S is fsum of the linear magnitudes and the part's cached magnitude, or
-    with own, the annealer's, the fsum of every |coef|."""
+    sum of its |coef|: k = 0, on q's own part and linear terms, when 4 S is
+    finite; else each coefficient scaled by math.ldexp, with max |coef| < 2^e,
+    n coefficients and k = e + bit_length(n) + 3 - 1023, which gives
+    4 S < 2^1022. S is fsum of the linear magnitudes and the part's cached
+    magnitude, or with own, the annealer's, the fsum of every |coef|."""
     part = q._part
-    bases = [(part, 0)] if own or part.root is None else [(part.root, part.shift), (part, 0)]
-    for base, shift in bases:
-        try:
-            linear = tuple(math.ldexp(c, -shift) for c in q.linear) if shift else q.linear
-            quad = map(abs, base.quadratic.values()) if own else (base.magnitude,)
-            total = math.fsum([*map(abs, linear), *quad])
-        except OverflowError:
-            total = math.inf
-        if math.isfinite(4.0 * total):
-            return linear, base, total
+    try:
+        quad = map(abs, part.quadratic.values()) if own else (part.magnitude,)
+        total = math.fsum([*map(abs, q.linear), *quad])
+    except OverflowError:
+        total = math.inf
+    if math.isfinite(4.0 * total):
+        return q.linear, part, total
     coefs = (*q.linear, *q.quadratic.values())
     k = math.frexp(max(map(abs, coefs)))[1] + len(coefs).bit_length() + 3 - 1023
     return _float_range(qubo.QuboMatrix(q.n_qubits, tuple(math.ldexp(c, -k) for c in q.linear),
@@ -199,9 +190,7 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     patterns the canonical_bits of the unknown's 2^(k+1) - 1 increments.
     Every float score is the quadratic part's score plus the linear part's,
     and the quadratic scores are formed once per QuadraticPart and pattern
-    table (_quadratic_scores), so once per run, rescaled per level: a
-    window whose part is a root part's rescaled by 2^shift runs on the
-    root part, with its linear terms times 2^-shift (_float_range).
+    table (_quadratic_scores), so once per run of unit windows.
     With U the strictly upper quadratic matrix and c the linear terms, a
     state splits into its low groups, whose n_lo states fit 2^_LOW_BITS rows,
     and the rest: its low b qubits and its high h = nq - b
@@ -245,13 +234,11 @@ def _near_minimum_rows(q: qubo.QuboMatrix) -> np.ndarray:
     - With m = nq + #quadratic + 2, gamma_{N-1} + u <= gamma_m, so
       |f(x) - s(x)| <= gamma_m S + 2^-1075.
     - The pass runs on q scaled by 2^-k (_float_range): k = 0 when 4 S is
-      finite; k = shift < 0, on the root part, for a rescaled window whose 4 S
-      is finite in root units; else k > 0, so that 4 S is finite. So f, E,
-      S(x) and S are the scaled q's, against s(x) 2^-k. Scaling by a power of
-      two is exact but for a subnormal result, off by at most 2^-1075 (Higham,
-      ch. 2), so over at most m terms E(x) and S(x) move by at most m 2^-1075 and
-      the bound by under m 2^-1074: |f(x) - s(x) 2^-k| <= delta := gamma_m S +
-      2 m 2^-1074.
+      finite, else k > 0, so that 4 S is finite. So f, E, S(x) and S are the
+      scaled q's, against s(x) 2^-k. Scaling by a power of two is exact but
+      for a subnormal result, off by at most 2^-1075 (Higham, ch. 2), so over
+      at most m terms E(x) and S(x) move by at most m 2^-1075 and the bound by
+      under m 2^-1074: |f(x) - s(x) 2^-k| <= delta := gamma_m S + 2 m 2^-1074.
     - Let x* be any enumerated state of minimum s and y the enumerated state of
       minimum f. Then f(x*) <= s(x*) 2^-k + delta <= s(y) 2^-k + delta <=
       f(y) + 2 delta. Only x* and y enter, so the set of states enumerated
@@ -321,8 +308,8 @@ def _quadratic_scores(part: qubo.QuadraticPart, k: int | None) -> tuple:
     X_lo of the low states; and the read-only scores of the part's terms alone,
     (F_lo,) with no high groups, else (F_lo, M, F_hi) (_near_minimum_rows),
     F_hi formed _BLOCK high rows at a time. They are formed on the first solve
-    of a part and cached for the last 8 solved, so the windows of a run share
-    them: each level's pass runs on its root part (_float_range)."""
+    of a part and cached for the last 8 solved, so the windows of a run, which
+    share one part, share them."""
     if k is None:
         pattern, groups = ((0,), (1,)), part.n_qubits
     else:

@@ -29,7 +29,7 @@ from qrefine import (
     qubo,
 )
 from qrefine.encoding import EncodingSpec, decode_increments
-from qrefine.linalg import normal_residual, residual, residual_norm_sq
+from qrefine.linalg import float_gram, normal_residual, residual, residual_norm_sq
 from qrefine.samplers import SampleEntry, SampleSet
 from qrefine.traceio import TraceWriter
 
@@ -61,12 +61,33 @@ def frac_normal_rhs(a, b, x: list[Fraction]) -> list[Fraction]:
     return [sum(Fraction(float(a[row][i])) * r[row] for row in range(n)) for i in range(n)]
 
 
+def frac_solution(a, b) -> list[Fraction]:
+    """x* of A x = b exactly, by Gauss-Jordan elimination in rationals; a, b
+    are float rows of a nonsingular system."""
+    n = len(b)
+    rows = [[Fraction(float(v)) for v in row] + [Fraction(float(bi))] for row, bi in zip(a, b)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def log2_distance(center: DyadicVector, x: list[Fraction]) -> float:
+    """log2 of the exact 2-norm distance from center to x, -inf at zero."""
+    sq = sum((c - xi) ** 2 for c, xi in zip(dyadic_fractions(center), x))
+    return (math.log2(sq.numerator) - math.log2(sq.denominator)) / 2 if sq else -math.inf
+
+
 def window_qubo(system: LinearSystem, center: DyadicVector, spec: EncodingSpec):
-    """The window QUBO around center, built in the package's two steps: the
-    level's part, then the solve's linear terms from the exact normal
-    residual."""
+    """The window QUBO around center in absolute units, built in the package's
+    two steps: the level's part from float_gram(A), then the solve's linear
+    terms from the exact normal residual."""
     g = normal_residual(*system.exact[:2], residual(system, center))
-    return qubo.build_window(qubo.WindowLevel(system.gram, spec), g)
+    return qubo.build_window(qubo.WindowLevel(float_gram(system.a), spec), g)
 
 
 def exact_residual_sq(system: LinearSystem, x: DyadicVector) -> Fraction:

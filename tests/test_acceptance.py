@@ -6,11 +6,13 @@ work, not the oracle. Run with -s to see the lines on success; they
 are always shown for failures.
 """
 
+import math
 import random
 import time
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qrefine import (
@@ -35,7 +37,9 @@ from helpers import (
     enumerate_grid,
     irrational_system,
     frac_residual_sq,
+    frac_solution,
     ising_energy,
+    log2_distance,
     qubo_to_ising,
     random_bits,
     random_grid_instance,
@@ -343,4 +347,33 @@ def test_criterion_9_determinism(c1, tmp_path):
         ok,
         f"two runs give byte-identical trace CSV ({len(csv_a)} bytes) "
         f"and qubo-dump output is byte-stable",
+    )
+
+
+def test_criterion_10_deep_levels():
+    # every run's windows are one unit window, so no window term underflows:
+    # at l_min = -1000 the final exact error, against the Fraction solution,
+    # is at most 2 kappa 2^l_min on table1 and on seeded well-conditioned
+    # systems A = G / sqrt(n) + 2 I. Engine time measured on a 2-core box:
+    # 0.73 s for the five runs
+    l_min = -1000
+    systems = [irrational_system()[0]]
+    for n in (2, 3, 4, 6):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal((n, n)) / math.sqrt(n) + 2.0 * np.eye(n)
+        systems.append(LinearSystem(a=a, b=rng.standard_normal(n)))
+    engine, worst = 0.0, -math.inf
+    for system in systems:
+        t0 = time.perf_counter()
+        trace = refine(system, RefinementConfig(l_min=l_min))
+        engine += time.perf_counter() - t0
+        x = frac_solution(system.a.tolist(), system.b.tolist())
+        bound = math.log2(2.0 * condition_number(system)) + l_min
+        worst = max(worst, log2_distance(trace.final_center, x) - bound)
+    ok = worst <= 0.0 and engine < 3.0
+    report(
+        10,
+        ok,
+        f"{len(systems)} systems at l_min {l_min}, exact error <= 2 kappa 2^l_min "
+        f"(worst 2^{worst:.2f} of the bound), engine {engine:.3f}s < 3s",
     )

@@ -164,27 +164,55 @@ DIAG_1E170 = '{"a": [[1e-170, 0], [0, 2e-170]], "b": [1e-170, 2e-170]}'
 
 
 @pytest.mark.parametrize(
-    "text,flags",
+    "text,flags,x",
     [
-        (DIAG_1E200, []),  # A^T A overflows
-        (DIAG_1E200, ["--m-max", "4"]),  # A^T A and A^T b' overflow
-        (B_1E160, []),  # ||b|| overflows
-        (B_1E160, ["--m-max", "535"]),  # the window weights squared overflow
-        (IDENTITY, ["--m-max", "1100"]),  # the bit weight 2^1100 overflows
-        (GRAM_FSUM, []),  # the fsum of A^T A overflows
-        (GRAM_FSUM, ["--m-max", "4"]),  # the same, first met in the window
-        (RHS_1E308, ["--m-max", "4"]),  # A^T b' overflows, A^T A is finite
-        (DIAG_1E170, []),  # A^T A underflows
-        (DIAG_1E170, ["--m-max", "3"]),  # the same, first met in the window
-        (DIAG_1E170, ["--eigenbasis"]),  # the same, before the eigenbasis is found
+        (DIAG_1E200, [], (1, 2)),  # A^T A overflows
+        (DIAG_1E200, ["--m-max", "4"], (1, 2)),  # A^T A and A^T b' overflow
+        (B_1E160, [], (1e160, -3e159)),  # ||b||^2 overflows
+        (B_1E160, ["--m-max", "535"], (1e160, -3e159)),  # the window weights squared overflow
+        (IDENTITY, ["--m-max", "1100"], (3, -2)),  # the bit weight 2^1100 overflows
+        (GRAM_FSUM, [], (1, 0)),  # the fsum of A^T A overflows
+        (GRAM_FSUM, ["--m-max", "4"], (1, 0)),  # the same, first met in the window
+        (DIAG_1E170, [], (1, 1)),  # A^T A underflows
+        (DIAG_1E170, ["--m-max", "3"], (1, 1)),  # the same, first met in the window
+        (DIAG_1E170, ["--eigenbasis"], (1, 1)),  # the same, before the eigenbasis is found
     ],
     ids=["gram", "window-rhs", "norm-b", "window-weights", "bit-weight",
-         "gram-fsum", "gram-fsum-m-max", "window-rhs-only",
-         "gram-underflow", "gram-underflow-m-max", "gram-underflow-eigenbasis"],
+         "gram-fsum", "gram-fsum-m-max", "gram-underflow", "gram-underflow-m-max",
+         "gram-underflow-eigenbasis"],
 )
-def test_solve_past_float_range_is_solver_error(tmp_path, capsys, text, flags):
+def test_solve_past_float_range_of_absolute_windows_is_exact(tmp_path, capsys, text, flags, x):
+    # each comment names what passes the float range in absolute units; a
+    # run's unit windows, over 4^(l+s), stay in range, so it reaches x*
     path = write_problem(tmp_path, text)
-    rc = main(["solve", path, *flags])
+    assert main(["solve", path, *flags]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("".join(f"x[{i}] = {v:.18g}\n" for i, v in enumerate(x)))
+    assert "terminated_by = level-exhausted\n" in out
+
+
+def test_solve_far_below_its_solution_ends_on_the_cap(tmp_path, capsys):
+    # A^T b' overflows in absolute units; in unit windows it does not, but
+    # x* = 1e154 is far above the explicit m_max, so the walk ends on the cap
+    path = write_problem(tmp_path, RHS_1E308)
+    assert main(["solve", path, "--m-max", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("x[0] = 16000\n") and out.endswith("terminated_by = recenter-cap\n")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a column far below the largest entry: its square underflows in the unit Gram too
+        '{"a": [[1, 0], [0, 1e-300]], "b": [1, 1]}',
+        # x* = 1e600: the default m_max's bound is past the float range
+        '{"a": [[1e-300]], "b": [1e300]}',
+    ],
+    ids=["column-scaled-gram", "solution"],
+)
+def test_solve_past_float_range_is_solver_error(tmp_path, capsys, text):
+    path = write_problem(tmp_path, text)
+    rc = main(["solve", path])
     err = capsys.readouterr().err
     assert rc == 3
     assert "solver error" in err and "float range" in err
@@ -344,9 +372,8 @@ def test_qubo_dump_wide3_golden_bytes(tmp_path, capsys):
     assert parse(out).n_qubits == 18
 
 
-# a x = a with a = 2^508: 4 times its windows' coefficient magnitudes sum
-# past the float range, so both samplers work on each window scaled by a
-# power of two
+# a x = a with a = 2^508: 4 times its absolute windows' coefficient
+# magnitudes would sum past the float range; its unit windows' do not
 BIG508 = '{"a": [[8.379879956214123e+152]], "b": [8.379879956214123e+152]}'
 K3 = ["--bits-per-sign", "3", "--level-step", "3", "--l-min", "-30"]
 SA7 = ["--sampler", "sa", "--seed", "7", "--reads"]

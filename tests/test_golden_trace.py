@@ -39,16 +39,17 @@ def test_trace_csv_matches_golden_hash(build, config, digest):
 @pytest.mark.parametrize(
     "config,records,digest",
     [
-        (dict(TABLE1, l_min=-700), 1133,
-         "269ad98c1b2e133f61f8f6ce2a3be032da70387bdd85f4e8651d2d29a7f3eca0"),
-        (dict(TABLE1, l_min=-1100, bits_per_sign=3, level_step=3), 554,
-         "4529baef11d6b870363d3b5499c9f7d0293cb499040bb03fa89245e0d2475faf"),
+        (dict(TABLE1, l_min=-700), 1245,
+         "b1a664235b787c05cd640643693a6db66d3ab84d998eef961e7dacd243f5a11b"),
+        (dict(TABLE1, l_min=-1100, bits_per_sign=3, level_step=3), 735,
+         "7fec95377684ecc43dc2c283aca58cde4e84b2bd1b18d35fe92ea6f0f407165b"),
     ],
     ids=["table1-k1-700", "table1-k3-step3-1100"],
 )
 def test_deep_trace_csv_matches_golden_hash(config, records, digest):
-    # runs past the levels whose window terms are normal floats, and past the
-    # level where every weight rounds to zero
+    # runs past the levels where an absolute window's terms are normal
+    # floats: a run's unit window is the same at every level, so the
+    # descent goes on to l_min, with qubo_energy subnormal from level -513
     system, truth = irrational_system()
     trace = refine(system, RefinementConfig(**config), truth=truth)
     assert len(trace.records) == records

@@ -37,6 +37,7 @@ from qrefine.linalg import (
     exact_form,
     exact_gram,
     exact_matvec,
+    float_gram,
     normal_residual,
     residual,
     residual_norm_sq,
@@ -66,17 +67,20 @@ def test_system_is_read_only_with_exact_gram():
     with pytest.raises(ValueError):
         system.b[0] = 7.0
     assert system.gram is system.gram
-    # each entry is the exact sum of the float products, rounded once;
-    # where every product is exact that is the exact Gram rounded once
+    # each float_gram entry is the exact sum of the float products, rounded
+    # once; where every product is exact that is the exact Gram rounded once.
+    # The system's unit Gram is that of A 2^-s, here A^T A 4^-s exactly
     exact_products = LinearSystem(a=[[1.5, -3.25], [2.0**-30, 7.0 + 2.0**-20]], b=[0.0, 0.0])
-    for sys_, product in ((system, lambda x, y: Fraction(x * y)),
-                          (exact_products, lambda x, y: Fraction(x) * Fraction(y))):
-        cols = sys_.a.T.tolist()
+    for sys_, product, s in ((system, lambda x, y: Fraction(x * y), 2),
+                             (exact_products, lambda x, y: Fraction(x) * Fraction(y), 3)):
+        assert sys_.scale == s
+        gram, cols = float_gram(sys_.a), sys_.a.T.tolist()
         for i in range(2):
             for j in range(2):
                 entry = sum(product(x, y) for x, y in zip(cols[i], cols[j]))
-                assert type(sys_.gram[i][j]) is float
-                assert sys_.gram[i][j] == float(entry)
+                assert type(gram[i][j]) is type(sys_.gram[i][j]) is float
+                assert gram[i][j] == float(entry)
+                assert sys_.gram[i][j] == math.ldexp(float(entry), -2 * s)
 
 
 def test_solve_identity():
@@ -290,19 +294,27 @@ def test_eigen_normal_matrix_of_irrational_system():
 
 
 @pytest.mark.parametrize(
-    "a",
+    "a,unit_finite",
     [
-        [[1e154, 1e154], [1e154, 0.0]],  # fsum overflows on 1e308 + 1e308
-        [[1e200, 1e200], [1e200, -1e200]],  # fsum meets inf - inf
-        [[1e200]],  # the product itself overflows
-        [[1e-170, 0.0], [0.0, 2e-170]],  # every product underflows to 0.0
-        [[1.0, 0.0], [1.0, 1e-170]],  # one nonzero column's only square underflows
+        ([[1e154, 1e154], [1e154, 0.0]], True),  # fsum overflows on 1e308 + 1e308
+        ([[1e200, 1e200], [1e200, -1e200]], True),  # fsum meets inf - inf
+        ([[1e200]], True),  # the product itself overflows
+        ([[1e-170, 0.0], [0.0, 2e-170]], True),  # every product underflows to 0.0
+        ([[1.0, 0.0], [1.0, 1e-170]], False),  # one nonzero column's only square underflows
     ],
     ids=["fsum-overflow", "inf-minus-inf", "product-overflow", "underflow", "column-underflow"],
 )
-def test_gram_past_float_range_is_too_large(a):
+def test_gram_past_float_range_is_too_large(a, unit_finite):
     with pytest.raises(TooLarge, match="float range"):
-        LinearSystem(a=a, b=[1.0] * len(a)).gram
+        float_gram(np.array(a))
+    # the system's unit Gram, of A 2^-s, is in range, unless a column lies
+    # so far below the largest entry that its square underflows there too
+    system = LinearSystem(a=a, b=[1.0] * len(a))
+    if unit_finite:
+        assert all(map(math.isfinite, sum(system.gram, ())))
+    else:
+        with pytest.raises(TooLarge, match="float range"):
+            system.gram
 
 
 def test_eigen_huge_entries_scale_exactly():
@@ -398,9 +410,10 @@ def test_condition_near_float_range():
         warnings.simplefilter("error")
         system = LinearSystem(a=[[2.0**510, 0.0], [0.0, 2.0**511]], b=[1.0, 1.0])
         assert condition_number(system) == 2.0
-        # well conditioned, so its windows, not singularity, stop a refine
-        with pytest.raises(TooLarge, match="window"):
-            refine(system, RefinementConfig())
+        # well conditioned, and its unit windows are in range: the run
+        # reaches x* = (2^-510, 2^-511) exactly
+        trace = refine(system, RefinementConfig(l_min=-512))
+        assert trace.final_center == DyadicVector((2, 1), -511)
         with pytest.raises(SingularMatrix):
             condition_number(LinearSystem(a=[[2.0**510] * 2] * 2, b=[1.0, 1.0]))
 

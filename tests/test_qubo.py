@@ -40,7 +40,7 @@ from qrefine import (
     sample_exhaustive,
 )
 from qrefine.encoding import EncodingSpec, decode_increments
-from qrefine.linalg import normal_residual, residual
+from qrefine.linalg import float_gram, normal_residual, residual
 from qrefine.qubo import _PICK, WindowLevel, build_window, dump, energy, parse
 from qrefine.refine import energy_change
 
@@ -78,13 +78,13 @@ def test_build_unit_system_b2_level1():
 
 def test_build_dimension_checks():
     with pytest.raises(DimensionMismatch, match="sizes disagree"):
-        build_window(WindowLevel(ONE_D.gram, window(1, 0, 1)), DyadicVector.zero(2))
+        build_window(WindowLevel(float_gram(ONE_D.a), window(1, 0, 1)), DyadicVector.zero(2))
     with pytest.raises(DimensionMismatch, match="sizes disagree"):
-        WindowLevel(ONE_D.gram, window(2, 0, 1))
+        WindowLevel(float_gram(ONE_D.a), window(2, 0, 1))
     # 1,002,050 qubits; l_hi is past 1023 too, so without the qubit bound
     # the next check raises at once instead of laying out the window
     with pytest.raises(TooManyQubits, match="1e6"):
-        WindowLevel(ONE_D.gram, EncodingSpec(1, -500000, 1024))
+        WindowLevel(float_gram(ONE_D.a), EncodingSpec(1, -500000, 1024))
 
 
 def test_energy_trivials():
@@ -482,12 +482,12 @@ def test_tiny_couplings_are_kept(l):
     expect = {(u, v): float(2 * weight[u] * weight[v] * gram[var[u]][var[v]])
               for u in range(4) for v in range(u + 1, 4)}
     assert len(expect) == 6 and all(expect.values())
-    assert WindowLevel(system.gram, spec).part.quadratic == expect
+    assert WindowLevel(float_gram(system.a), spec).part.quadratic == expect
 
 
 def test_diagonal_system_couples_only_the_signs_of_one_variable():
     system = LinearSystem(a=[[1.0, 0.0], [0.0, 2.0]], b=[1.0, 1.0])
-    assert list(WindowLevel(system.gram, window(2, 0, 1)).part.quadratic) == [(0, 1), (2, 3)]
+    assert list(WindowLevel(float_gram(system.a), window(2, 0, 1)).part.quadratic) == [(0, 1), (2, 3)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -504,7 +504,7 @@ def test_windows_of_one_level_match_fraction_oracle(k):
         b = [rng.uniform(-4.0, 4.0) for _ in range(n)]
         system = LinearSystem(a=a, b=b)
         spec = window(n, l, k)
-        level = WindowLevel(system.gram, spec)
+        level = WindowLevel(float_gram(system.a), spec)
         at_zero = window_qubo(system, DyadicVector.zero(n), spec)
         # gram entries are exact sums of the float products, rounded once
         gram = [float(sum(Fraction(a[r][i] * a[r][i]) for r in range(n))) for i in range(n)]
@@ -523,72 +523,12 @@ def test_windows_of_one_level_match_fraction_oracle(k):
             assert q == window_qubo(system, center, spec)
 
 
-def _hex(values):
-    return [float(c).hex() for c in values]
-
-
-def _normal_pattern(level):
-    """Which squares are nonzero and which couplings there are, or None when
-    2^(2 l_lo) or a nonzero square or coupling is not a normal float."""
-    terms = [*level.square, *level.part.quadratic.values()]
-    if 2 * level.spec.l_lo < -1022 or any(c and abs(c) < 2.0**-1022 for c in terms):
-        return None
-    return [bool(c) for c in level.square], list(level.part.quadratic)
-
-
-@pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize(
-    "system,top",
-    [(irrational_system()[0], 20), (LinearSystem(a=[[2.0**508]], b=[2.0**508]), 2),
-     (LinearSystem(a=[[1.0, 0.3 * 2.0**-700], [0.0, 1.0]], b=[1.0, 1.0]), 4)],
-    ids=["table1", "2^508", "tiny-coupling"],
-)
-def test_rescaled_levels_equal_built_ones(system, top, k):
-    # a run rescales its first level (level.at) down to -1100: each level equals
-    # the one WindowLevel builds from the Gram, bit for bit, and samples alike.
-    # at() rescales from the last level it built (the root) exactly while
-    # 2^(2 l) and every rescaled term are normal floats; else it builds the
-    # level, the next root. The tiny coupling leaves the normal range at
-    # l = -161, long before 2^(2 l) does at -512, and rounds to zero near
-    # -187, where a rescaled window would keep a zero coupling; below that,
-    # a root without it rescales again
-    g = normal_residual(*system.exact[:2], residual(system, DyadicVector.zero(system.n)))
-    level = root_pattern = None
-    rescaled = 0
-    for l in range(top - k + 1, -1101, -1):
-        spec = window(system.n, l, k)
-        built = WindowLevel(system.gram, spec)
-        level = built if level is None else level.at(spec)
-        assert level.spec == spec
-        assert _hex(level.square) == _hex(built.square) and _hex(level.twice) == _hex(built.twice)
-        assert list(level.part.quadratic) == list(built.part.quadratic)
-        assert _hex(level.part.quadratic.values()) == _hex(built.part.quadratic.values())
-        assert level.part.upper.tobytes() == built.part.upper.tobytes()
-        assert sample_exhaustive(build_window(level, g)) == sample_exhaustive(build_window(built, g))
-        pattern = _normal_pattern(built)
-        expect = root_pattern is not None and pattern == root_pattern
-        assert (level.part.root is not None) == expect
-        if not expect:
-            root_pattern = pattern
-        rescaled += expect
-    assert rescaled > 150
-
-
-def test_rescaled_level_of_another_shape_is_built():
-    system = LinearSystem(a=[[2.0, 1.0], [1.0, 3.0]], b=[3.0, -4.75])
-    level = WindowLevel(system.gram, window(2, 0, 2))
-    assert level.at(window(2, 0, 2)) is level
-    for spec in (window(2, 1, 2), window(2, -1, 1), window(2, -1, 3)):
-        other = level.at(spec)
-        assert other.part.root is None and other.part.quadratic == WindowLevel(system.gram, spec).part.quadratic
-
-
 def test_quadratic_terms_are_read_only():
     # the windows of a level share one mapping of terms, whose dense upper
     # and float scores are cached; a write through one window would leave a
     # sibling's dump and sampler disagreeing, so every QUBO's terms refuse it
     system = LinearSystem(a=[[2.0, 1.0], [1.0, 3.0]], b=[3.0, -4.75])
-    level = WindowLevel(system.gram, window(2, 0, 1))
+    level = WindowLevel(float_gram(system.a), window(2, 0, 1))
     siblings = [build_window(level, normal_residual(*system.exact[:2], residual(system, c)))
                 for c in (DyadicVector.zero(2), DyadicVector((1, -1), 0))]
     parsed = parse(dump(siblings[0]))
@@ -621,7 +561,7 @@ def test_energy_of_windows_sharing_a_level_matches_fraction_oracle():
     system = LinearSystem(a=a, b=[rng.uniform(-4.0, 4.0) for _ in range(n)])
     spec = window(n, l, k)
     nq = spec.total_qubits
-    level = WindowLevel(system.gram, spec)
+    level = WindowLevel(float_gram(system.a), spec)
     centers = [DyadicVector(tuple(rng.randint(-64, 64) for _ in range(n)), l) for _ in range(3)]
     windows = [build_window(level, normal_residual(*system.exact[:2], residual(system, c))) for c in centers]
     assert all(q._part is level.part for q in windows)

@@ -3,12 +3,13 @@
 import importlib
 import math
 import random
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -375,8 +376,8 @@ def test_anneal_settings_need_the_annealer():
 
 def test_every_run_forms_one_float_gram(monkeypatch):
     # plain or eigenbasis, the windows read float_gram of the run's work
-    # matrix W, formed once; a plain run's W is A, and it leaves the
-    # system's cached gram unread
+    # matrix W times 2^-s, formed once; a plain run's W is A, with s = 2
+    # here (max |A| = sqrt(7)), and it leaves the system's cached gram unread
     refine_mod = importlib.import_module("qrefine.refine")
     original, calls = refine_mod.float_gram, []
 
@@ -387,7 +388,7 @@ def test_every_run_forms_one_float_gram(monkeypatch):
     monkeypatch.setattr(refine_mod, "float_gram", counted)
     system, _ = irrational_system()
     refine(system, RefinementConfig(m_max=20, l_min=-10))
-    assert len(calls) == 1 and np.array_equal(calls[0], system.a)
+    assert len(calls) == 1 and np.array_equal(calls[0], system.a / 4.0)
     assert "gram" not in vars(system)
     refine(irrational_system()[0], RefinementConfig(m_max=20, l_min=-10, use_eigenbasis=True))
     assert len(calls) == 2
@@ -611,7 +612,9 @@ def test_sampler_bit_other_than_0_or_1_is_rejected():
 
 def test_move_is_accepted_by_its_exact_change_whatever_energy_is_reported():
     # a sampler's energies only rank its states: a move reported at +7
-    # is still taken while the exact residual drops, and refused after
+    # is still taken while the exact residual drops, and refused after; the
+    # sampler sees the unit window, so the record holds 7 times 4^(l+s),
+    # with l = 0 and s = 1 (2^s just above A's largest entry, 1)
     system = LinearSystem(a=[[1.0]], b=[3.0])
 
     def uphill(qm):
@@ -619,7 +622,7 @@ def test_move_is_accepted_by_its_exact_change_whatever_energy_is_reported():
 
     trace = refine(system, RefinementConfig(m_max=0, l_min=0), sampler=uphill)
     assert [r.bits for r in trace.records] == [(1, 0)] * 3 + [(0, 0)]
-    assert [r.qubo_energy for r in trace.records] == [7.0] * 3 + [0.0]
+    assert [r.qubo_energy for r in trace.records] == [28.0] * 3 + [0.0]
     assert [fracs(r.center_after) for r in trace.records] == [[1], [2], [3], [3]]
     assert [r.residual_norm_sq for r in trace.records] == [4.0, 1.0, 0.0, 0.0]
     assert trace.final_center == DyadicVector((3,), 0)
@@ -699,6 +702,54 @@ def test_carried_residual_is_exact_on_descending_runs(case, m_max, max_error):
     trace = refine(system, RefinementConfig(m_max=m_max, l_min=-40), truth=truth)
     assert trace.records[-1].error_vs_truth <= max_error
     check_carried_residuals(system, trace, DyadicVector.zero(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.integers(min_value=-16, max_value=16), min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(st.integers(min_value=-(2**20), max_value=2**20), min_size=n, max_size=n),
+    st.integers(min_value=-900, max_value=900),
+)))
+def test_scaling_a_and_b_by_a_power_of_two_leaves_the_walk(case):
+    # A and b times 2^sigma, exactly: x* and every unit window are unchanged,
+    # so every record's bits and center are too, and its qubo_energy, target
+    # and residual are 4^sigma times the unscaled run's wherever that is a
+    # normal float. Absolute windows would pass the float range far sooner
+    rows, rhs, sigma = case
+    a = [[v / 16 + 4.0 * (i == j) for j, v in enumerate(row)] for i, row in enumerate(rows)]
+    b = [v / 1024 for v in rhs]
+    config = RefinementConfig(l_min=-30)
+    base = refine(LinearSystem(a=a, b=b), config)
+    scaled = refine(LinearSystem(a=np.ldexp(a, sigma), b=np.ldexp(b, sigma)), config)
+    assert (len(scaled.records), scaled.terminated_by) == (len(base.records), base.terminated_by)
+
+    def times_4_to_sigma(v):
+        try:
+            v = math.ldexp(v, 2 * sigma)
+        except OverflowError:
+            return None
+        return v if v == 0.0 or 2.0**-1022 <= abs(v) < math.inf else None
+
+    for got, want in zip(scaled.records, base.records):
+        assert (got.level, got.recenter_index, got.bits) == (want.level, want.recenter_index, want.bits)
+        assert got.center_after == want.center_after
+        for field in ("qubo_energy", "target_energy", "residual_norm_sq"):
+            expect = times_4_to_sigma(getattr(want, field))
+            assert expect is None or getattr(got, field) == expect
+
+
+def test_rhs_whose_norm_squared_overflows_solves_exactly():
+    # ||b||^2 is past the float range but ||b|| / sigma_min is not: the
+    # default m_max takes the norm of b scaled into range, and the run
+    # reaches x* = b exactly
+    b = [1e160, -3e159]
+    system = LinearSystem(a=[[1.0, 0.0], [0.0, 1.0]], b=b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert default_m_max(system, residual(system, DyadicVector.zero(2))) == 533
+        trace = refine(system, RefinementConfig())
+    assert trace.final_center == DyadicVector.from_floats(b)
+    assert trace.terminated_by == "level-exhausted"
 
 
 def test_residual_tolerance_compares_the_exact_square():

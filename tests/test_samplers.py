@@ -23,7 +23,7 @@ from qrefine import (
 )
 from qrefine import samplers
 from qrefine.encoding import EncodingSpec, decode_increments
-from qrefine.linalg import normal_residual, residual
+from qrefine.linalg import float_gram, normal_residual, residual
 from qrefine.samplers import SampleEntry, SampleSet
 
 
@@ -193,7 +193,7 @@ def test_anneal_windows_of_one_level_match_reference():
     # integer A, b and centers at level 0 give integer coefficients, so the
     # two loops must make the same decisions on every window of the level
     system = LinearSystem(a=[[2.0, 1.0], [1.0, 3.0]], b=[5.0, -7.0])
-    level = qubo.WindowLevel(system.gram, EncodingSpec(n_vars=2, l_lo=0, l_hi=1))
+    level = qubo.WindowLevel(float_gram(system.a), EncodingSpec(n_vars=2, l_lo=0, l_hi=1))
     config = AnnealConfig(reads=100, sweeps=8, seed=3)
     for center in ((0, 0), (3, -4), (-2, 1)):
         q = qubo.build_window(level, normal_residual(*system.exact[:2], residual(system, DyadicVector(center, 0))))
@@ -325,9 +325,9 @@ def test_exhaustive_running_sum_past_float_range():
 
 @pytest.mark.parametrize("power", range(506, 510))
 def test_systems_near_float_range_solve_exactly(power):
-    # a x = a with a = 2^power: four times the sum of the windows' coefficient
-    # magnitudes is past the float range from 2^508, and both samplers still
-    # reach x = 1 exactly
+    # a x = a with a = 2^power: four times the sum of the absolute windows'
+    # coefficient magnitudes is past the float range from 2^508; refine's
+    # unit windows are not, and both samplers reach x = 1 exactly
     v = 2.0**power
     system = LinearSystem(a=[[v]], b=[v])
     for config in (RefinementConfig(l_min=-30),
@@ -351,8 +351,8 @@ def test_anneal_of_a_tiny_qubo_finds_its_ground_state(s):
 
 
 def test_a_run_forms_its_quadratic_scores_once():
-    # every level's window is its first level's rescaled, so the float pass
-    # of every solve of a run reads one part's cached scores
+    # every solve of a run is on one unit window, so the float pass of every
+    # solve reads one part's cached scores
     samplers._quadratic_scores.cache_clear()
     system, _ = irrational_system()
     trace = refine(system, RefinementConfig(m_max=20, l_min=-40, bits_per_sign=3, level_step=3))
